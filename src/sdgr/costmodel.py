@@ -1,18 +1,18 @@
 """Instrumented scalar ring operations for validating the operation-count model.
 
-These walk the same loops as the production code but route every field
-operation through a counter, so the cost model can be checked exactly:
-addition takes 2n field additions, the product 4n^2 additions and
-4n^2*(1+f) multiplications, the adjunct 2n*f multiplications, where f is
-the number of field multiplications in one application of the twist.  With
-the conjugation-based Frobenius, f = 0.
+These walk every pair of basis terms, as the definition of each operation
+does, and route every field operation through a counter, so the cost model
+can be checked exactly: addition takes 2n field additions, the product 4n^2
+additions and 4n^2*(1+f) multiplications, the adjunct 2n*f multiplications,
+where f is the number of field multiplications in one application of the
+twist.  With the conjugation-based Frobenius, f = 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dihedral import inverse
+from .dihedral import inverse, mul_index
 from .field import Fq2, QuadraticField
 from .skewring import RingElement, SkewRing
 
@@ -62,19 +62,18 @@ def counted_addition(ring: SkewRing, cf: CountingField, a: RingElement, b: RingE
 
 
 def counted_product(ring: SkewRing, cf: CountingField, a: RingElement, b: RingElement) -> RingElement:
-    """The table-driven product loop, one add and one (1+f)-mul per pair."""
+    """The basis-pair product loop, one add and one (1+f)-mul per pair."""
     n = ring.n
     out = [(0, 0)] * ring.size
     for i in range(ring.size):
         ai = a.coefficient(i)
         twist = i >= n
-        row = ring.table[i]
         for j in range(ring.size):
             bj = b.coefficient(j)
             if twist:
                 bj = cf.frobenius(bj)
             fe = cf.mul(ai, bj)
-            k = int(row[j])
+            k = mul_index(n, i, j)
             out[k] = cf.add(out[k], fe)
     return ring.element(out)
 

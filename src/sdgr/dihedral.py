@@ -1,8 +1,8 @@
 """The dihedral group D_2n = <x, y : x^n = y^2 = 1, y x y^-1 = x^-1>.
 
-Elements x^i y^j are encoded as the integer k = j*n + i.  A 2n x 2n Cayley
-table is materialized once per parameter set; the closed-form index formulas
-are kept alongside and tested against it.
+Elements x^i y^j are encoded as the integer k = j*n + i.  The closed-form
+index formulas are what the ring and the cost model use; the 2n x 2n Cayley
+table of ``build_table`` is a reference they are tested against.
 """
 
 from __future__ import annotations

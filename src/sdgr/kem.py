@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .kex import SecretPair
 from .params import VALID_L1, Params
@@ -27,35 +29,20 @@ H2_PREFIX = b"\x02"
 def pack_bits(values: Sequence[int], width: int) -> bytes:
     """Pack fixed-width unsigned integers into an MSB-first bitstream,
     zero-padding the final byte."""
-    acc = 0
-    nbits = 0
-    out = bytearray()
-    for v in values:
-        if not 0 <= v < (1 << width):
-            raise ValueError(f"value {v} does not fit in {width} bits")
-        acc = (acc << width) | v
-        nbits += width
-        while nbits >= 8:
-            nbits -= 8
-            out.append((acc >> nbits) & 0xFF)
-    if nbits:
-        out.append((acc << (8 - nbits)) & 0xFF)
-    return bytes(out)
+    v = np.asarray(values)
+    if v.size and (v.min() < 0 or v.max() >= 1 << width):
+        raise ValueError(f"values must fit in {width} bits, got {v.min()} .. {v.max()}")
+    shifts = np.arange(width - 1, -1, -1)
+    bits = (v.astype(np.int64, copy=False)[:, None] >> shifts).astype(np.uint8) & 1
+    return np.packbits(bits).tobytes()
 
 
-def unpack_bits(data: bytes, width: int, count: int) -> List[int]:
+def unpack_bits(data: bytes, width: int, count: int) -> np.ndarray:
     """Read `count` fixed-width integers from an MSB-first bitstream."""
     if len(data) * 8 < width * count:
         raise ValueError("bitstream too short")
-    acc = int.from_bytes(data, "big")
-    total = len(data) * 8
-    out = []
-    pos = 0
-    mask = (1 << width) - 1
-    for _ in range(count):
-        pos += width
-        out.append((acc >> (total - pos)) & mask)
-    return out
+    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=width * count)
+    return bits.reshape(count, width) @ (1 << np.arange(width - 1, -1, -1))
 
 
 # -- canonical serialization ---------------------------------------------------
@@ -69,7 +56,7 @@ def rep_len(ring: SkewRing) -> int:
 def rep_ring(a: RingElement) -> bytes:
     """Canonical encoding: coefficients in index order, c0 then c1, each as a
     ceil(log2 p)-bit big-endian integer, MSB-first packed."""
-    return pack_bits(a.coeffs.ravel().tolist(), a.ring.field.coeff_bits)
+    return pack_bits(a.coeffs.ravel(), a.ring.field.coeff_bits)
 
 
 def decode_ring(ring: SkewRing, data: bytes) -> RingElement:
@@ -78,8 +65,7 @@ def decode_ring(ring: SkewRing, data: bytes) -> RingElement:
     if len(data) != rep_len(ring):
         raise ValueError(f"expected {rep_len(ring)} bytes, got {len(data)}")
     values = unpack_bits(data, ring.field.coeff_bits, ring.size * 2)
-    coeffs = [(values[2 * i] % ring.p, values[2 * i + 1] % ring.p) for i in range(ring.size)]
-    return ring.element(coeffs)
+    return ring.element(values.reshape(ring.size, 2))
 
 
 def rep_ciphertext(c: Ciphertext) -> bytes:
@@ -118,13 +104,12 @@ def h1(data: bytes, params: Params) -> SecretPair:
     buf = data
     while True:
         stream = hashlib.shake_256(buf).digest(nbytes)
-        values = [v % params.p for v in unpack_bits(stream, w, coeff_count)]
-        a_coeffs = [(values[2 * i], values[2 * i + 1]) for i in range(n)]
-        free = [(values[2 * (n + i)], values[2 * (n + i) + 1]) for i in range(free_count)]
-        if any(c != (0, 0) for c in a_coeffs) and any(c != (0, 0) for c in free):
+        values = unpack_bits(stream, w, coeff_count).reshape(-1, 2) % params.p
+        a_coeffs, free = values[:n], values[n:]
+        if a_coeffs.any() and free.any():
             break
         buf = buf + b"\x00"
-    a = ring.element(a_coeffs + [(0, 0)] * n)
+    a = ring.element(np.concatenate([a_coeffs, np.zeros_like(a_coeffs)]))
     gamma = ring.gamma_from_free(free)
     return SecretPair(a=a, gamma=gamma)
 

@@ -3,8 +3,9 @@
 A ring element is a dense length-2n coefficient vector over F_{q^2}: index
 i < n holds the coefficient of x^i, index n+i the coefficient of x^i y.
 Coefficients are stored as an (2n, 2) int64 numpy array so that the skew
-product (the hot loop of every scheme) vectorizes; a naive triple-loop
-product that works directly on formal sums is kept as an independent oracle.
+product (the hot loop of every scheme) is one gather and one float64 matmul;
+a naive triple-loop product that works directly on formal sums is kept as an
+independent oracle.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Iterator, List, Sequence
 
 import numpy as np
 
-from .dihedral import build_table, inverse, mul_index
+from .dihedral import inverse, mul_index
 from .field import Fq2, QuadraticField
 
 
@@ -75,6 +76,21 @@ class RingElement:
         return f"RingElement(n={self.ring.n}, coeffs={self.coefficients()})"
 
 
+def gather_index(n: int) -> np.ndarray:
+    """G[i, k] = j such that g_i * g_j = g_k, plus 2n on the reflection rows.
+
+    From the dihedral relations: a rotation x^i reaches x^k (or x^k y) from
+    x^(k-i) (or x^(k-i) y); a reflection x^i y reaches x^k from x^(i-k) y and
+    x^k y from x^(i-k).  The 2n offset points reflection rows at sigma(b) in
+    the stacked vector [b; sigma(b)] that the product gathers from.
+    """
+    i = np.arange(n)[:, None]
+    k = np.arange(n)[None, :]
+    rot = (k - i) % n
+    ref = (i - k) % n + 2 * n
+    return np.block([[rot, rot + n], [ref + n, ref]])
+
+
 class SkewRing:
     """F_{q^2}^theta D_2n with theta sending reflections to the Frobenius."""
 
@@ -82,13 +98,15 @@ class SkewRing:
         self.field = QuadraticField(p, lam=lam, m=m)
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
+        if 2 * n * (p - 1) ** 2 * (1 + self.field.lam) >= 2**53:
+            raise ValueError(f"p={p}, n={n} is too large for exact float64 products")
         self.p = p
         self.n = n
         self.size = 2 * n
-        self.table = build_table(n)
-        self._flat_table = self.table.ravel()
-        # rows i >= n apply sigma (conjugation) to the right factor
-        self._sigma_row = (np.arange(self.size) >= n)[:, None]
+        # index into the flattened (4n, 2) stack [b; sigma(b)]: entry
+        # (i, v*2n + k) is F_p part v of the coefficient a_i multiplies in c_k
+        g = gather_index(n)
+        self._gather = np.concatenate([2 * g, 2 * g + 1], axis=1)
         self._inv_perm = np.array([inverse(n, k) for k in range(self.size)], dtype=np.int64)
 
     # -- construction ------------------------------------------------------
@@ -150,25 +168,25 @@ class SkewRing:
     # -- skew product --------------------------------------------------------
 
     def mul(self, a: RingElement, b: RingElement) -> RingElement:
-        """Skew product: c[ij] += a_i * theta(g_i)(b_j) over all basis pairs.
+        """Skew product: c_k = sum_i a_i * theta(g_i)(b_j) with g_i g_j = g_k.
 
-        Vectorized: the sigma rows see the conjugated right factor; products
-        are scattered through the flattened Cayley table with bincount.
-        Intermediate sums stay far below 2^53, so float64 accumulation is exact.
+        One gather from the stacked [b; sigma(b)] gives, for every (i, k),
+        the two parts of the b_j that a_i meets; one float64 matmul with
+        (a0, a1) then forms a0*B0, a1*B1, a0*B1 and a1*B0, and
+        c = (a0*B0 + lam*a1*B1) + (a0*B1 + a1*B0) t.  Every partial sum is an
+        integer at most 2n*(p-1)^2*(1+lam), which the constructor keeps below
+        2^53, so the float64 arithmetic is exact.
         """
         self._check(a, b)
-        p, lam, size = self.p, self.field.lam, self.size
-        a0 = a.coeffs[:, 0][:, None]
-        a1 = a.coeffs[:, 1][:, None]
-        b0 = np.broadcast_to(b.coeffs[:, 0][None, :], (size, size))
-        b1 = np.where(self._sigma_row, (p - b.coeffs[:, 1]) % p, b.coeffs[:, 1][None, :])
-        v0 = a0 * b0 + lam * (a1 * b1)
-        v1 = a0 * b1 + a1 * b0
-        c0 = np.bincount(self._flat_table, weights=v0.ravel(), minlength=size)
-        c1 = np.bincount(self._flat_table, weights=v1.ravel(), minlength=size)
+        p, size = self.p, self.size
+        stack = np.empty((2 * size, 2))
+        stack[:size] = b.coeffs
+        stack[size:, 0] = b.coeffs[:, 0]
+        stack[size:, 1] = (p - b.coeffs[:, 1]) % p
+        r = a.coeffs.T.astype(np.float64) @ stack.ravel()[self._gather]
         out = np.empty((size, 2), dtype=np.int64)
-        out[:, 0] = c0.astype(np.int64) % p
-        out[:, 1] = c1.astype(np.int64) % p
+        out[:, 0] = (r[0, :size] + self.field.lam * r[1, size:]) % p
+        out[:, 1] = (r[0, size:] + r[1, :size]) % p
         return self._wrap(out)
 
     def naive_product(self, a: RingElement, b: RingElement) -> RingElement:
@@ -236,14 +254,11 @@ class SkewRing:
         return self._wrap(out)
 
     def is_reversible(self, a: RingElement) -> bool:
-        """Membership in Gamma_theta: C_n y support with palindromic coefficients."""
-        if self.classify(a) not in (SubspaceTag.CNY_ONLY, SubspaceTag.ZERO):
-            return False
-        n = self.n
-        for i in range(1, n):
-            if not np.array_equal(a.coeffs[n + i], a.coeffs[n + (n - i) % n]):
-                return False
-        return True
+        """Membership in Gamma_theta: C_n y support, and the coefficients of
+        x^i y for i = 1 .. n-1 read the same backwards."""
+        self._check(a)
+        tail = a.coeffs[self.n + 1 :]
+        return not a.coeffs[: self.n].any() and np.array_equal(tail, tail[::-1])
 
     # -- samplers ------------------------------------------------------------
 
@@ -286,11 +301,8 @@ class SkewRing:
         if len(free) != expected:
             raise ValueError(f"expected {expected} free coefficients, got {len(free)}")
         out = np.zeros((self.size, 2), dtype=np.int64)
-        out[n] = np.array(free[0], dtype=np.int64) % self.p
-        for i in range(1, n // 2 + 1):
-            c = np.array(free[i], dtype=np.int64) % self.p
-            out[n + i] = c
-            out[n + (n - i) % n] = c
+        out[n : n + expected] = np.asarray(free, dtype=np.int64) % self.p
+        out[self.size - n // 2 :] = out[n + 1 : n + expected][::-1]
         return self._wrap(out)
 
     def gamma_free_count(self) -> int:

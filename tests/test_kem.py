@@ -34,12 +34,14 @@ def test_pack_unpack_roundtrip():
     for width in (2, 5, 6, 7, 11):
         values = [rng.randrange(1 << width) for _ in range(97)]
         data = pack_bits(values, width)
-        assert unpack_bits(data, width, len(values)) == values
+        assert unpack_bits(data, width, len(values)).tolist() == values
 
 
 def test_pack_bits_range_check():
     with pytest.raises(ValueError):
         pack_bits([32], 5)
+    with pytest.raises(ValueError):
+        pack_bits([-1], 5)
     with pytest.raises(ValueError):
         unpack_bits(b"\x00", 5, 10)
 

@@ -1,9 +1,15 @@
+import math
 import random
 
 import numpy as np
 import pytest
 
-from sdgr.skewring import SkewRing, SubspaceTag
+from sdgr.dihedral import build_table
+from sdgr.field import find_lambda, is_prime
+from sdgr.skewring import SkewRing, SubspaceTag, gather_index
+
+# odd and even n: for even n the reflection x^(n/2) y mirrors onto itself
+ORACLE_RINGS = [(7, 1), (7, 2), (3, 3), (7, 4), (5, 6), (19, 19)]
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +62,53 @@ def test_mul_matches_naive_oracle_p19(r19, rng):
         a = r19.sample_ring(rng)
         b = r19.sample_ring(rng)
         assert r19.mul(a, b) == r19.naive_product(a, b)
+
+
+@pytest.mark.parametrize("p,n", ORACLE_RINGS)
+def test_mul_matches_naive_oracle_on_every_basis_pair(p, n, rng):
+    ring = SkewRing(p, n)
+
+    def nonzero():
+        while True:
+            c = ring.field.sample(rng)
+            if c != (0, 0):
+                return c
+
+    for i in range(ring.size):
+        for j in range(ring.size):
+            a, b = ring.basis(i, nonzero()), ring.basis(j, nonzero())
+            assert ring.mul(a, b) == ring.naive_product(a, b), (i, j)
+    for _ in range(20):
+        a, b = ring.sample_ring(rng), ring.sample_ring(rng)
+        assert ring.mul(a, b) == ring.naive_product(a, b)
+
+
+@pytest.mark.parametrize("n", [n for _, n in ORACLE_RINGS])
+def test_gather_index_inverts_cayley_rows(n):
+    size = 2 * n
+    g = gather_index(n)
+    table = build_table(n)
+    for i in range(size):
+        # g_i * g_j = g_k for j = g[i, k], offset by 2n on the reflection rows
+        assert g[i].tolist() == (np.argsort(table[i]) + (size if i >= n else 0)).tolist()
+
+
+def test_mul_rejects_rings_beyond_exact_float64():
+    with pytest.raises(ValueError):
+        SkewRing(2147483647, 1)
+
+
+def test_mul_is_exact_at_the_float64_bound(rng):
+    # the largest prime p whose n = 2 ring passes the 2n (p-1)^2 (1+lam) < 2^53 check
+    n = 2
+    p = math.isqrt(2**53 // (2 * n * 3)) + 1
+    while not (is_prime(p) and 2 * n * (p - 1) ** 2 * (1 + find_lambda(p)) < 2**53):
+        p -= 1
+    ring = SkewRing(p, n)
+    top = ring.element([(p - 1, p - 1)] * ring.size)
+    pairs = [(top, top)] + [(ring.sample_ring(rng), ring.sample_ring(rng)) for _ in range(20)]
+    for a, b in pairs:
+        assert ring.mul(a, b) == ring.naive_product(a, b)
 
 
 def test_ring_axioms_random(toy_ring, rng):
