@@ -7,7 +7,7 @@ KEM, and an attack-game harness, all over the ring F_{q^2}^theta D_2n.
 from .field import FieldParams, QuadraticField, find_lambda
 from .kem import KemPrivate, h1, h2, kem_decaps, kem_encaps, kem_keygen, rep_ring
 from .kex import KexMessage, KexSession, SecretPair, kex_keygen, kex_shared
-from .params import PARAM_SETS, Params, make_params, make_ring
+from .params import PARAM_SETS, Params, make_params
 from .pke import Ciphertext, PkeKeypair, pke_dec, pke_enc, pke_gen
 from .skewring import RingElement, SkewRing, SubspaceTag
 
@@ -34,7 +34,6 @@ __all__ = [
     "kex_keygen",
     "kex_shared",
     "make_params",
-    "make_ring",
     "pke_dec",
     "pke_enc",
     "pke_gen",

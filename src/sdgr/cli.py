@@ -2,8 +2,9 @@
 
 Commands: params, keygen, encaps, decaps, kexdemo, solve-sdpd, bench.
 Every command is deterministic under --seed; without one, system entropy is
-used.  Exit codes: 0 success, 2 checksum failure, 3 parameter mismatch,
-4 solver guard violation.
+used.  Exit codes: 0 success, 1 missing file, 2 checksum failure or bad file
+format, 3 parameter mismatch or a params file that names no supported
+parameter set or holds a malformed h, 4 solver guard violation.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ from typing import List, Optional
 
 from . import costmodel, fileio, games, kem
 from .kex import KexSession, SecretPair
-from .params import PARAM_SETS, VALID_L1, Params, make_params, make_ring, params_from_values
-from .skewring import RingElement, SkewRing
+from .field import find_lambda
+from .params import PARAM_SETS, VALID_L1, Params, make_params
+from .skewring import SkewRing
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -30,66 +32,34 @@ def _rng(seed: Optional[int]) -> random.Random:
     return random.Random(seed) if seed is not None else random.SystemRandom()
 
 
-def _hex(data: bytes) -> str:
-    return data.hex()
-
-
-# -- non-normative byte-message codec -----------------------------------------
-# The schemes' message space is the ring itself; this codec only exists so
-# demos can move byte strings through the PKE.  It packs floor(log2 p) bits
-# per F_p coefficient (one fewer than the wire width, so every chunk is < p)
-# and prepends a 4-byte length.
-
-
-def encode_message_bytes(ring: SkewRing, data: bytes) -> List[RingElement]:
-    width = ring.field.coeff_bits - 1
-    if width < 1:
-        raise ValueError("p too small for the byte codec")
-    framed = len(data).to_bytes(4, "big") + data
-    nvalues = (len(framed) * 8 + width - 1) // width
-    per_elem = 2 * ring.size
-    nvalues = ((nvalues + per_elem - 1) // per_elem) * per_elem
-    padded = framed + b"\x00" * ((nvalues * width + 7) // 8 - len(framed))
-    values = kem.unpack_bits(padded, width, nvalues)
-    elems = []
-    for off in range(0, nvalues, per_elem):
-        chunk = values[off : off + per_elem]
-        coeffs = [(chunk[2 * i], chunk[2 * i + 1]) for i in range(ring.size)]
-        elems.append(ring.element(coeffs))
-    return elems
-
-
-def decode_message_bytes(ring: SkewRing, elems: List[RingElement]) -> bytes:
-    width = ring.field.coeff_bits - 1
-    values: List[int] = []
-    for e in elems:
-        values.extend(int(v) for v in e.coeffs.ravel())
-    stream = kem.pack_bits(values, width)
-    ln = int.from_bytes(stream[:4], "big")
-    return stream[4 : 4 + ln]
-
-
 # -- file helpers --------------------------------------------------------------
+# The header's m byte is the field's extension degree; the wire format keeps
+# it, and the only supported value is 1.
+
+
+class ParameterError(Exception):
+    """A CRC-valid params file whose contents name no supported parameter set."""
 
 
 def _params_header(params: Params, l1: int = 0) -> fileio.Header:
-    return fileio.Header(p=params.p, m=params.m, n=params.n, lam=params.lam, l1=l1)
+    return fileio.Header(p=params.p, m=1, n=params.n, lam=params.lam, l1=l1)
 
 
 def _load_params_file(path: str) -> Params:
     header, payload = fileio.read_file(path)
-    ring = make_ring(header.p, header.n, m=header.m, lam=header.lam)
-    h = kem.decode_ring(ring, payload)
-    return params_from_values(header.p, header.m, header.n, header.lam, h)
+    p, n, lam = header.p, header.n, header.lam
+    # checked before any ring is built: ring construction costs O(n^2) memory
+    if header.m != 1 or (p, n) not in PARAM_SETS.values() or lam != find_lambda(p):
+        raise ParameterError(f"unsupported parameters p={p}, m={header.m}, n={n}, lambda={lam}")
+    ring = SkewRing(p, n, lam=lam)
+    try:
+        return Params(p=p, n=n, lam=lam, ring=ring, h=kem.decode_ring(ring, payload))
+    except ValueError as exc:
+        raise ParameterError(f"malformed params file: {exc}") from exc
 
 
 def _headers_match(header: fileio.Header, params: Params) -> bool:
-    return (header.p, header.m, header.n, header.lam) == (
-        params.p,
-        params.m,
-        params.n,
-        params.lam,
-    )
+    return (header.p, header.m, header.n, header.lam) == (params.p, 1, params.n, params.lam)
 
 
 # -- commands ------------------------------------------------------------------
@@ -100,7 +70,7 @@ def cmd_params(args) -> int:
         print("warning: toy parameters are desk-scale only", file=sys.stderr)
     params = make_params(args.set, seed=args.seed)
     fileio.write_file(args.out, _params_header(params), kem.rep_ring(params.h))
-    print(f"wrote {args.out} (p={params.p}, m={params.m}, n={params.n}, lambda={params.lam})")
+    print(f"wrote {args.out} (p={params.p}, m=1, n={params.n}, lambda={params.lam})")
     return EXIT_OK
 
 
@@ -127,7 +97,7 @@ def cmd_encaps(args) -> int:
         return EXIT_PARAM_MISMATCH
     ct, key = kem.kem_encaps(pk_bytes, params, _rng(args.seed), l1=args.l1)
     fileio.write_file(args.out, _params_header(params, args.l1), ct)
-    print(_hex(key))
+    print(key.hex())
     return EXIT_OK
 
 
@@ -152,7 +122,7 @@ def cmd_decaps(args) -> int:
         return EXIT_PARAM_MISMATCH
     l1 = args.l1 if args.l1 else (ct_header.l1 or header.l1 or 128)
     key = kem.kem_decaps(priv, ct, params, l1=l1)
-    print(_hex(key))
+    print(key.hex())
     return EXIT_OK
 
 
@@ -161,12 +131,12 @@ def cmd_kexdemo(args) -> int:
     rng = _rng(args.seed)
     alice = KexSession(params, b"P_i", b"session-0", rng)
     bob = KexSession(params, b"P_j", b"session-0", rng)
-    print(f"pk_i={_hex(kem.rep_ring(alice.message.pk))}")
-    print(f"pk_j={_hex(kem.rep_ring(bob.message.pk))}")
+    print(f"pk_i={kem.rep_ring(alice.message.pk).hex()}")
+    print(f"pk_j={kem.rep_ring(bob.message.pk).hex()}")
     k_i = alice.derive(bob.message)
     k_j = bob.derive(alice.message)
-    print(f"k_i={_hex(kem.rep_ring(k_i))}")
-    print(f"k_j={_hex(kem.rep_ring(k_j))}")
+    print(f"k_i={kem.rep_ring(k_i).hex()}")
+    print(f"k_j={kem.rep_ring(k_j).hex()}")
     if k_i != k_j:
         print("keys DIFFER", file=sys.stderr)
         return 1
@@ -309,6 +279,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except fileio.FileFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECKSUM
+    except ParameterError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARAM_MISMATCH
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

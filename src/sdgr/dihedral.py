@@ -51,13 +51,6 @@ def build_table(n: int) -> np.ndarray:
     return table
 
 
-def group_mul(table: np.ndarray, k1: int, k2: int) -> int:
-    n = table.shape[0] // 2
-    _check_index(n, k1)
-    _check_index(n, k2)
-    return int(table[k1, k2])
-
-
 def inverse(n: int, k: int) -> int:
     """Inverse index: 0 -> 0; rotations x^i -> x^(n-i); reflections are involutions."""
     _check_index(n, k)

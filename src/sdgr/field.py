@@ -45,36 +45,28 @@ def find_lambda(p: int) -> int:
 
 @dataclass(frozen=True)
 class FieldParams:
-    """Constants defining F_{q^2}: prime p, extension degree m (must be 1), and lambda."""
+    """Constants defining F_{p^2}: prime p and the non-residue lambda."""
 
     p: int
-    m: int
     lam: int
 
     def __post_init__(self) -> None:
         if not is_prime(self.p) or self.p < 3:
             raise ValueError(f"p must be a prime >= 3, got {self.p}")
-        if self.m != 1:
-            raise ValueError(f"only m=1 is supported, got m={self.m}")
         if pow(self.lam, (self.p - 1) // 2, self.p) != self.p - 1:
             raise ValueError(f"lambda={self.lam} is a quadratic residue mod {self.p}")
 
 
 class QuadraticField:
-    """F_{p^2} as F_p[t]/(t^2 - lambda) with the Frobenius map a -> a^q.
+    """F_{p^2} as F_p[t]/(t^2 - lambda) with the Frobenius map a -> a^p,
+    which is coefficient conjugation (c0, c1) -> (c0, -c1)."""
 
-    With m = 1 we have q = p, and the Frobenius is coefficient conjugation
-    (c0, c1) -> (c0, -c1); the generic square-and-multiply ladder is kept as a
-    cross-check oracle.
-    """
-
-    def __init__(self, p: int, lam: int | None = None, m: int = 1):
+    def __init__(self, p: int, lam: int | None = None):
         if lam is None:
             lam = find_lambda(p)
-        self.params = FieldParams(p=p, m=m, lam=lam)
+        self.params = FieldParams(p=p, lam=lam)
         self.p = p
         self.lam = lam
-        self.q = p**m
 
     # -- constants ---------------------------------------------------------
 
@@ -127,21 +119,8 @@ class QuadraticField:
         return ((a[0] * ninv) % p, ((-a[1]) * ninv) % p)
 
     def frobenius(self, a: Fq2) -> Fq2:
-        """a -> a^q.  For m=1 this is conjugation: t -> -t."""
+        """a -> a^p, which is conjugation: t -> -t."""
         return (a[0], (-a[1]) % self.p)
-
-    def frobenius_ladder(self, a: Fq2) -> Fq2:
-        """a -> a^q by square-and-multiply over the binary digits of q.
-
-        Slow generic route; the fast path is :meth:`frobenius`.  Kept so the
-        two can be cross-checked.
-        """
-        r = self.one
-        for bit in bin(self.q)[2:]:
-            r = self.mul(r, r)
-            if bit == "1":
-                r = self.mul(r, a)
-        return r
 
     # -- sampling / enumeration -------------------------------------------
 

@@ -58,16 +58,12 @@ def _sample_pair(ring: SkewRing, rng) -> tuple[RingElement, RingElement]:
     return ring.sample_cn(rng), ring.sample_gamma(rng)
 
 
-def _two_sided(ring: SkewRing, a: RingElement, h: RingElement, g: RingElement) -> RingElement:
-    return a * h * g
-
-
 # -- Game 1: decomposition ----------------------------------------------------
 
 
 def sdpd_challenge(params: GameParams, rng) -> tuple[SdpdInstance, tuple[RingElement, RingElement]]:
     a, gamma = _sample_pair(params.ring, rng)
-    pk = _two_sided(params.ring, a, params.h, gamma)
+    pk = a * params.h * gamma
     return SdpdInstance(params=params, pk=pk), (a, gamma)
 
 
@@ -79,7 +75,7 @@ def sdpd_verify(inst: SdpdInstance, a: RingElement, gamma: RingElement) -> bool:
         raise ValueError("candidate a must be supported on C_n")
     if not ring.is_reversible(gamma):
         raise ValueError("candidate gamma must lie in the reversible subspace")
-    return _two_sided(ring, a, inst.params.h, gamma) == inst.pk
+    return a * inst.params.h * gamma == inst.pk
 
 
 def sdpd_search_space(ring: SkewRing) -> int:
@@ -113,8 +109,8 @@ def csdp_challenge(params: GameParams, rng) -> tuple[CsdpInstance, RingElement]:
     ring = params.ring
     a1, g1 = _sample_pair(ring, rng)
     a2, g2 = _sample_pair(ring, rng)
-    pk1 = _two_sided(ring, a1, params.h, g1)
-    pk2 = _two_sided(ring, a2, params.h, g2)
+    pk1 = a1 * params.h * g1
+    pk2 = a2 * params.h * g2
     k = a2 * pk1 * g2.adjunct()
     inst = CsdpInstance(params=params, pk1=pk1, pk2=pk2, _k=k)
     return inst, k
@@ -140,10 +136,10 @@ def dsdp_challenge(params: GameParams, b: int, rng) -> DsdpInstance:
     a1, g1 = _sample_pair(ring, rng)
     a2, g2 = _sample_pair(ring, rng)
     a3, g3 = _sample_pair(ring, rng)
-    pk1 = _two_sided(ring, a1, params.h, g1)
-    pk2 = _two_sided(ring, a2, params.h, g2)
+    pk1 = a1 * params.h * g1
+    pk2 = a2 * params.h * g2
     k0 = a2 * pk1 * g2.adjunct()
-    k1 = _two_sided(ring, a3, params.h, g3)
+    k1 = a3 * params.h * g3
     return DsdpInstance(params=params, pk1=pk1, pk2=pk2, k=k0 if b == 0 else k1, _hidden_bit=b)
 
 
@@ -179,42 +175,14 @@ class AdvantageEstimate:
     def advantage(self) -> float:
         return abs(self.p1 - self.p0)
 
-    def wilson_b0(self) -> tuple[float, float]:
-        return wilson_interval(self.ones_b0, self.trials_per_arm)
-
-    def wilson_b1(self) -> tuple[float, float]:
-        return wilson_interval(self.ones_b1, self.trials_per_arm)
-
     def diff_interval(self) -> tuple[float, float]:
         """Newcombe interval for p1 - p0, built from the per-arm Wilson bounds."""
-        l0, u0 = self.wilson_b0()
-        l1, u1 = self.wilson_b1()
+        l0, u0 = wilson_interval(self.ones_b0, self.trials_per_arm)
+        l1, u1 = wilson_interval(self.ones_b1, self.trials_per_arm)
         d = self.p1 - self.p0
         lo = d - math.sqrt((self.p1 - l1) ** 2 + (u0 - self.p0) ** 2)
         hi = d + math.sqrt((u1 - self.p1) ** 2 + (self.p0 - l0) ** 2)
         return lo, hi
-
-    def report_lines(self) -> List[str]:
-        lo, hi = self.diff_interval()
-        return [
-            f"trials_per_arm={self.trials_per_arm}",
-            f"wins_b0={self.ones_b0}",
-            f"wins_b1={self.ones_b1}",
-            f"p0={self.p0:.6f}",
-            f"p1={self.p1:.6f}",
-            f"advantage={self.advantage:.6f}",
-            f"diff_ci_low={lo:.6f}",
-            f"diff_ci_high={hi:.6f}",
-        ]
-
-    def report_csv(self) -> str:
-        lo, hi = self.diff_interval()
-        header = "trials_per_arm,wins_b0,wins_b1,p0,p1,advantage,diff_ci_low,diff_ci_high"
-        row = (
-            f"{self.trials_per_arm},{self.ones_b0},{self.ones_b1},"
-            f"{self.p0:.6f},{self.p1:.6f},{self.advantage:.6f},{lo:.6f},{hi:.6f}"
-        )
-        return header + "\n" + row + "\n"
 
 
 def dsdp_experiment(

@@ -98,9 +98,8 @@ def h1(data: bytes, params: Params) -> SecretPair:
     ring = params.ring
     n = ring.n
     w = ring.field.coeff_bits
-    free_count = ring.gamma_free_count()
-    coeff_count = 2 * (n + free_count)
-    nbytes = (w * coeff_count + 7) // 8
+    coeff_count = 2 * (n + ring.gamma_free_count())
+    nbytes = (h1_output_bits(params.p, 1, n) + 7) // 8
     buf = data
     while True:
         stream = hashlib.shake_256(buf).digest(nbytes)

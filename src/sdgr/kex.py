@@ -94,23 +94,3 @@ class KexSession:
         self._secret = None
         return key
 
-
-def encode_message(msg: KexMessage, rep_ring) -> bytes:
-    """Wire format: length-prefixed party-id and session-id, then rep(pk)."""
-    out = bytearray()
-    for part in (msg.party_id, msg.session_id):
-        out += len(part).to_bytes(2, "big") + part
-    out += rep_ring(msg.pk)
-    return bytes(out)
-
-
-def decode_message(data: bytes, params: Params, decode_ring) -> KexMessage:
-    pos = 0
-    parts = []
-    for _ in range(2):
-        ln = int.from_bytes(data[pos : pos + 2], "big")
-        pos += 2
-        parts.append(data[pos : pos + ln])
-        pos += ln
-    pk = decode_ring(params.ring, data[pos:])
-    return KexMessage(party_id=parts[0], session_id=parts[1], pk=pk)

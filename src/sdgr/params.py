@@ -1,8 +1,9 @@
 """Public parameter sets and setup.
 
 The proposed sets all have n = p (so p divides n, as the setup requires),
-m = 1, and a public mixed element h = h1 + h2 generated per instance.  The
-``toy`` set (p = 3, n = 3) exists only for the attack-game harness.
+the field F_{p^2} (extension degree m = 1), and a public mixed element
+h = h1 + h2 generated per instance.  The ``toy`` set (p = 3, n = 3) exists
+only for the attack-game harness.
 """
 
 from __future__ import annotations
@@ -14,13 +15,13 @@ from .skewring import RingElement, SkewRing, SubspaceTag
 
 VALID_L1 = (128, 192, 256)
 
-#: name -> (p, m, n)
-PARAM_SETS: dict[str, tuple[int, int, int]] = {
-    "toy": (3, 1, 3),
-    "p19": (19, 1, 19),
-    "p23": (23, 1, 23),
-    "p31": (31, 1, 31),
-    "p41": (41, 1, 41),
+#: name -> (p, n)
+PARAM_SETS: dict[str, tuple[int, int]] = {
+    "toy": (3, 3),
+    "p19": (19, 19),
+    "p23": (23, 23),
+    "p31": (31, 31),
+    "p41": (41, 41),
 }
 
 
@@ -29,7 +30,6 @@ class Params:
     """Field/group constants plus the public ring element h."""
 
     p: int
-    m: int
     n: int
     lam: int
     ring: SkewRing = field(repr=False)
@@ -43,10 +43,6 @@ class Params:
             raise ValueError("public element h must have both C_n and C_n y parts non-zero")
 
 
-def make_ring(p: int, n: int, m: int = 1, lam: int | None = None) -> SkewRing:
-    return SkewRing(p, n, lam=lam, m=m)
-
-
 def make_params(
     name: str,
     seed: int | None = None,
@@ -55,14 +51,9 @@ def make_params(
     """Instantiate a named parameter set, generating a fresh public h."""
     if name not in PARAM_SETS:
         raise KeyError(f"unknown parameter set {name!r}; choose from {sorted(PARAM_SETS)}")
-    p, m, n = PARAM_SETS[name]
-    ring = make_ring(p, n, m=m)
+    p, n = PARAM_SETS[name]
+    ring = SkewRing(p, n)
     if rng is None:
         rng = random.Random(seed) if seed is not None else random.SystemRandom()
     h = ring.gen_public_element(rng)
-    return Params(p=p, m=m, n=n, lam=ring.field.lam, ring=ring, h=h, name=name)
-
-
-def params_from_values(p: int, m: int, n: int, lam: int, h: RingElement, name: str = "") -> Params:
-    """Rebuild Params from decoded file values; h must live in a matching ring."""
-    return Params(p=p, m=m, n=n, lam=lam, ring=h.ring, h=h, name=name)
+    return Params(p=p, n=n, lam=ring.field.lam, ring=ring, h=h, name=name)

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, List, Sequence
+from itertools import product
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -61,9 +62,6 @@ class RingElement:
     def coefficient(self, i: int) -> Fq2:
         return (int(self.coeffs[i, 0]), int(self.coeffs[i, 1]))
 
-    def coefficients(self) -> List[Fq2]:
-        return [self.coefficient(i) for i in range(self.coeffs.shape[0])]
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RingElement):
             return NotImplemented
@@ -73,7 +71,7 @@ class RingElement:
         return hash(self.coeffs.tobytes())
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"RingElement(n={self.ring.n}, coeffs={self.coefficients()})"
+        return f"RingElement(n={self.ring.n}, coeffs={[tuple(c) for c in self.coeffs.tolist()]})"
 
 
 def gather_index(n: int) -> np.ndarray:
@@ -94,8 +92,8 @@ def gather_index(n: int) -> np.ndarray:
 class SkewRing:
     """F_{q^2}^theta D_2n with theta sending reflections to the Frobenius."""
 
-    def __init__(self, p: int, n: int, lam: int | None = None, m: int = 1):
-        self.field = QuadraticField(p, lam=lam, m=m)
+    def __init__(self, p: int, n: int, lam: int | None = None):
+        self.field = QuadraticField(p, lam=lam)
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
         if 2 * n * (p - 1) ** 2 * (1 + self.field.lam) >= 2**53:
@@ -155,15 +153,6 @@ class SkewRing:
     def neg(self, a: RingElement) -> RingElement:
         self._check(a)
         return self._wrap((-a.coeffs) % self.p)
-
-    def scalar_mul(self, c: Fq2, a: RingElement) -> RingElement:
-        self._check(a)
-        p, lam = self.p, self.field.lam
-        a0, a1 = a.coeffs[:, 0], a.coeffs[:, 1]
-        out = np.empty_like(a.coeffs)
-        out[:, 0] = (c[0] * a0 + lam * c[1] * a1) % p
-        out[:, 1] = (c[0] * a1 + c[1] * a0) % p
-        return self._wrap(out)
 
     # -- skew product --------------------------------------------------------
 
@@ -246,13 +235,6 @@ class SkewRing:
         out[: self.n] = a.coeffs[self.n :]
         return self._wrap(out)
 
-    def phi_inv(self, a: RingElement) -> RingElement:
-        if self.classify(a) not in (SubspaceTag.CN_ONLY, SubspaceTag.ZERO):
-            raise ValueError("phi_inv is defined on elements supported on C_n")
-        out = np.zeros_like(a.coeffs)
-        out[self.n :] = a.coeffs[: self.n]
-        return self._wrap(out)
-
     def is_reversible(self, a: RingElement) -> bool:
         """Membership in Gamma_theta: C_n y support, and the coefficients of
         x^i y for i = 1 .. n-1 read the same backwards."""
@@ -262,36 +244,22 @@ class SkewRing:
 
     # -- samplers ------------------------------------------------------------
 
+    def _draw(self, rng, k: int) -> np.ndarray:
+        """k values rng.randrange(p), in draw order, as a (k/2, 2) array of
+        coefficients; every sampler draws through here, so a seed fixes them."""
+        return np.array([rng.randrange(self.p) for _ in range(k)], dtype=np.int64).reshape(-1, 2)
+
     def sample_ring(self, rng) -> RingElement:
-        arr = np.array([rng.randrange(self.p) for _ in range(2 * self.size)], dtype=np.int64)
-        return self._wrap(arr.reshape(self.size, 2))
+        return self._wrap(self._draw(rng, 2 * self.size))
 
     def sample_cn(self, rng) -> RingElement:
         out = np.zeros((self.size, 2), dtype=np.int64)
-        for i in range(self.n):
-            out[i, 0] = rng.randrange(self.p)
-            out[i, 1] = rng.randrange(self.p)
-        return self._wrap(out)
-
-    def sample_cny(self, rng) -> RingElement:
-        out = np.zeros((self.size, 2), dtype=np.int64)
-        for i in range(self.n, self.size):
-            out[i, 0] = rng.randrange(self.p)
-            out[i, 1] = rng.randrange(self.p)
+        out[: self.n] = self._draw(rng, 2 * self.n)
         return self._wrap(out)
 
     def sample_gamma(self, rng) -> RingElement:
-        """Uniform element of Gamma_theta: free coefficient at index n, then a
-        mirrored loop over indices n+1 .. n+floor(n/2)."""
-        out = np.zeros((self.size, 2), dtype=np.int64)
-        n = self.n
-        out[n, 0] = rng.randrange(self.p)
-        out[n, 1] = rng.randrange(self.p)
-        for i in range(1, n // 2 + 1):
-            c = (rng.randrange(self.p), rng.randrange(self.p))
-            out[n + i] = c
-            out[n + (n - i) % n] = c
-        return self._wrap(out)
+        """Uniform element of Gamma_theta, drawn as its free coordinates."""
+        return self.gamma_from_free(self._draw(rng, 2 * self.gamma_free_count()))
 
     def gamma_from_free(self, free: Sequence[Fq2]) -> RingElement:
         """Build a Gamma_theta element from its free coordinates
@@ -318,34 +286,16 @@ class SkewRing:
     # -- enumeration (desk-scale solvers) ------------------------------------
 
     def iter_cn(self) -> Iterator[RingElement]:
-        """All p^(2n) elements of F_{q^2}^theta C_n.  Desk scale only."""
+        """All p^(2n) elements of F_{q^2}^theta C_n, last coefficient fastest.
+        Desk scale only."""
         f = self.field
-        coords = [f.zero] * self.size
-
-        def rec(i: int):
-            if i == self.n:
-                yield self.element(list(coords))
-                return
-            for c in f.elements():
-                coords[i] = c
-                yield from rec(i + 1)
-
-        yield from rec(0)
+        for coords in product(f.elements(), repeat=self.n):
+            yield self.element(list(coords) + [f.zero] * self.n)
 
     def iter_gamma(self) -> Iterator[RingElement]:
-        """All elements of Gamma_theta.  Desk scale only."""
-        f = self.field
-        free = [f.zero] * self.gamma_free_count()
-
-        def rec(i: int):
-            if i == len(free):
-                yield self.gamma_from_free(list(free))
-                return
-            for c in f.elements():
-                free[i] = c
-                yield from rec(i + 1)
-
-        yield from rec(0)
+        """All elements of Gamma_theta, last free coordinate fastest.  Desk scale only."""
+        for free in product(self.field.elements(), repeat=self.gamma_free_count()):
+            yield self.gamma_from_free(free)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"SkewRing(p={self.p}, n={self.n}, lam={self.field.lam})"

@@ -1,15 +1,9 @@
-import random
+import pytest
 
-from sdgr.cli import (
-    EXIT_CHECKSUM,
-    EXIT_GUARD,
-    EXIT_OK,
-    EXIT_PARAM_MISMATCH,
-    decode_message_bytes,
-    encode_message_bytes,
-    main,
-)
-from sdgr.fileio import HEADER_LEN, crc64
+from sdgr.cli import EXIT_CHECKSUM, EXIT_GUARD, EXIT_OK, EXIT_PARAM_MISMATCH, main
+from sdgr.fileio import HEADER_LEN, Header, crc64, write_file
+from sdgr.kem import rep_ring
+from sdgr.params import make_params
 from sdgr.skewring import SkewRing
 
 
@@ -126,10 +120,53 @@ def test_toy_warning(tmp_path, capsys):
     assert "desk-scale" in capsys.readouterr().err
 
 
-def test_byte_codec_roundtrip():
-    ring = SkewRing(19, 19)
-    rng = random.Random(6)
-    for size in (0, 1, 17, 100, 1000):
-        data = bytes(rng.randrange(256) for _ in range(size))
-        elems = encode_message_bytes(ring, data)
-        assert decode_message_bytes(ring, elems) == data
+def _keygen_exit(tmp_path, header, payload, capsys):
+    path = tmp_path / "params.bin"
+    write_file(path, header, payload)
+    priv, pub = tmp_path / "priv.bin", tmp_path / "pub.bin"
+    code = main(["keygen", "--params", str(path), "--out", str(priv), "--pub", str(pub)])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return code, err
+
+
+@pytest.mark.parametrize(
+    "p,m,n,lam",
+    [
+        (19, 2, 19, 2),  # extension degree other than 1
+        (2147483647, 1, 1, 7),  # beyond the exact-float64 bound
+        (19, 1, 20, 2),  # n not in any parameter set
+        (19, 1, 10**4, 2),  # a ring this size needs about 15 GB
+        (21, 1, 21, 2),  # p not prime
+        (19, 1, 19, 3),  # a non-residue, but not the canonical lambda
+    ],
+)
+def test_unsupported_params_header_exits_3(tmp_path, capsys, monkeypatch, p, m, n, lam):
+    def no_ring(*args, **kwargs):
+        raise AssertionError("a ring was built from an unchecked header")
+
+    monkeypatch.setattr(SkewRing, "__init__", no_ring)
+    code, err = _keygen_exit(tmp_path, Header(p=p, m=m, n=n, lam=lam, l1=0), bytes(10), capsys)
+    assert code == EXIT_PARAM_MISMATCH
+    assert "unsupported parameters" in err
+
+
+@pytest.fixture(scope="module")
+def p19_h_payload():
+    return rep_ring(make_params("p19", seed=3).h)
+
+
+@pytest.mark.parametrize(
+    "mangle",
+    [
+        lambda rep, ring: rep[:-1],  # payload one byte short
+        lambda rep, ring: rep + b"\x00",  # payload one byte long
+        lambda rep, ring: rep_ring(ring.one()),  # h supported on C_n only
+    ],
+    ids=["short", "long", "h-not-mixed"],
+)
+def test_malformed_params_payload_exits_3(tmp_path, capsys, p19_h_payload, mangle):
+    payload = mangle(p19_h_payload, SkewRing(19, 19))
+    code, err = _keygen_exit(tmp_path, Header(p=19, m=1, n=19, lam=2, l1=0), payload, capsys)
+    assert code == EXIT_PARAM_MISMATCH
+    assert "malformed params file" in err

@@ -2,12 +2,9 @@ import random
 
 import pytest
 
-from sdgr.kem import decode_ring, rep_ring
 from sdgr.kex import (
     KexSession,
     SecretPair,
-    decode_message,
-    encode_message,
     kex_keygen,
     kex_shared,
     sample_secret_pair,
@@ -73,15 +70,6 @@ def test_session_id_mismatch(p19_params, rng):
     with pytest.raises(ValueError):
         alice.derive(bob.message)
     assert alice.has_secret  # secret survives a rejected message
-
-
-def test_message_wire_roundtrip(p19_params, rng):
-    alice = KexSession(p19_params, b"P_i", b"session-7", rng)
-    blob = encode_message(alice.message, rep_ring)
-    back = decode_message(blob, p19_params, decode_ring)
-    assert back.party_id == b"P_i"
-    assert back.session_id == b"session-7"
-    assert back.pk == alice.message.pk
 
 
 def test_deterministic_under_seed(p19_params):

@@ -17,6 +17,11 @@ def r19():
     return SkewRing(19, 19)
 
 
+def _shift_to_cny(ring, a):
+    """sum a_i x^i -> sum a_i x^i y, for a supported on C_n."""
+    return ring.element(np.roll(a.coeffs, ring.n, axis=0))
+
+
 def test_basis_and_one(toy_ring):
     one = toy_ring.one()
     assert one.coefficient(0) == (1, 0)
@@ -47,7 +52,7 @@ def test_hand_example_tx_times_ty(toy_ring):
     ty = toy_ring.basis(3, (0, 1))
     prod = tx * ty
     assert prod.coefficient(4) == (2, 0)
-    assert sum(1 for c in prod.coefficients() if c != (0, 0)) == 1
+    assert np.count_nonzero(prod.coeffs.any(axis=1)) == 1
 
 
 def test_mul_matches_naive_oracle_toy(toy_ring, rng):
@@ -130,14 +135,6 @@ def test_noncommutative(toy_ring):
     assert x * y != y * x
 
 
-def test_scalar_mul(toy_ring, rng):
-    for _ in range(50):
-        a = toy_ring.sample_ring(rng)
-        c = toy_ring.field.sample(rng)
-        expected = toy_ring.basis(0, c) * a
-        assert toy_ring.scalar_mul(c, a) == expected
-
-
 def test_adjunct_is_involution(toy_ring, r19, rng):
     for ring in (toy_ring, r19):
         for _ in range(100):
@@ -169,7 +166,8 @@ def test_classify(toy_ring, rng):
     assert toy_ring.basis(5).classify() is SubspaceTag.CNY_ONLY
     assert (toy_ring.basis(0) + toy_ring.basis(3)).classify() is SubspaceTag.MIXED
     assert toy_ring.sample_cn(rng).classify() in (SubspaceTag.CN_ONLY, SubspaceTag.ZERO)
-    assert toy_ring.sample_cny(rng).classify() in (SubspaceTag.CNY_ONLY, SubspaceTag.ZERO)
+    cny = _shift_to_cny(toy_ring, toy_ring.sample_cn(rng))
+    assert cny.classify() in (SubspaceTag.CNY_ONLY, SubspaceTag.ZERO)
 
 
 def test_subspace_product_laws_on_basis(toy_ring):
@@ -191,13 +189,14 @@ def test_cn_is_commutative(r19, rng):
 
 
 def test_phi_roundtrip(toy_ring, rng):
+    # phi(sum a_i x^i y) = sum a_i x^i
     for _ in range(50):
-        a = toy_ring.sample_cny(rng)
-        assert toy_ring.phi_inv(toy_ring.phi(a)) == a
+        a = toy_ring.sample_cn(rng)
+        assert toy_ring.phi(_shift_to_cny(toy_ring, a)) == a
     with pytest.raises(ValueError):
         toy_ring.phi(toy_ring.basis(0))
     with pytest.raises(ValueError):
-        toy_ring.phi_inv(toy_ring.basis(4))
+        toy_ring.phi(toy_ring.basis(0) + toy_ring.basis(4))
 
 
 def test_reversible_membership(toy_ring, rng):
