@@ -4,7 +4,7 @@ Key exchange, probabilistic public-key encryption, an implicit-rejection
 KEM, and an attack-game harness, all over the ring F_{q^2}^theta D_2n.
 """
 
-from .field import FieldParams, QuadraticField, find_lambda
+from .field import QuadraticField, find_lambda
 from .kem import KemPrivate, h1, h2, kem_decaps, kem_encaps, kem_keygen, rep_ring
 from .kex import KexMessage, KexSession, SecretPair, kex_keygen, kex_shared
 from .params import PARAM_SETS, Params, make_params
@@ -13,7 +13,6 @@ from .skewring import RingElement, SkewRing, SubspaceTag
 
 __all__ = [
     "Ciphertext",
-    "FieldParams",
     "KemPrivate",
     "KexMessage",
     "KexSession",

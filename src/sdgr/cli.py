@@ -2,9 +2,14 @@
 
 Commands: params, keygen, encaps, decaps, kexdemo, solve-sdpd, bench.
 Every command is deterministic under --seed; without one, system entropy is
-used.  Exit codes: 0 success, 1 missing file, 2 checksum failure or bad file
-format, 3 parameter mismatch or a params file that names no supported
-parameter set or holds a malformed h, 4 solver guard violation.
+used.  Exit codes: 0 success, 1 missing or unreadable file, 2 checksum
+failure or bad file format, 3 a file that passes its checksum but does not fit the parameters,
+4 solver guard violation.  Exit 3 covers: a params file that names no
+supported parameter set or holds a malformed h; a key or ciphertext header
+that differs from the params file's or whose l1 is not 0, 128, 192 or 256; a
+key payload of the wrong length; a private key whose a is not a non-zero
+element of C_n or whose gamma is not a non-zero reversible element.  A
+ciphertext payload of any length gets a key by implicit rejection.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from . import costmodel, fileio, games, kem
 from .kex import KexSession, SecretPair
 from .field import find_lambda
 from .params import PARAM_SETS, VALID_L1, Params, make_params
-from .skewring import SkewRing
+from .skewring import RingElement, SkewRing
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -38,7 +43,7 @@ def _rng(seed: Optional[int]) -> random.Random:
 
 
 class ParameterError(Exception):
-    """A CRC-valid params file whose contents name no supported parameter set."""
+    """A CRC-valid file whose header or payload does not fit the parameters."""
 
 
 def _params_header(params: Params, l1: int = 0) -> fileio.Header:
@@ -53,13 +58,27 @@ def _load_params_file(path: str) -> Params:
         raise ParameterError(f"unsupported parameters p={p}, m={header.m}, n={n}, lambda={lam}")
     ring = SkewRing(p, n, lam=lam)
     try:
-        return Params(p=p, n=n, lam=lam, ring=ring, h=kem.decode_ring(ring, payload))
+        return Params(ring=ring, h=kem.decode_ring(ring, payload))
     except ValueError as exc:
         raise ParameterError(f"malformed params file: {exc}") from exc
 
 
-def _headers_match(header: fileio.Header, params: Params) -> bool:
-    return (header.p, header.m, header.n, header.lam) == (params.p, 1, params.n, params.lam)
+def _read_checked(path: str, params: Params) -> tuple[int, bytes]:
+    """The l1 and payload of a key or ciphertext file whose header is exactly
+    the one written for `params`."""
+    header, payload = fileio.read_file(path)
+    if header.l1 not in (0,) + VALID_L1 or header != _params_header(params, header.l1):
+        raise ParameterError(f"{path}: header {header} does not match the parameters")
+    return header.l1, payload
+
+
+def _read_elements(path: str, params: Params, count: int) -> tuple[int, list[RingElement]]:
+    """The l1 and the `count` ring elements of a checked key file."""
+    l1, payload = _read_checked(path, params)
+    size = kem.rep_len(params.ring)
+    if len(payload) != count * size:
+        raise ParameterError(f"{path}: expected {count * size} payload bytes, got {len(payload)}")
+    return l1, [kem.decode_ring(params.ring, payload[i : i + size]) for i in range(0, len(payload), size)]
 
 
 # -- commands ------------------------------------------------------------------
@@ -91,11 +110,8 @@ def cmd_keygen(args) -> int:
 
 def cmd_encaps(args) -> int:
     params = _load_params_file(args.params)
-    header, pk_bytes = fileio.read_file(args.pub)
-    if not _headers_match(header, params):
-        print("error: public key parameters do not match", file=sys.stderr)
-        return EXIT_PARAM_MISMATCH
-    ct, key = kem.kem_encaps(pk_bytes, params, _rng(args.seed), l1=args.l1)
+    _, (pk,) = _read_elements(args.pub, params, 1)
+    ct, key = kem.kem_encaps(kem.rep_ring(pk), params, _rng(args.seed), l1=args.l1)
     fileio.write_file(args.out, _params_header(params, args.l1), ct)
     print(key.hex())
     return EXIT_OK
@@ -103,25 +119,16 @@ def cmd_encaps(args) -> int:
 
 def cmd_decaps(args) -> int:
     params = _load_params_file(args.params)
-    header, payload = fileio.read_file(args.priv)
-    if not _headers_match(header, params):
-        print("error: private key parameters do not match", file=sys.stderr)
-        return EXIT_PARAM_MISMATCH
-    half = kem.rep_len(params.ring)
-    if len(payload) != 4 * half:
-        print("error: malformed private key file", file=sys.stderr)
-        return EXIT_PARAM_MISMATCH
-    s = kem.decode_ring(params.ring, payload[:half])
-    a = kem.decode_ring(params.ring, payload[half : 2 * half])
-    gamma = kem.decode_ring(params.ring, payload[2 * half : 3 * half])
-    pk = kem.decode_ring(params.ring, payload[3 * half :])
-    priv = kem.KemPrivate(s=s, sk=SecretPair(a=a, gamma=gamma), pk=pk)
-    ct_header, ct = fileio.read_file(args.infile)
-    if not _headers_match(ct_header, params):
-        print("error: ciphertext parameters do not match", file=sys.stderr)
-        return EXIT_PARAM_MISMATCH
-    l1 = args.l1 if args.l1 else (ct_header.l1 or header.l1 or 128)
-    key = kem.kem_decaps(priv, ct, params, l1=l1)
+    priv_l1, (s, a, gamma, pk) = _read_elements(args.priv, params, 4)
+    try:
+        sk = SecretPair(a=a, gamma=gamma)
+    except ValueError as exc:
+        raise ParameterError(f"{args.priv}: malformed private key: {exc}") from exc
+    # the ciphertext payload goes to kem_decaps unchecked: a wrong length is
+    # rejected implicitly like any other bad ciphertext
+    ct_l1, ct = _read_checked(args.infile, params)
+    l1 = args.l1 or ct_l1 or priv_l1 or 128
+    key = kem.kem_decaps(kem.KemPrivate(s=s, sk=sk, pk=pk), ct, params, l1=l1)
     print(key.hex())
     return EXIT_OK
 
@@ -273,16 +280,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except fileio.ChecksumError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECKSUM
     except fileio.FileFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECKSUM
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAM_MISMATCH
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -7,7 +7,6 @@ operations live on :class:`QuadraticField` so that elements stay cheap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Tuple
 
 Fq2 = Tuple[int, int]
@@ -43,20 +42,6 @@ def find_lambda(p: int) -> int:
     raise ValueError(f"no quadratic non-residue found for p={p}")  # unreachable for odd prime
 
 
-@dataclass(frozen=True)
-class FieldParams:
-    """Constants defining F_{p^2}: prime p and the non-residue lambda."""
-
-    p: int
-    lam: int
-
-    def __post_init__(self) -> None:
-        if not is_prime(self.p) or self.p < 3:
-            raise ValueError(f"p must be a prime >= 3, got {self.p}")
-        if pow(self.lam, (self.p - 1) // 2, self.p) != self.p - 1:
-            raise ValueError(f"lambda={self.lam} is a quadratic residue mod {self.p}")
-
-
 class QuadraticField:
     """F_{p^2} as F_p[t]/(t^2 - lambda) with the Frobenius map a -> a^p,
     which is coefficient conjugation (c0, c1) -> (c0, -c1)."""
@@ -64,7 +49,8 @@ class QuadraticField:
     def __init__(self, p: int, lam: int | None = None):
         if lam is None:
             lam = find_lambda(p)
-        self.params = FieldParams(p=p, lam=lam)
+        elif not is_prime(p) or p == 2 or pow(lam, (p - 1) // 2, p) != p - 1:
+            raise ValueError(f"lambda={lam} is not a quadratic non-residue mod an odd prime p={p}")
         self.p = p
         self.lam = lam
 
@@ -92,14 +78,6 @@ class QuadraticField:
     def add(self, a: Fq2, b: Fq2) -> Fq2:
         p = self.p
         return ((a[0] + b[0]) % p, (a[1] + b[1]) % p)
-
-    def sub(self, a: Fq2, b: Fq2) -> Fq2:
-        p = self.p
-        return ((a[0] - b[0]) % p, (a[1] - b[1]) % p)
-
-    def neg(self, a: Fq2) -> Fq2:
-        p = self.p
-        return ((-a[0]) % p, (-a[1]) % p)
 
     def mul(self, a: Fq2, b: Fq2) -> Fq2:
         # (a0 + a1 t)(b0 + b1 t) = (a0 b0 + lam a1 b1) + (a0 b1 + a1 b0) t

@@ -10,6 +10,7 @@ fixed-width big-endian MSB-first bit packing of a coefficient vector.
 from __future__ import annotations
 
 import hashlib
+import hmac
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -99,11 +100,11 @@ def h1(data: bytes, params: Params) -> SecretPair:
     n = ring.n
     w = ring.field.coeff_bits
     coeff_count = 2 * (n + ring.gamma_free_count())
-    nbytes = (h1_output_bits(params.p, 1, n) + 7) // 8
+    nbytes = (h1_output_bits(ring.p, 1, n) + 7) // 8
     buf = data
     while True:
         stream = hashlib.shake_256(buf).digest(nbytes)
-        values = unpack_bits(stream, w, coeff_count).reshape(-1, 2) % params.p
+        values = unpack_bits(stream, w, coeff_count).reshape(-1, 2) % ring.p
         a_coeffs, free = values[:n], values[n:]
         if a_coeffs.any() and free.any():
             break
@@ -160,6 +161,6 @@ def kem_decaps(priv: KemPrivate, c_bytes: bytes, params: Params, l1: int = 128) 
     m = pke_dec(c, priv.sk)
     r = h1(rep_ring(m) + rep_ring(priv.pk), params)
     c_prime = pke_enc(m, priv.pk, r, params)
-    if rep_ciphertext(c_prime) == c_bytes:
+    if hmac.compare_digest(rep_ciphertext(c_prime), c_bytes):
         return h2(rep_ring(m) + c_bytes, l1)
     return h2(rep_ring(priv.s) + c_bytes, l1)

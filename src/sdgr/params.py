@@ -27,14 +27,23 @@ PARAM_SETS: dict[str, tuple[int, int]] = {
 
 @dataclass(frozen=True, eq=False)
 class Params:
-    """Field/group constants plus the public ring element h."""
+    """The ring plus the public ring element h; p, n and lambda belong to the ring."""
 
-    p: int
-    n: int
-    lam: int
     ring: SkewRing = field(repr=False)
     h: RingElement = field(repr=False)
     name: str = ""
+
+    @property
+    def p(self) -> int:
+        return self.ring.p
+
+    @property
+    def n(self) -> int:
+        return self.ring.n
+
+    @property
+    def lam(self) -> int:
+        return self.ring.field.lam
 
     def __post_init__(self) -> None:
         if self.n % self.p != 0:
@@ -51,9 +60,8 @@ def make_params(
     """Instantiate a named parameter set, generating a fresh public h."""
     if name not in PARAM_SETS:
         raise KeyError(f"unknown parameter set {name!r}; choose from {sorted(PARAM_SETS)}")
-    p, n = PARAM_SETS[name]
-    ring = SkewRing(p, n)
+    ring = SkewRing(*PARAM_SETS[name])
     if rng is None:
         rng = random.Random(seed) if seed is not None else random.SystemRandom()
     h = ring.gen_public_element(rng)
-    return Params(p=p, n=n, lam=ring.field.lam, ring=ring, h=h, name=name)
+    return Params(ring=ring, h=h, name=name)

@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import pytest
 
 from sdgr.cli import EXIT_CHECKSUM, EXIT_GUARD, EXIT_OK, EXIT_PARAM_MISMATCH, main
-from sdgr.fileio import HEADER_LEN, Header, crc64, write_file
-from sdgr.kem import rep_ring
+from sdgr.fileio import HEADER_LEN, Header, crc64, read_file, write_file
+from sdgr.kem import rep_len, rep_ring
 from sdgr.params import make_params
 from sdgr.skewring import SkewRing
 
@@ -59,13 +61,58 @@ def test_attacker_repaired_checksum_gives_wrong_key(tmp_path, capsys):
         == EXIT_OK
     )
     enc_key = capsys.readouterr().out.strip().splitlines()[-1]
-    data = bytearray(ct.read_bytes())
-    data[HEADER_LEN + 5] ^= 0x10
-    body = bytes(data[:-8])
-    ct.write_bytes(body + crc64(body).to_bytes(8, "big"))
-    assert main(["decaps", "--params", str(params), "--priv", str(priv), "--in", str(ct)]) == EXIT_OK
-    dec_key = capsys.readouterr().out.strip()
-    assert dec_key != enc_key
+    honest = ct.read_bytes()[:-8]
+    flipped = bytearray(honest)
+    flipped[HEADER_LEN + 5] ^= 0x10
+    # a payload of the right length and one a byte short: both are rejected implicitly
+    for body in (bytes(flipped), honest[:-1]):
+        ct.write_bytes(body + crc64(body).to_bytes(8, "big"))
+        assert main(["decaps", "--params", str(params), "--priv", str(priv), "--in", str(ct)]) == EXIT_OK
+        dec_key = capsys.readouterr().out.strip()
+        assert len(dec_key) == len(enc_key) and dec_key != enc_key
+
+
+P19 = SkewRing(19, 19)
+
+
+def _swap(payload, index, element):
+    """payload with its index-th ring element replaced by `element`."""
+    size = rep_len(P19)
+    return payload[: index * size] + rep_ring(element) + payload[(index + 1) * size :]
+
+
+# file to re-seal with a valid CRC -> (header, payload) -> (header, payload)
+HOSTILE_FILES = {
+    "pub-short": {"pub": lambda h, pl: (h, pl[:-1])},
+    "pub-long": {"pub": lambda h, pl: (h, pl + b"\x00")},
+    "priv-gamma-zero": {"priv": lambda h, pl: (h, _swap(pl, 2, P19.zero()))},
+    "priv-a-off-cn": {"priv": lambda h, pl: (h, _swap(pl, 1, P19.basis(19)))},
+    "ct-l1-byte-1": {"ct": lambda h, pl: (replace(h, l1=8), pl)},
+    "priv-l1-byte-2": {
+        "priv": lambda h, pl: (replace(h, l1=16), pl),
+        "ct": lambda h, pl: (replace(h, l1=0), pl),
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_FILES))
+def test_hostile_key_or_ciphertext_exits_3(tmp_path, capsys, case):
+    params, priv, pub, ct = _make_files(tmp_path)
+    encaps = ["encaps", "--params", str(params), "--pub", str(pub), "--out", str(ct), "--seed", "7"]
+    assert main(encaps) == EXIT_OK
+    capsys.readouterr()
+    paths = {"priv": priv, "pub": pub, "ct": ct}
+    for name, mangle in HOSTILE_FILES[case].items():
+        write_file(paths[name], *mangle(*read_file(paths[name])))
+    if "pub" in HOSTILE_FILES[case]:
+        code = main(encaps)
+    else:
+        code = main(["decaps", "--params", str(params), "--priv", str(priv), "--in", str(ct)])
+    out = capsys.readouterr()
+    assert code == EXIT_PARAM_MISMATCH
+    assert out.err.startswith("error:")
+    assert "Traceback" not in out.err
+    assert out.out == ""
 
 
 def test_param_mismatch_exits_3(tmp_path, capsys):
@@ -112,6 +159,13 @@ def test_bench(capsys):
 def test_missing_file_exits_1(tmp_path, capsys):
     missing = str(tmp_path / "nope.bin")
     assert main(["keygen", "--params", missing, "--out", "x", "--pub", "y"]) == 1
+
+
+def test_unreadable_file_exits_1(tmp_path, capsys):
+    code = main(["keygen", "--params", str(tmp_path), "--out", "x", "--pub", "y"])  # a directory
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_toy_warning(tmp_path, capsys):

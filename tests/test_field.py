@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from sdgr.field import FieldParams, QuadraticField, find_lambda, is_prime
+from sdgr.field import QuadraticField, find_lambda, is_prime
 
 
 def test_find_lambda_examples():
@@ -31,9 +31,10 @@ def frobenius_ladder(f: QuadraticField, a):
 
 def test_field_params_validation():
     with pytest.raises(ValueError):
-        FieldParams(p=19, lam=4)  # 4 = 2^2 is a residue
+        QuadraticField(19, lam=4)  # 4 = 2^2 is a residue
     with pytest.raises(ValueError):
-        FieldParams(p=20, lam=3)
+        QuadraticField(20, lam=3)  # 20 is not prime
+    assert QuadraticField(19, lam=3).lam == 3  # any non-residue is accepted
 
 
 def test_add_examples():
