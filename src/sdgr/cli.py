@@ -3,13 +3,15 @@
 Commands: params, keygen, encaps, decaps, kexdemo, solve-sdpd, bench.
 Every command is deterministic under --seed; without one, system entropy is
 used.  Exit codes: 0 success, 1 missing or unreadable file, 2 checksum
-failure or bad file format, 3 a file that passes its checksum but does not fit the parameters,
+failure, bad file format, or a file longer than 1024 bytes (sdgr writes
+none that long), 3 a file that passes its checksum but does not fit the parameters,
 4 solver guard violation.  Exit 3 covers: a params file that names no
 supported parameter set or holds a malformed h; a key or ciphertext header
 that differs from the params file's or whose l1 is not 0, 128, 192 or 256; a
 key payload of the wrong length; a private key whose a is not a non-zero
 element of C_n or whose gamma is not a non-zero reversible element.  A
-ciphertext payload of any length gets a key by implicit rejection.
+ciphertext payload of any length under the file-size cap gets a key by
+implicit rejection.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ def _load_params_file(path: str) -> Params:
     # checked before any ring is built: ring construction costs O(n^2) memory
     if header.m != 1 or (p, n) not in PARAM_SETS.values() or lam != find_lambda(p):
         raise ParameterError(f"unsupported parameters p={p}, m={header.m}, n={n}, lambda={lam}")
-    ring = SkewRing(p, n, lam=lam)
+    ring = SkewRing(p, n)
     try:
         return Params(ring=ring, h=kem.decode_ring(ring, payload))
     except ValueError as exc:
@@ -75,10 +77,10 @@ def _read_checked(path: str, params: Params) -> tuple[int, bytes]:
 def _read_elements(path: str, params: Params, count: int) -> tuple[int, list[RingElement]]:
     """The l1 and the `count` ring elements of a checked key file."""
     l1, payload = _read_checked(path, params)
-    size = kem.rep_len(params.ring)
-    if len(payload) != count * size:
-        raise ParameterError(f"{path}: expected {count * size} payload bytes, got {len(payload)}")
-    return l1, [kem.decode_ring(params.ring, payload[i : i + size]) for i in range(0, len(payload), size)]
+    try:
+        return l1, kem.decode_elements(params.ring, payload, count)
+    except ValueError as exc:
+        raise ParameterError(f"{path}: malformed payload: {exc}") from exc
 
 
 # -- commands ------------------------------------------------------------------
@@ -183,18 +185,13 @@ def cmd_bench(args) -> int:
     b = ring.sample_ring(rng)
 
     reps = 200
-    t0 = time.perf_counter()
-    for _ in range(reps):
-        ring.add(a, b)
-    t_add = (time.perf_counter() - t0) / reps
-    t0 = time.perf_counter()
-    for _ in range(reps):
-        ring.mul(a, b)
-    t_mul = (time.perf_counter() - t0) / reps
-    t0 = time.perf_counter()
-    for _ in range(reps):
-        ring.adjunct(a)
-    t_adj = (time.perf_counter() - t0) / reps
+    times_us = []
+    for op in (lambda: ring.add(a, b), lambda: ring.mul(a, b), lambda: ring.adjunct(a)):
+        t0 = time.perf_counter()
+        for _ in range(reps):
+            op()
+        times_us.append((time.perf_counter() - t0) / reps * 1e6)
+    t_add, t_mul, t_adj = times_us
 
     f = costmodel.frobenius_mul_cost(ring.field)
     cf = costmodel.CountingField(ring.field)
@@ -208,18 +205,17 @@ def cmd_bench(args) -> int:
     add_adds = cf.count.adds
 
     model_adds, model_muls = costmodel.product_cost_model(ring.n, f)
+    checks = [
+        ("product_field_adds", prod_adds, model_adds),
+        ("product_field_muls", prod_muls, model_muls),
+        ("adjunct_field_muls", adj_muls, costmodel.adjunct_cost_model(ring.n, f)),
+        ("addition_field_adds", add_adds, costmodel.addition_cost_model(ring.n)),
+    ]
     print(f"set={args.set} p={params.p} n={params.n} frobenius_mul_cost={f}")
-    print(f"addition_time_us={t_add * 1e6:.2f} product_time_us={t_mul * 1e6:.2f} adjunct_time_us={t_adj * 1e6:.2f}")
-    print(f"product_field_adds={prod_adds} model={model_adds}")
-    print(f"product_field_muls={prod_muls} model={model_muls}")
-    print(f"adjunct_field_muls={adj_muls} model={costmodel.adjunct_cost_model(ring.n, f)}")
-    print(f"addition_field_adds={add_adds} model={costmodel.addition_cost_model(ring.n)}")
-    ok = (
-        prod_adds == model_adds
-        and prod_muls == model_muls
-        and adj_muls == costmodel.adjunct_cost_model(ring.n, f)
-        and add_adds == costmodel.addition_cost_model(ring.n)
-    )
+    print(f"addition_time_us={t_add:.2f} product_time_us={t_mul:.2f} adjunct_time_us={t_adj:.2f}")
+    for label, counted, model in checks:
+        print(f"{label}={counted} model={model}")
+    ok = all(counted == model for _, counted, model in checks)
     print(f"cost_model_ok={str(ok).lower()}")
     return EXIT_OK if ok else 1
 

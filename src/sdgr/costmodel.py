@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dihedral import inverse, mul_index
+from .dihedral import inverse
 from .field import Fq2, QuadraticField
-from .skewring import RingElement, SkewRing
+from .skewring import RingElement, SkewRing, pair_product
 
 
 @dataclass
@@ -30,9 +30,9 @@ class OpCount:
 class CountingField:
     """Wraps a QuadraticField and tallies F_{q^2} additions/multiplications."""
 
-    def __init__(self, base: QuadraticField, count: OpCount | None = None):
+    def __init__(self, base: QuadraticField):
         self.base = base
-        self.count = count if count is not None else OpCount()
+        self.count = OpCount()
 
     def add(self, a: Fq2, b: Fq2) -> Fq2:
         self.count.adds += 1
@@ -62,20 +62,8 @@ def counted_addition(ring: SkewRing, cf: CountingField, a: RingElement, b: RingE
 
 
 def counted_product(ring: SkewRing, cf: CountingField, a: RingElement, b: RingElement) -> RingElement:
-    """The basis-pair product loop, one add and one (1+f)-mul per pair."""
-    n = ring.n
-    out = [(0, 0)] * ring.size
-    for i in range(ring.size):
-        ai = a.coefficient(i)
-        twist = i >= n
-        for j in range(ring.size):
-            bj = b.coefficient(j)
-            if twist:
-                bj = cf.frobenius(bj)
-            fe = cf.mul(ai, bj)
-            k = mul_index(n, i, j)
-            out[k] = cf.add(out[k], fe)
-    return ring.element(out)
+    """The oracle's basis-pair loop, one add and one (1+f)-mul per pair."""
+    return pair_product(ring, cf, a, b)
 
 
 def counted_adjunct(ring: SkewRing, cf: CountingField, a: RingElement) -> RingElement:

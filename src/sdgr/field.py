@@ -46,13 +46,9 @@ class QuadraticField:
     """F_{p^2} as F_p[t]/(t^2 - lambda) with the Frobenius map a -> a^p,
     which is coefficient conjugation (c0, c1) -> (c0, -c1)."""
 
-    def __init__(self, p: int, lam: int | None = None):
-        if lam is None:
-            lam = find_lambda(p)
-        elif not is_prime(p) or p == 2 or pow(lam, (p - 1) // 2, p) != p - 1:
-            raise ValueError(f"lambda={lam} is not a quadratic non-residue mod an odd prime p={p}")
+    def __init__(self, p: int):
         self.p = p
-        self.lam = lam
+        self.lam = find_lambda(p)
 
     # -- constants ---------------------------------------------------------
 
@@ -86,15 +82,6 @@ class QuadraticField:
             (a[0] * b[0] + self.lam * a[1] * b[1]) % p,
             (a[0] * b[1] + a[1] * b[0]) % p,
         )
-
-    def inv(self, a: Fq2) -> Fq2:
-        """Inverse via the norm: 1/a = (c0 - c1 t) / (c0^2 - lam c1^2)."""
-        if a == (0, 0):
-            raise ZeroDivisionError("inverse of zero in F_{p^2}")
-        p = self.p
-        norm = (a[0] * a[0] - self.lam * a[1] * a[1]) % p
-        ninv = pow(norm, p - 2, p)
-        return ((a[0] * ninv) % p, ((-a[1]) * ninv) % p)
 
     def frobenius(self, a: Fq2) -> Fq2:
         """a -> a^p, which is conjugation: t -> -t."""

@@ -4,7 +4,8 @@ Layout: magic "SDGR", version 0x01, p (4-byte big-endian), m (1 byte),
 n (4-byte big-endian), lambda (4-byte big-endian), l1/8 (1 byte), payload,
 and a trailing CRC-64/XZ checksum over everything before it.  The checksum
 distinguishes file corruption from cryptographic rejection; decapsulation
-itself never signals rejection.
+itself never signals rejection.  A file longer than MAX_FILE_LEN is refused
+before its checksum is computed, so a read costs bounded time and memory.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from dataclasses import dataclass
 MAGIC = b"SDGR"
 VERSION = 1
 HEADER_LEN = 4 + 1 + 4 + 1 + 4 + 4 + 1
+# the largest file sdgr writes is a p41 private key: 19 + 4 * 123 + 8 = 519 bytes
+MAX_FILE_LEN = 1024
 
 _CRC64_POLY = 0xC96C5795D7870F42  # CRC-64/XZ, reflected
 
@@ -92,7 +95,9 @@ def write_file(path, header: Header, payload: bytes) -> None:
 
 def read_file(path) -> tuple[Header, bytes]:
     with open(path, "rb") as fh:
-        data = fh.read()
+        data = fh.read(MAX_FILE_LEN + 1)
+    if len(data) > MAX_FILE_LEN:
+        raise FileFormatError(f"file longer than {MAX_FILE_LEN} bytes")
     if len(data) < HEADER_LEN + 8:
         raise FileFormatError("file truncated")
     body, trailer = data[:-8], data[-8:]

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, List
 
+import numpy as np
+
 from .skewring import RingElement, SkewRing, SubspaceTag
 
 SEARCH_SPACE_GUARD = 10**8
@@ -146,10 +148,11 @@ def dsdp_challenge(params: GameParams, b: int, rng) -> DsdpInstance:
 # -- advantage estimation ------------------------------------------------------
 
 
-def wilson_interval(wins: int, trials: int, z: float = 1.96) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(wins: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion."""
     if trials == 0:
         return 0.0, 1.0
+    z = 1.96  # two-sided 95% normal quantile
     phat = wins / trials
     denom = 1 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
@@ -231,23 +234,13 @@ def unipotent_valuation(ring: SkewRing, a: RingElement) -> int:
         raise ValueError("valuation needs an element supported on one summand")
     if tag is SubspaceTag.CNY_ONLY:
         a = ring.phi(a)
-    poly = [a.coefficient(i) for i in range(ring.n)]
     p = ring.p
-    v = 0
-    while v < ring.n:
-        s0 = sum(c[0] for c in poly) % p
-        s1 = sum(c[1] for c in poly) % p
-        if (s0, s1) != (0, 0):
+    poly = a.coeffs[: ring.n]
+    for v in range(ring.n):
+        if (poly.sum(axis=0) % p).any():  # poly(1) != 0: not divisible by x - 1
             return v
-        # synthetic division by (x - 1): q_{i-1} = p_i + q_i, descending
-        q = [(0, 0)] * len(poly)
-        acc0 = acc1 = 0
-        for i in range(len(poly) - 1, 0, -1):
-            acc0 = (acc0 + poly[i][0]) % p
-            acc1 = (acc1 + poly[i][1]) % p
-            q[i - 1] = (acc0, acc1)
-        poly = q
-        v += 1
+        # divide by (x - 1): q_{i-1} = p_i + p_{i+1} + ... (a suffix sum)
+        poly = np.cumsum(poly[::-1], axis=0)[::-1][1:] % p
     return ring.n
 
 

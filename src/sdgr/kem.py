@@ -73,11 +73,18 @@ def rep_ciphertext(c: Ciphertext) -> bytes:
     return rep_ring(c.c1) + rep_ring(c.c2)
 
 
+def decode_elements(ring: SkewRing, data: bytes, count: int) -> list[RingElement]:
+    """Inverse of concatenating `count` rep_ring encodings; raises ValueError
+    unless data is exactly that long."""
+    size = rep_len(ring)
+    if len(data) != count * size:
+        raise ValueError(f"expected {count * size} bytes, got {len(data)}")
+    return [decode_ring(ring, data[i : i + size]) for i in range(0, len(data), size)]
+
+
 def decode_ciphertext(ring: SkewRing, data: bytes) -> Ciphertext:
-    half = rep_len(ring)
-    if len(data) != 2 * half:
-        raise ValueError(f"expected {2 * half} bytes, got {len(data)}")
-    return Ciphertext(c1=decode_ring(ring, data[:half]), c2=decode_ring(ring, data[half:]))
+    c1, c2 = decode_elements(ring, data, 2)
+    return Ciphertext(c1=c1, c2=c2)
 
 
 # -- hash functions ------------------------------------------------------------
@@ -139,15 +146,19 @@ def kem_keygen(params: Params, rng) -> tuple[KemPrivate, bytes]:
     return KemPrivate(s=s, sk=kp.sk, pk=kp.pk), rep_ring(kp.pk)
 
 
+def _encrypt_derandomized(m: RingElement, pk: RingElement, params: Params) -> tuple[bytes, bytes]:
+    """(rep(m), rep(c)) for c = Enc(pk, m; H1(rep(m) || rep(pk))): the
+    encryption encaps sends and decaps recomputes to check a ciphertext."""
+    rep_m = rep_ring(m)
+    r = h1(rep_m + rep_ring(pk), params)
+    return rep_m, rep_ciphertext(pke_enc(m, pk, r, params))
+
+
 def kem_encaps(pk_bytes: bytes, params: Params, rng, l1: int = 128) -> tuple[bytes, bytes]:
     """Returns (ciphertext bytes, session key)."""
     pk = decode_ring(params.ring, pk_bytes)
-    m = sample_message(params, rng)
-    r = h1(rep_ring(m) + rep_ring(pk), params)
-    c = pke_enc(m, pk, r, params)
-    c_bytes = rep_ciphertext(c)
-    key = h2(rep_ring(m) + c_bytes, l1)
-    return c_bytes, key
+    rep_m, c_bytes = _encrypt_derandomized(sample_message(params, rng), pk, params)
+    return c_bytes, h2(rep_m + c_bytes, l1)
 
 
 def kem_decaps(priv: KemPrivate, c_bytes: bytes, params: Params, l1: int = 128) -> bytes:
@@ -158,9 +169,7 @@ def kem_decaps(priv: KemPrivate, c_bytes: bytes, params: Params, l1: int = 128) 
         c = decode_ciphertext(ring, c_bytes)
     except ValueError:
         return h2(rep_ring(priv.s) + c_bytes, l1)
-    m = pke_dec(c, priv.sk)
-    r = h1(rep_ring(m) + rep_ring(priv.pk), params)
-    c_prime = pke_enc(m, priv.pk, r, params)
-    if hmac.compare_digest(rep_ciphertext(c_prime), c_bytes):
-        return h2(rep_ring(m) + c_bytes, l1)
+    rep_m, c_prime = _encrypt_derandomized(pke_dec(c, priv.sk), priv.pk, params)
+    if hmac.compare_digest(c_prime, c_bytes):
+        return h2(rep_m + c_bytes, l1)
     return h2(rep_ring(priv.s) + c_bytes, l1)

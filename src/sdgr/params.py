@@ -31,7 +31,6 @@ class Params:
 
     ring: SkewRing = field(repr=False)
     h: RingElement = field(repr=False)
-    name: str = ""
 
     @property
     def p(self) -> int:
@@ -64,4 +63,4 @@ def make_params(
     if rng is None:
         rng = random.Random(seed) if seed is not None else random.SystemRandom()
     h = ring.gen_public_element(rng)
-    return Params(ring=ring, h=h, name=name)
+    return Params(ring=ring, h=h)

@@ -4,8 +4,8 @@ A ring element is a dense length-2n coefficient vector over F_{q^2}: index
 i < n holds the coefficient of x^i, index n+i the coefficient of x^i y.
 Coefficients are stored as an (2n, 2) int64 numpy array so that the skew
 product (the hot loop of every scheme) is one gather and one float64 matmul;
-a naive triple-loop product that works directly on formal sums is kept as an
-independent oracle.
+a naive loop over pairs of basis terms that works directly on formal sums is
+kept as an independent oracle, and the cost model counts that same loop.
 """
 
 from __future__ import annotations
@@ -43,9 +43,6 @@ class RingElement:
 
     def __sub__(self, other: "RingElement") -> "RingElement":
         return self.ring.sub(self, other)
-
-    def __neg__(self) -> "RingElement":
-        return self.ring.neg(self)
 
     def __mul__(self, other: "RingElement") -> "RingElement":
         return self.ring.mul(self, other)
@@ -92,8 +89,8 @@ def gather_index(n: int) -> np.ndarray:
 class SkewRing:
     """F_{q^2}^theta D_2n with theta sending reflections to the Frobenius."""
 
-    def __init__(self, p: int, n: int, lam: int | None = None):
-        self.field = QuadraticField(p, lam=lam)
+    def __init__(self, p: int, n: int):
+        self.field = QuadraticField(p)
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
         if 2 * n * (p - 1) ** 2 * (1 + self.field.lam) >= 2**53:
@@ -130,9 +127,6 @@ class SkewRing:
         arr = np.array(coeffs, dtype=np.int64) % self.p
         return RingElement(self, arr)
 
-    def _wrap(self, arr: np.ndarray) -> RingElement:
-        return RingElement(self, arr)
-
     def _check(self, *elems: RingElement) -> None:
         for e in elems:
             if e.ring is not self:
@@ -144,15 +138,11 @@ class SkewRing:
 
     def add(self, a: RingElement, b: RingElement) -> RingElement:
         self._check(a, b)
-        return self._wrap((a.coeffs + b.coeffs) % self.p)
+        return RingElement(self, (a.coeffs + b.coeffs) % self.p)
 
     def sub(self, a: RingElement, b: RingElement) -> RingElement:
         self._check(a, b)
-        return self._wrap((a.coeffs - b.coeffs) % self.p)
-
-    def neg(self, a: RingElement) -> RingElement:
-        self._check(a)
-        return self._wrap((-a.coeffs) % self.p)
+        return RingElement(self, (a.coeffs - b.coeffs) % self.p)
 
     # -- skew product --------------------------------------------------------
 
@@ -176,32 +166,11 @@ class SkewRing:
         out = np.empty((size, 2), dtype=np.int64)
         out[:, 0] = (r[0, :size] + self.field.lam * r[1, size:]) % p
         out[:, 1] = (r[0, size:] + r[1, :size]) % p
-        return self._wrap(out)
+        return RingElement(self, out)
 
     def naive_product(self, a: RingElement, b: RingElement) -> RingElement:
-        """Independent oracle: formal-sum product with no precomputed table.
-
-        Walks every pair of basis terms, applies theta via the reflection
-        flag, and multiplies group elements through the closed-form dihedral
-        relations.
-        """
-        self._check(a, b)
-        f, n = self.field, self.n
-        out = [f.zero] * self.size
-        for i in range(self.size):
-            ai = a.coefficient(i)
-            if ai == (0, 0):
-                continue
-            twist = i >= n
-            for j in range(self.size):
-                bj = b.coefficient(j)
-                if bj == (0, 0):
-                    continue
-                if twist:
-                    bj = f.frobenius(bj)
-                k = mul_index(n, i, j)
-                out[k] = f.add(out[k], f.mul(ai, bj))
-        return self.element(out)
+        """Independent oracle: the formal-sum product, with no precomputed index."""
+        return pair_product(self, self.field, a, b)
 
     def adjunct(self, a: RingElement) -> RingElement:
         """Anti-isomorphism: sum a_g g -> sum theta(g^-1)(a_g) g^-1."""
@@ -211,7 +180,7 @@ class SkewRing:
         tmp[self.n :, 1] = (self.p - tmp[self.n :, 1]) % self.p
         out = np.empty_like(tmp)
         out[self._inv_perm] = tmp
-        return self._wrap(out)
+        return RingElement(self, out)
 
     # -- subspace structure --------------------------------------------------
 
@@ -233,7 +202,7 @@ class SkewRing:
             raise ValueError("phi is defined on elements supported on C_n y")
         out = np.zeros_like(a.coeffs)
         out[: self.n] = a.coeffs[self.n :]
-        return self._wrap(out)
+        return RingElement(self, out)
 
     def is_reversible(self, a: RingElement) -> bool:
         """Membership in Gamma_theta: C_n y support, and the coefficients of
@@ -250,12 +219,12 @@ class SkewRing:
         return np.array([rng.randrange(self.p) for _ in range(k)], dtype=np.int64).reshape(-1, 2)
 
     def sample_ring(self, rng) -> RingElement:
-        return self._wrap(self._draw(rng, 2 * self.size))
+        return RingElement(self, self._draw(rng, 2 * self.size))
 
     def sample_cn(self, rng) -> RingElement:
         out = np.zeros((self.size, 2), dtype=np.int64)
         out[: self.n] = self._draw(rng, 2 * self.n)
-        return self._wrap(out)
+        return RingElement(self, out)
 
     def sample_gamma(self, rng) -> RingElement:
         """Uniform element of Gamma_theta, drawn as its free coordinates."""
@@ -265,13 +234,13 @@ class SkewRing:
         """Build a Gamma_theta element from its free coordinates
         (index n first, then n+1 .. n+floor(n/2))."""
         n = self.n
-        expected = n // 2 + 1
+        expected = self.gamma_free_count()
         if len(free) != expected:
             raise ValueError(f"expected {expected} free coefficients, got {len(free)}")
         out = np.zeros((self.size, 2), dtype=np.int64)
         out[n : n + expected] = np.asarray(free, dtype=np.int64) % self.p
         out[self.size - n // 2 :] = out[n + 1 : n + expected][::-1]
-        return self._wrap(out)
+        return RingElement(self, out)
 
     def gamma_free_count(self) -> int:
         return self.n // 2 + 1
@@ -280,7 +249,7 @@ class SkewRing:
         """Public h = h1 + h2 with both halves non-zero, by rejection sampling."""
         while True:
             a = self.sample_ring(rng)
-            if a.coeffs[: self.n].any() and a.coeffs[self.n :].any():
+            if self.classify(a) is SubspaceTag.MIXED:
                 return a
 
     # -- enumeration (desk-scale solvers) ------------------------------------
@@ -299,3 +268,26 @@ class SkewRing:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"SkewRing(p={self.p}, n={self.n}, lam={self.field.lam})"
+
+
+def pair_product(ring: SkewRing, field, a: RingElement, b: RingElement) -> RingElement:
+    """The skew product by its definition, over every pair of basis terms.
+
+    Each pair (i, j) costs one field multiplication a_i * theta(g_i)(b_j),
+    with theta applied through the reflection flag, and one field addition
+    into c_k, where g_i g_j = g_k by the closed-form dihedral relations.
+    `field` supplies add, mul and frobenius: the ring's own field for the
+    oracle, a counting wrapper for the cost model, which is why no pair is
+    skipped, zero or not.
+    """
+    ring._check(a, b)
+    n = ring.n
+    a_list, b_list = a.coeffs.tolist(), b.coeffs.tolist()
+    out = [(0, 0)] * ring.size
+    for i, ai in enumerate(a_list):
+        for j, bj in enumerate(b_list):
+            if i >= n:
+                bj = field.frobenius(bj)
+            k = mul_index(n, i, j)
+            out[k] = field.add(out[k], field.mul(ai, bj))
+    return ring.element(out)

@@ -2,10 +2,11 @@ from dataclasses import replace
 
 import pytest
 
+from sdgr import fileio
 from sdgr.cli import EXIT_CHECKSUM, EXIT_GUARD, EXIT_OK, EXIT_PARAM_MISMATCH, main
-from sdgr.fileio import HEADER_LEN, Header, crc64, read_file, write_file
+from sdgr.fileio import HEADER_LEN, MAX_FILE_LEN, Header, crc64, read_file, write_file
 from sdgr.kem import rep_len, rep_ring
-from sdgr.params import make_params
+from sdgr.params import PARAM_SETS, make_params
 from sdgr.skewring import SkewRing
 
 
@@ -70,6 +71,41 @@ def test_attacker_repaired_checksum_gives_wrong_key(tmp_path, capsys):
         assert main(["decaps", "--params", str(params), "--priv", str(priv), "--in", str(ct)]) == EXIT_OK
         dec_key = capsys.readouterr().out.strip()
         assert len(dec_key) == len(enc_key) and dec_key != enc_key
+
+
+def test_oversized_ciphertext_exits_2(tmp_path, capsys, monkeypatch):
+    params, priv, pub, ct = _make_files(tmp_path)
+    write_file(ct, Header(p=19, m=1, n=19, lam=2, l1=128), bytes(4 << 20))  # CRC-valid, 4 MB
+    capsys.readouterr()
+    crc64_of_any_length = fileio.crc64
+
+    def crc64_of_bounded_length(data):
+        assert len(data) <= MAX_FILE_LEN, "the checksum ran over an oversized file"
+        return crc64_of_any_length(data)
+
+    monkeypatch.setattr(fileio, "crc64", crc64_of_bounded_length)
+    code = main(["decaps", "--params", str(params), "--priv", str(priv), "--in", str(ct)])
+    out = capsys.readouterr()
+    assert code == EXIT_CHECKSUM
+    assert out.out == "" and "longer than" in out.err
+
+
+@pytest.mark.parametrize("name", sorted(PARAM_SETS))
+def test_every_file_kind_fits_under_the_size_cap(tmp_path, capsys, name):
+    files = {k: str(tmp_path / f"{k}.bin") for k in ("params", "priv", "pub", "ct")}
+    assert main(["params", "--set", name, "--seed", "1", "--out", files["params"]]) == EXIT_OK
+    assert main(["keygen", "--params", files["params"], "--out", files["priv"], "--pub", files["pub"],
+                 "--l1", "256", "--seed", "2"]) == EXIT_OK
+    assert main(["encaps", "--params", files["params"], "--pub", files["pub"], "--out", files["ct"],
+                 "--l1", "256", "--seed", "3"]) == EXIT_OK
+    assert main(["decaps", "--params", files["params"], "--priv", files["priv"], "--in", files["ct"]]) == EXIT_OK
+    enc_key, dec_key = capsys.readouterr().out.strip().splitlines()[-2:]
+    assert enc_key == dec_key
+    sizes = {k: (tmp_path / f"{k}.bin").stat().st_size for k in files}
+    elements = {"params": 1, "pub": 1, "ct": 2, "priv": 4}
+    ring = SkewRing(*PARAM_SETS[name])
+    assert sizes == {k: HEADER_LEN + count * rep_len(ring) + 8 for k, count in elements.items()}
+    assert max(sizes.values()) <= MAX_FILE_LEN
 
 
 P19 = SkewRing(19, 19)

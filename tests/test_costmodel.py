@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from sdgr.costmodel import (
     CountingField,
     OpCount,
@@ -11,7 +13,7 @@ from sdgr.costmodel import (
     frobenius_mul_cost,
     product_cost_model,
 )
-from sdgr.skewring import SkewRing
+from sdgr.skewring import SkewRing, gather_index
 
 
 def test_frobenius_is_free_with_conjugation():
@@ -71,10 +73,20 @@ def test_opcount_reset():
     assert c.adds == 0 and c.muls == 0
 
 
-def test_shared_counter():
-    ring = SkewRing(3, 3)
-    shared = OpCount()
-    cf = CountingField(ring.field, shared)
-    cf.add((1, 0), (2, 0))
-    cf.mul((1, 0), (2, 0))
-    assert shared.adds == 1 and shared.muls == 1
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 19, 41])
+def test_production_kernel_gathers_what_the_model_counts(n):
+    # SkewRing.mul forms one product per gather_index entry
+    assert gather_index(n).size == product_cost_model(n, 0)[1]
+
+
+@pytest.mark.parametrize("p,n", [(3, 3), (19, 19)])
+def test_counted_product_counts_every_pair_of_sparse_inputs(p, n):
+    # two basis elements: all but one pair of terms multiply a zero, and the
+    # loop shared with the oracle must still count them
+    ring = SkewRing(p, n)
+    a, b = ring.basis(1, (2, 1)), ring.basis(n + 1, (1, 1))
+    cf = CountingField(ring.field)
+    assert counted_product(ring, cf, a, b) == ring.mul(a, b)
+    adds, muls = product_cost_model(n, frobenius_mul_cost(ring.field))
+    assert cf.count.adds == adds == 4 * n * n
+    assert cf.count.muls == muls

@@ -3,6 +3,7 @@ import pytest
 from sdgr.fileio import (
     HEADER_LEN,
     MAGIC,
+    MAX_FILE_LEN,
     ChecksumError,
     FileFormatError,
     Header,
@@ -85,3 +86,14 @@ def test_empty_payload(tmp_path):
     write_file(path, header, b"")
     back_header, back_payload = read_file(path)
     assert back_header == header and back_payload == b""
+
+
+def test_read_file_refuses_a_file_over_the_cap(tmp_path):
+    path = tmp_path / "k.bin"
+    header = Header(p=3, m=1, n=3, lam=2, l1=0)
+    fill = MAX_FILE_LEN - HEADER_LEN - 8
+    write_file(path, header, bytes(fill))  # exactly at the cap
+    assert read_file(path) == (header, bytes(fill))
+    write_file(path, header, bytes(fill + 1))
+    with pytest.raises(FileFormatError, match="longer than"):
+        read_file(path)

@@ -6,9 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdgr.fileio import HEADER_LEN, FileFormatError, decode_header
-from sdgr.kem import kem_decaps, kem_encaps, kem_keygen
+from sdgr.fileio import HEADER_LEN, MAX_FILE_LEN, FileFormatError, Header, crc64, decode_header, read_file
+from sdgr.kem import (
+    decode_ciphertext,
+    decode_elements,
+    decode_ring,
+    kem_decaps,
+    kem_encaps,
+    kem_keygen,
+    pack_bits,
+    rep_len,
+    unpack_bits,
+)
 from sdgr.params import VALID_L1
+from sdgr.skewring import SkewRing
 
 
 @pytest.fixture(scope="module")
@@ -35,3 +46,109 @@ def test_decode_header_returns_or_raises_file_format_error(data):
         decode_header(data)
     except FileFormatError:
         pass
+
+
+def _sealed(body: bytes) -> bytes:
+    return body + crc64(body).to_bytes(8, "big")
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "f.bin"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.binary(max_size=MAX_FILE_LEN + 64),
+        st.binary(max_size=MAX_FILE_LEN).map(_sealed),  # passes the checksum
+        st.binary(max_size=64).map(lambda b: _sealed(b"SDGR\x01" + b)),
+    )
+)
+def test_read_file_returns_or_raises_file_format_error(fuzz_file, data):
+    fuzz_file.write_bytes(data)
+    try:
+        header, payload = read_file(fuzz_file)
+    except FileFormatError:
+        return
+    assert isinstance(header, Header)
+    assert len(payload) == len(data) - HEADER_LEN - 8 <= MAX_FILE_LEN
+
+
+RINGS = [SkewRing(3, 3), SkewRing(19, 19)]
+
+
+def _ring_and_bytes(count: int):
+    """A ring and bytes of any length, or of exactly `count` encodings."""
+    return st.sampled_from(RINGS).flatmap(
+        lambda ring: st.tuples(
+            st.just(ring),
+            st.one_of(
+                st.binary(max_size=3 * count * rep_len(ring)),
+                st.binary(min_size=count * rep_len(ring), max_size=count * rep_len(ring)),
+            ),
+        )
+    )
+
+
+def _assert_canonical(ring, a):
+    assert a.ring is ring and a.coeffs.shape == (ring.size, 2)
+    assert a.coeffs.min() >= 0 and a.coeffs.max() < ring.p
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ring_and_bytes(1))
+def test_decode_ring_returns_or_raises_value_error(ring_data):
+    ring, data = ring_data
+    try:
+        a = decode_ring(ring, data)
+    except ValueError:
+        assert len(data) != rep_len(ring)
+        return
+    _assert_canonical(ring, a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 4).flatmap(lambda count: st.tuples(st.just(count), _ring_and_bytes(count))))
+def test_decode_elements_returns_or_raises_value_error(count_ring_data):
+    count, (ring, data) = count_ring_data
+    try:
+        elems = decode_elements(ring, data, count)
+    except ValueError:
+        assert len(data) != count * rep_len(ring)
+        return
+    assert len(elems) == count
+    for a in elems:
+        _assert_canonical(ring, a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ring_and_bytes(2))
+def test_decode_ciphertext_returns_or_raises_value_error(ring_data):
+    ring, data = ring_data
+    try:
+        c = decode_ciphertext(ring, data)
+    except ValueError:
+        assert len(data) != 2 * rep_len(ring)
+        return
+    _assert_canonical(ring, c.c1)
+    _assert_canonical(ring, c.c2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=64), st.integers(1, 32), st.integers(0, 64))
+def test_unpack_bits_returns_or_raises_value_error(data, width, count):
+    try:
+        values = unpack_bits(data, width, count)
+    except ValueError:
+        assert len(data) * 8 < width * count
+        return
+    assert len(values) == count
+    assert all(0 <= v < 1 << width for v in values.tolist())
+    # the values are the stream's first width*count bits, so they pack back to them
+    nbytes = (width * count + 7) // 8
+    pad = 8 * nbytes - width * count
+    expected = data[:nbytes]
+    if pad:
+        expected = expected[:-1] + bytes([expected[-1] & (0xFF << pad) & 0xFF])
+    assert pack_bits(values, width) == expected

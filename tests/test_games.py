@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from sdgr.games import (
@@ -142,6 +143,59 @@ def test_unipotent_valuation(degenerate_game):
         unipotent_valuation(ring, ring.basis(0) + ring.basis(4))
     with pytest.raises(ValueError):
         unipotent_valuation(SkewRing(3, 6), SkewRing(3, 6).one())
+
+
+def synthetic_division_valuation(ring, a):
+    """Reference for unipotent_valuation: divide the one non-zero summand by
+    (x - 1) one coefficient at a time until its value at x = 1 is non-zero."""
+    n, p = ring.n, ring.p
+    rows = [a.coefficient(i) for i in range(2 * n)]
+    poly = rows[n:] if any(c != (0, 0) for c in rows[n:]) else rows[:n]
+    v = 0
+    while v < n:
+        s0 = sum(c[0] for c in poly) % p
+        s1 = sum(c[1] for c in poly) % p
+        if (s0, s1) != (0, 0):
+            return v
+        # synthetic division by (x - 1): q_{i-1} = p_i + q_i, descending
+        q = [(0, 0)] * len(poly)
+        acc0 = acc1 = 0
+        for i in range(len(poly) - 1, 0, -1):
+            acc0 = (acc0 + poly[i][0]) % p
+            acc1 = (acc1 + poly[i][1]) % p
+            q[i - 1] = (acc0, acc1)
+        poly = q
+        v += 1
+    return n
+
+
+def _with_cny_images(ring, elems):
+    """Each C_n element followed by its image sum a_i x^i y on C_n y."""
+    for a in elems:
+        yield a
+        yield ring.element(np.roll(a.coeffs, ring.n, axis=0))
+
+
+def test_unipotent_valuation_matches_synthetic_division():
+    toy = SkewRing(3, 3)
+    for a in _with_cny_images(toy, toy.iter_cn()):
+        assert unipotent_valuation(toy, a) == synthetic_division_valuation(toy, a)
+    # random elements are mostly units; multiplying by (x - 1)^k walks each
+    # one up through every valuation to n, where it becomes zero
+    for p, n in ((3, 9), (5, 25)):
+        ring = SkewRing(p, n)
+        rng = random.Random(n)
+        xm1 = ring.basis(1) - ring.one()
+        seen = set()
+        for _ in range(6):
+            powers = [ring.sample_cn(rng)]
+            for _ in range(n):
+                powers.append(powers[-1] * xm1)
+            for a in _with_cny_images(ring, powers):
+                v = unipotent_valuation(ring, a)
+                assert v == synthetic_division_valuation(ring, a)
+                seen.add(v)
+        assert seen == set(range(n + 1))
 
 
 def test_distinguisher_degenerate_advantage(degenerate_game):

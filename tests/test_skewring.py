@@ -126,7 +126,6 @@ def test_ring_axioms_random(toy_ring, rng):
         assert (a + b) * c == a * c + b * c
         assert a + b == b + a
         assert a - a == toy_ring.zero()
-        assert -(-a) == a
 
 
 def test_noncommutative(toy_ring):
