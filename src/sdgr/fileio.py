@@ -10,11 +10,13 @@ before its checksum is computed, so a read costs bounded time and memory.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
 MAGIC = b"SDGR"
 VERSION = 1
-HEADER_LEN = 4 + 1 + 4 + 1 + 4 + 4 + 1
+_HEADER = struct.Struct(">4sBIBIIB")  # the layout above, up to the payload
+HEADER_LEN = _HEADER.size
 # the largest file sdgr writes is a p41 private key: 19 + 4 * 123 + 8 = 519 bytes
 MAX_FILE_LEN = 1024
 
@@ -61,30 +63,18 @@ class Header:
     l1: int  # bits; 0 when not applicable
 
     def encode(self) -> bytes:
-        return (
-            MAGIC
-            + bytes([VERSION])
-            + self.p.to_bytes(4, "big")
-            + bytes([self.m])
-            + self.n.to_bytes(4, "big")
-            + self.lam.to_bytes(4, "big")
-            + bytes([self.l1 // 8])
-        )
+        return _HEADER.pack(MAGIC, VERSION, self.p, self.m, self.n, self.lam, self.l1 // 8)
 
 
 def decode_header(data: bytes) -> Header:
     if len(data) < HEADER_LEN:
         raise FileFormatError("file too short for header")
-    if data[:4] != MAGIC:
+    magic, version, p, m, n, lam, l1_bytes = _HEADER.unpack_from(data)
+    if magic != MAGIC:
         raise FileFormatError("bad magic bytes")
-    if data[4] != VERSION:
-        raise FileFormatError(f"unsupported version {data[4]}")
-    p = int.from_bytes(data[5:9], "big")
-    m = data[9]
-    n = int.from_bytes(data[10:14], "big")
-    lam = int.from_bytes(data[14:18], "big")
-    l1 = data[18] * 8
-    return Header(p=p, m=m, n=n, lam=lam, l1=l1)
+    if version != VERSION:
+        raise FileFormatError(f"unsupported version {version}")
+    return Header(p=p, m=m, n=n, lam=lam, l1=l1_bytes * 8)
 
 
 def write_file(path, header: Header, payload: bytes) -> None:

@@ -134,15 +134,11 @@ def csdp_key_from_witness(inst: CsdpInstance, a: RingElement, gamma: RingElement
 def dsdp_challenge(params: GameParams, b: int, rng) -> DsdpInstance:
     if b not in (0, 1):
         raise ValueError("b must be 0 or 1")
-    ring = params.ring
-    a1, g1 = _sample_pair(ring, rng)
-    a2, g2 = _sample_pair(ring, rng)
-    a3, g3 = _sample_pair(ring, rng)
-    pk1 = a1 * params.h * g1
-    pk2 = a2 * params.h * g2
-    k0 = a2 * pk1 * g2.adjunct()
-    k1 = a3 * params.h * g3
-    return DsdpInstance(params=params, pk1=pk1, pk2=pk2, k=k0 if b == 0 else k1, _hidden_bit=b)
+    # the CSDP instance, then a third pair: k is its key (b = 0) or a3 h gamma3
+    inst, k0 = csdp_challenge(params, rng)
+    a3, g3 = _sample_pair(params.ring, rng)
+    k = k0 if b == 0 else a3 * params.h * g3
+    return DsdpInstance(params=params, pk1=inst.pk1, pk2=inst.pk2, k=k, _hidden_bit=b)
 
 
 # -- advantage estimation ------------------------------------------------------

@@ -62,8 +62,6 @@ def kex_keygen(params: Params, rng) -> tuple[SecretPair, RingElement]:
 
 def kex_shared(sk: SecretPair, peer_pk: RingElement) -> RingElement:
     """k = a * peer_pk * adjunct(gamma)."""
-    if peer_pk.ring is not sk.a.ring:
-        raise ValueError("peer public value belongs to a different ring")
     return sk.a * peer_pk * sk.gamma.adjunct()
 
 

@@ -1,17 +1,17 @@
-"""Probabilistic public-key encryption over the skew dihedral group ring.
+"""Probabilistic public-key encryption built from the key exchange.
 
-Gen:  sk = (a1, gamma1), pk = a1 h gamma1.
-Enc:  c1 = a2 h gamma2, c2 = m + a2 pk adjunct(gamma2), with the randomness
-      r2 = (a2, gamma2) passed in explicitly (the KEM re-encryption check
-      needs Enc to be a deterministic function of (m, pk, r2)).
-Dec:  m = c2 - a1 c1 adjunct(gamma1).
+Gen:  the KEX key pair, sk = (a1, gamma1) and pk = a1 h gamma1.
+Enc:  c1 = public_value(r2) = a2 h gamma2, c2 = m + kex_shared(r2, pk), with
+      the randomness r2 = (a2, gamma2) passed in explicitly (the KEM
+      re-encryption check needs Enc to be a deterministic function of (m, pk, r2)).
+Dec:  m = c2 - kex_shared(sk, c1) = c2 - a1 c1 adjunct(gamma1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .kex import SecretPair, public_value, sample_secret_pair
+from .kex import SecretPair, kex_keygen, kex_shared, public_value, sample_secret_pair
 from .params import Params
 from .skewring import RingElement
 
@@ -29,25 +29,16 @@ class Ciphertext:
 
 
 def pke_gen(params: Params, rng) -> PkeKeypair:
-    sk = sample_secret_pair(params, rng)
-    return PkeKeypair(pk=public_value(params, sk), sk=sk)
+    sk, pk = kex_keygen(params, rng)
+    return PkeKeypair(pk=pk, sk=sk)
 
 
 def pke_enc(m: RingElement, pk: RingElement, r2: SecretPair, params: Params) -> Ciphertext:
-    ring = params.ring
-    if m.ring is not ring or pk.ring is not ring:
-        raise ValueError("message/public key belong to a different ring")
-    a2, gamma2 = r2.a, r2.gamma
-    c1 = a2 * params.h * gamma2
-    c2 = m + a2 * pk * gamma2.adjunct()
-    return Ciphertext(c1=c1, c2=c2)
+    return Ciphertext(c1=public_value(params, r2), c2=m + kex_shared(r2, pk))
 
 
 def pke_dec(c: Ciphertext, sk: SecretPair) -> RingElement:
-    if c.c1.ring is not sk.a.ring:
-        raise ValueError("ciphertext belongs to a different ring")
-    k = sk.a * c.c1 * sk.gamma.adjunct()
-    return c.c2 - k
+    return c.c2 - kex_shared(sk, c.c1)
 
 
 def sample_message(params: Params, rng) -> RingElement:

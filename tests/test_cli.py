@@ -1,8 +1,10 @@
+import hashlib
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from sdgr import fileio
+from sdgr import cli, fileio, games
 from sdgr.cli import EXIT_CHECKSUM, EXIT_GUARD, EXIT_OK, EXIT_PARAM_MISMATCH, main
 from sdgr.fileio import HEADER_LEN, MAX_FILE_LEN, Header, crc64, read_file, write_file
 from sdgr.kem import rep_len, rep_ring
@@ -170,6 +172,32 @@ def test_kexdemo(capsys):
     assert capsys.readouterr().out == out1  # reproducible transcript
 
 
+def test_cli_secrets_do_not_replay_the_draws_of_h(capsys, monkeypatch):
+    """One --seed feeds one generator: h is drawn first and the secrets after
+    it, so no secret a repeats the C_n half of h."""
+    seen = []
+    real_challenge = games.sdpd_challenge
+
+    def spy_challenge(gp, rng):
+        inst, witness = real_challenge(gp, rng)
+        seen.append((gp.h, witness[0]))
+        return inst, witness
+
+    class SpySession(cli.KexSession):
+        def __init__(self, params, *args):
+            super().__init__(params, *args)
+            seen.append((params.h, self._secret.a))
+
+    monkeypatch.setattr(games, "sdpd_challenge", spy_challenge)
+    monkeypatch.setattr(cli, "KexSession", SpySession)
+    assert main(["solve-sdpd", "--set", "toy", "--seed", "5"]) == EXIT_OK
+    assert main(["kexdemo", "--set", "p19", "--seed", "13"]) == EXIT_OK
+    assert len(seen) == 3
+    for h, a in seen:
+        n = h.ring.n
+        assert not np.array_equal(a.coeffs[:n], h.coeffs[:n])
+
+
 def test_solve_sdpd_toy(capsys):
     assert main(["solve-sdpd", "--set", "toy", "--seed", "5"]) == EXIT_OK
     out = capsys.readouterr().out
@@ -183,13 +211,30 @@ def test_solve_sdpd_guard(capsys):
 
 
 def test_bench(capsys):
-    assert main(["bench", "--set", "p19", "--seed", "0"]) == EXIT_OK
+    assert main(["bench", "--set", "p19"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "product_field_adds=1444 model=1444" in out
     assert "product_field_muls=1444 model=1444" in out
     assert "adjunct_field_muls=0 model=0" in out
     assert "addition_field_adds=38 model=38" in out
     assert "cost_model_ok=true" in out
+
+
+# SHAKE256 of each file the CLI writes for p19 (params and keygen at seed 42,
+# encaps at seed 7); the wire format and every scheme output behind it are frozen
+WIRE_KAT = {
+    "params": "ad5cc2fdde73949f93b13742ecf5c31669ff8c96b6009a2375174b2820a82783",
+    "priv": "b6c1be0ff92be668af17bc762b946090ea7a1b076d5c1bb15a807f776ae44f8f",
+    "pub": "0d8352df0ac1361733cb8548b20ba2669d6957192f89467264d1754f5368d668",
+    "ct": "96b9f1f7298d7fbc1230e02e25e3b4a3d8cb4b5757cf6ec6accb08f9470f7995",
+}
+
+
+def test_written_files_match_known_answers(tmp_path, capsys):
+    params, priv, pub, ct = _make_files(tmp_path)
+    assert main(["encaps", "--params", str(params), "--pub", str(pub), "--out", str(ct), "--seed", "7"]) == EXIT_OK
+    files = {"params": params, "priv": priv, "pub": pub, "ct": ct}
+    assert {k: hashlib.shake_256(path.read_bytes()).hexdigest(32) for k, path in files.items()} == WIRE_KAT
 
 
 def test_missing_file_exits_1(tmp_path, capsys):

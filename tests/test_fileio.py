@@ -23,6 +23,7 @@ def test_crc64_check_value():
 def test_header_roundtrip():
     h = Header(p=19, m=1, n=19, lam=2, l1=128)
     blob = h.encode()
+    assert blob.hex() == "53444752010000001301000000130000000210"  # the wire layout, frozen
     assert len(blob) == HEADER_LEN
     assert blob[:4] == MAGIC
     assert decode_header(blob) == h

@@ -98,10 +98,17 @@ def test_dsdp_challenge_bits(toy_game, rng):
         dsdp_challenge(toy_game, 2, rng)
 
 
-def test_dsdp_real_key_matches_protocol(toy_game, rng):
-    # with b = 0 the key is a valid two-sided shared key for (pk1, pk2)
-    inst = dsdp_challenge(toy_game, 0, rng)
-    assert inst.k.ring is toy_game.ring
+def test_dsdp_real_key_matches_protocol(toy_game):
+    # with b = 0 the key is the two-sided shared key of the CSDP instance drawn
+    # from the same generator state; with b = 1 only k differs, and it is a3 h gamma3
+    for seed in range(5):
+        twin = random.Random(seed)
+        csdp, key = csdp_challenge(toy_game, twin)
+        a3, g3 = toy_game.ring.sample_cn(twin), toy_game.ring.sample_gamma(twin)
+        real = dsdp_challenge(toy_game, 0, random.Random(seed))
+        fake = dsdp_challenge(toy_game, 1, random.Random(seed))
+        assert (real.pk1, real.pk2, real.k) == (csdp.pk1, csdp.pk2, key)
+        assert (fake.pk1, fake.pk2, fake.k) == (real.pk1, real.pk2, a3 * toy_game.h * g3)
 
 
 def test_wilson_interval():

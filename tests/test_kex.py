@@ -76,10 +76,3 @@ def test_deterministic_under_seed(p19_params):
     sk1, pk1 = kex_keygen(p19_params, random.Random(99))
     sk2, pk2 = kex_keygen(p19_params, random.Random(99))
     assert pk1 == pk2 and sk1.a == sk2.a and sk1.gamma == sk2.gamma
-
-
-def test_cross_ring_peer_rejected(p19_params, toy_params, rng):
-    sk, _ = kex_keygen(p19_params, rng)
-    _, pk_toy = kex_keygen(toy_params, rng)
-    with pytest.raises(ValueError):
-        kex_shared(sk, pk_toy)

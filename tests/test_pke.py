@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from sdgr.kex import kex_shared
 from sdgr.pke import (
+    Ciphertext,
     pke_dec,
     pke_enc,
     pke_gen,
@@ -62,12 +64,23 @@ def test_homomorphic_masking_structure(p19_params, rng):
     assert c.c2 - m == mask
 
 
-def test_cross_ring_rejected(p19_params, toy_params, rng):
+@pytest.mark.parametrize("operand", ["pke_enc-m", "pke_enc-pk", "pke_enc-r2", "pke_dec-c1", "kex_shared-peer_pk"])
+def test_cross_ring_rejected(p19_params, toy_params, rng, operand):
+    """Every operand that can come from another ring is refused by the ring
+    arithmetic."""
     kp = pke_gen(p19_params, rng)
-    m_toy = sample_message(toy_params, rng)
-    r = sample_randomness(p19_params, rng)
-    with pytest.raises(ValueError):
-        pke_enc(m_toy, kp.pk, r, p19_params)
+    m, r = sample_message(p19_params, rng), sample_randomness(p19_params, rng)
+    c = pke_enc(m, kp.pk, r, p19_params)
+    toy_kp = pke_gen(toy_params, rng)
+    calls = {
+        "pke_enc-m": lambda: pke_enc(sample_message(toy_params, rng), kp.pk, r, p19_params),
+        "pke_enc-pk": lambda: pke_enc(m, toy_kp.pk, r, p19_params),
+        "pke_enc-r2": lambda: pke_enc(m, kp.pk, toy_kp.sk, p19_params),
+        "pke_dec-c1": lambda: pke_dec(Ciphertext(c1=toy_kp.pk, c2=c.c2), kp.sk),
+        "kex_shared-peer_pk": lambda: kex_shared(kp.sk, toy_kp.pk),
+    }
+    with pytest.raises(ValueError, match="different ring"):
+        calls[operand]()
 
 
 def test_seeded_reproducibility(p19_params):
