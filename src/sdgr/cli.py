@@ -10,7 +10,8 @@ passes its checksum but does not fit the parameters, 4 solver guard violation.  
 supported parameter set or holds a malformed h; a key or ciphertext header
 that differs from the params file's or whose l1 is not 0, 128, 192 or 256; a
 key payload of the wrong length; a private key whose a is not a non-zero
-element of C_n or whose gamma is not a non-zero reversible element.  A
+element of C_n or whose gamma is not a non-zero reversible element, or
+whose pk is not the public value a * h * gamma of that secret.  A
 ciphertext payload of any length under the file-size cap gets a key by
 implicit rejection.
 """
@@ -23,7 +24,7 @@ import sys
 from typing import List, Optional
 
 from . import costmodel, fileio, games, kem
-from .kex import KexSession, SecretPair
+from .kex import KexSession, SecretPair, public_value
 from .field import find_lambda
 from .params import PARAM_SETS, VALID_L1, Params, make_params
 from .skewring import RingElement, SkewRing
@@ -126,6 +127,8 @@ def cmd_decaps(args) -> int:
         sk = SecretPair(a=a, gamma=gamma)
     except ValueError as exc:
         raise ParameterError(f"{args.priv}: malformed private key: {exc}") from exc
+    if pk != public_value(params, sk):
+        raise ParameterError(f"{args.priv}: pk is not the public value of the secret pair")
     # the ciphertext payload goes to kem_decaps unchecked: a wrong length is
     # rejected implicitly like any other bad ciphertext
     ct_l1, ct = _read_checked(args.infile, params)

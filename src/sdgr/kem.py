@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -139,6 +140,10 @@ class KemPrivate:
     sk: SecretPair
     pk: RingElement
 
+    @cached_property
+    def rep_pk(self) -> bytes:
+        return rep_ring(self.pk)
+
 
 def kem_keygen(params: Params, rng) -> tuple[KemPrivate, bytes]:
     kp: PkeKeypair = pke_gen(params, rng)
@@ -146,18 +151,21 @@ def kem_keygen(params: Params, rng) -> tuple[KemPrivate, bytes]:
     return KemPrivate(s=s, sk=kp.sk, pk=kp.pk), rep_ring(kp.pk)
 
 
-def _encrypt_derandomized(m: RingElement, pk: RingElement, params: Params) -> tuple[bytes, bytes]:
-    """(rep(m), rep(c)) for c = Enc(pk, m; H1(rep(m) || rep(pk))): the
-    encryption encaps sends and decaps recomputes to check a ciphertext."""
+def _encrypt_derandomized(
+    m: RingElement, pk: RingElement, rep_pk: bytes, params: Params
+) -> tuple[bytes, bytes]:
+    """(rep(m), rep(c)) for c = Enc(pk, m; H1(rep(m) || rep_pk)), rep_pk = rep(pk):
+    the encryption encaps sends and decaps recomputes to check a ciphertext."""
     rep_m = rep_ring(m)
-    r = h1(rep_m + rep_ring(pk), params)
+    r = h1(rep_m + rep_pk, params)
     return rep_m, rep_ciphertext(pke_enc(m, pk, r, params))
 
 
 def kem_encaps(pk_bytes: bytes, params: Params, rng, l1: int = 128) -> tuple[bytes, bytes]:
     """Returns (ciphertext bytes, session key)."""
     pk = decode_ring(params.ring, pk_bytes)
-    rep_m, c_bytes = _encrypt_derandomized(sample_message(params, rng), pk, params)
+    # rep(pk), not pk_bytes: decoding reduces non-canonical chunks mod p
+    rep_m, c_bytes = _encrypt_derandomized(sample_message(params, rng), pk, rep_ring(pk), params)
     return c_bytes, h2(rep_m + c_bytes, l1)
 
 
@@ -169,7 +177,7 @@ def kem_decaps(priv: KemPrivate, c_bytes: bytes, params: Params, l1: int = 128) 
         c = decode_ciphertext(ring, c_bytes)
     except ValueError:
         return h2(rep_ring(priv.s) + c_bytes, l1)
-    rep_m, c_prime = _encrypt_derandomized(pke_dec(c, priv.sk), priv.pk, params)
+    rep_m, c_prime = _encrypt_derandomized(pke_dec(c, priv.sk), priv.pk, priv.rep_pk, params)
     if hmac.compare_digest(c_prime, c_bytes):
         return h2(rep_m + c_bytes, l1)
     return h2(rep_ring(priv.s) + c_bytes, l1)

@@ -10,6 +10,7 @@ the reversible subspace.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .params import Params
 from .skewring import RingElement, SubspaceTag
@@ -28,6 +29,11 @@ class SecretPair:
             raise ValueError("secret a must be non-zero and supported on C_n")
         if not ring.is_reversible(self.gamma) or self.gamma.is_zero():
             raise ValueError("secret gamma must be a non-zero reversible element")
+
+    @cached_property
+    def gamma_adjunct(self) -> RingElement:
+        """adjunct(gamma), kept: a long-term secret derives many keys."""
+        return self.gamma.adjunct()
 
 
 @dataclass(frozen=True)
@@ -62,7 +68,7 @@ def kex_keygen(params: Params, rng) -> tuple[SecretPair, RingElement]:
 
 def kex_shared(sk: SecretPair, peer_pk: RingElement) -> RingElement:
     """k = a * peer_pk * adjunct(gamma)."""
-    return sk.a * peer_pk * sk.gamma.adjunct()
+    return sk.a * peer_pk * sk.gamma_adjunct
 
 
 class KexSession:

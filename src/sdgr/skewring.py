@@ -3,7 +3,8 @@
 A ring element is a dense length-2n coefficient vector over F_{q^2}: index
 i < n holds the coefficient of x^i, index n+i the coefficient of x^i y.
 Coefficients are stored as an (2n, 2) int64 numpy array so that the skew
-product (the hot loop of every scheme) is one gather and one float64 matmul;
+product (the hot loop of every scheme) is one float64 matmul against an
+operator gathered once per right operand and kept on it;
 a naive loop over pairs of basis terms that works directly on formal sums is
 kept as an independent oracle, and the cost model counts that same loop.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import product
 from typing import Iterator, Sequence
 
@@ -49,6 +51,11 @@ class RingElement:
 
     def adjunct(self) -> "RingElement":
         return self.ring.adjunct(self)
+
+    @cached_property
+    def right_operator(self) -> np.ndarray:
+        """The operator of x -> x * self, built on first use and kept."""
+        return self.ring.right_operator(self)
 
     def classify(self) -> SubspaceTag:
         return self.ring.classify(self)
@@ -102,6 +109,7 @@ class SkewRing:
         # (i, v*2n + k) is F_p part v of the coefficient a_i multiplies in c_k
         g = gather_index(n)
         self._gather = np.concatenate([2 * g, 2 * g + 1], axis=1)
+        self._mix = np.array([[self.field.lam], [1.0]])
         self._inv_perm = np.array([inverse(n, k) for k in range(self.size)], dtype=np.int64)
 
     # -- construction ------------------------------------------------------
@@ -149,24 +157,30 @@ class SkewRing:
     def mul(self, a: RingElement, b: RingElement) -> RingElement:
         """Skew product: c_k = sum_i a_i * theta(g_i)(b_j) with g_i g_j = g_k.
 
-        One gather from the stacked [b; sigma(b)] gives, for every (i, k),
-        the two parts of the b_j that a_i meets; one float64 matmul with
-        (a0, a1) then forms a0*B0, a1*B1, a0*B1 and a1*B0, and
-        c = (a0*B0 + lam*a1*B1) + (a0*B1 + a1*B0) t.  Every partial sum is an
-        integer at most 2n*(p-1)^2*(1+lam), which the constructor keeps below
-        2^53, so the float64 arithmetic is exact.
+        One float64 matmul of (a0, a1) with b's kept operator (see
+        right_operator) forms r[u, v] = a_u * B_v for the four part pairs,
+        and c = (a0*B0 + lam*a1*B1) + (a0*B1 + a1*B0) t.  Every partial sum is
+        an integer at most 2n*(p-1)^2*(1+lam), which the constructor keeps
+        below 2^53, so the float64 arithmetic is exact.
         """
         self._check(a, b)
+        r = (a.coeffs.T @ b.right_operator).reshape(2, 2, self.size)
+        c = r[0] + self._mix * r[1, ::-1]
+        return RingElement(self, (c % self.p).T.astype(np.int64, order="C"))
+
+    def right_operator(self, b: RingElement) -> np.ndarray:
+        """The read-only (2n, 4n) float64 operator of x -> x * b, kept by
+        RingElement.right_operator: one gather from the stacked [b; sigma(b)]
+        puts part v of the b_j that a_i meets in c_k at (i, v*2n + k)."""
+        self._check(b)
         p, size = self.p, self.size
         stack = np.empty((2 * size, 2))
         stack[:size] = b.coeffs
         stack[size:, 0] = b.coeffs[:, 0]
         stack[size:, 1] = (p - b.coeffs[:, 1]) % p
-        r = a.coeffs.T.astype(np.float64) @ stack.ravel()[self._gather]
-        out = np.empty((size, 2), dtype=np.int64)
-        out[:, 0] = (r[0, :size] + self.field.lam * r[1, size:]) % p
-        out[:, 1] = (r[0, size:] + r[1, :size]) % p
-        return RingElement(self, out)
+        op = stack.ravel()[self._gather]
+        op.setflags(write=False)
+        return op
 
     def naive_product(self, a: RingElement, b: RingElement) -> RingElement:
         """Independent oracle: the formal-sum product, with no precomputed index."""
@@ -214,9 +228,18 @@ class SkewRing:
     # -- samplers ------------------------------------------------------------
 
     def _draw(self, rng, k: int) -> np.ndarray:
-        """k values rng.randrange(p), in draw order, as a (k/2, 2) array of
-        coefficients; every sampler draws through here, so a seed fixes them."""
-        return np.array([rng.randrange(self.p) for _ in range(k)], dtype=np.int64).reshape(-1, 2)
+        """k values below p, in draw order, as a (k/2, 2) array of
+        coefficients; every sampler draws through here, so a seed fixes them.
+        Each value is rng.getrandbits(p.bit_length()), redrawn while >= p: the
+        loop CPython's rng.randrange(p) runs, so values and generator state
+        match k randrange(p) calls."""
+        p, w, bits = self.p, self.p.bit_length(), rng.getrandbits
+        out = []
+        while len(out) < k:
+            v = bits(w)
+            if v < p:
+                out.append(v)
+        return np.array(out, dtype=np.int64).reshape(-1, 2)
 
     def sample_ring(self, rng) -> RingElement:
         return RingElement(self, self._draw(rng, 2 * self.size))

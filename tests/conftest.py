@@ -24,3 +24,17 @@ def toy_params():
 @pytest.fixture()
 def rng() -> random.Random:
     return random.Random(424242)
+
+
+@pytest.fixture()
+def operator_builds(monkeypatch) -> list:
+    """The right operands whose product operator gets built, in build order."""
+    built = []
+    build = SkewRing.right_operator
+
+    def spy(ring, b):
+        built.append(b)
+        return build(ring, b)
+
+    monkeypatch.setattr(SkewRing, "right_operator", spy)
+    return built

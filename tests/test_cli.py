@@ -125,6 +125,8 @@ HOSTILE_FILES = {
     "pub-long": {"pub": lambda h, pl: (h, pl + b"\x00")},
     "priv-gamma-zero": {"priv": lambda h, pl: (h, _swap(pl, 2, P19.zero()))},
     "priv-a-off-cn": {"priv": lambda h, pl: (h, _swap(pl, 1, P19.basis(19)))},
+    # unchecked, decaps would re-encrypt under this pk and print a wrong key
+    "priv-pk-foreign": {"priv": lambda h, pl: (h, _swap(pl, 3, P19.one()))},
     "ct-l1-byte-1": {"ct": lambda h, pl: (replace(h, l1=8), pl)},
     "priv-l1-byte-2": {
         "priv": lambda h, pl: (replace(h, l1=16), pl),

@@ -18,7 +18,8 @@ from sdgr.kem import (
     rep_ring,
     unpack_bits,
 )
-from sdgr.skewring import SubspaceTag
+from sdgr.params import make_params
+from sdgr.skewring import SkewRing, SubspaceTag
 
 
 # -- bit packing ---------------------------------------------------------------
@@ -188,3 +189,25 @@ def test_kem_seeded_reproducibility(p19_params):
     c1, k1 = kem_encaps(pk1, p19_params, random.Random(4))
     c2, k2 = kem_encaps(pk2, p19_params, random.Random(4))
     assert c1 == c2 and k1 == k2
+
+
+def test_warm_kem_op_builds_six_operators(operator_builds, monkeypatch):
+    # h, adj(gamma1) and pk keep their operators, so a warm op builds those of
+    # gamma2 and adj(gamma2) in encaps and decaps, the decoded pk and c1
+    params = make_params("p41", seed=1)
+    rng = random.Random(2)
+    priv, pk_bytes = kem_keygen(params, rng)
+    ct, key = kem_encaps(pk_bytes, params, rng)
+    assert kem_decaps(priv, ct, params) == key
+    adjuncts = []
+    adjunct = SkewRing.adjunct
+    monkeypatch.setattr(SkewRing, "adjunct", lambda ring, a: adjuncts.append(a) or adjunct(ring, a))
+    for tampered in (False, True):
+        operator_builds.clear()
+        adjuncts.clear()
+        ct, key = kem_encaps(pk_bytes, params, rng)
+        if tampered:
+            ct = bytes([ct[0] ^ 1]) + ct[1:]
+        assert (kem_decaps(priv, ct, params) == key) is not tampered
+        assert len(operator_builds) == 6
+        assert len(adjuncts) == 2

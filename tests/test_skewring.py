@@ -6,6 +6,7 @@ import pytest
 
 from sdgr.dihedral import build_table
 from sdgr.field import find_lambda, is_prime
+from sdgr.params import PARAM_SETS
 from sdgr.skewring import SkewRing, SubspaceTag, gather_index
 
 # odd and even n: for even n the reflection x^(n/2) y mirrors onto itself
@@ -295,3 +296,40 @@ def test_sample_ring_in_range(r19, rng):
     a = r19.sample_ring(rng)
     assert a.coeffs.shape == (38, 2)
     assert np.all(a.coeffs >= 0) and np.all(a.coeffs < 19)
+
+
+@pytest.mark.parametrize("name", sorted(PARAM_SETS))
+def test_draw_is_the_randrange_loop(name):
+    ring = SkewRing(*PARAM_SETS[name])
+    for seed in range(20):
+        ours, ref = random.Random(seed), random.Random(seed)
+        for k in (2, 6, 38, 164):
+            assert ring._draw(ours, k).ravel().tolist() == [ref.randrange(ring.p) for _ in range(k)]
+            assert ours.getstate() == ref.getstate()
+
+
+def test_samplers_take_system_random(r19):
+    rng = random.SystemRandom()
+    n = r19.n
+    for element in (r19.sample_ring(rng), r19.sample_cn(rng), r19.sample_gamma(rng)):
+        assert element.coeffs.shape == (2 * n, 2)
+        assert np.all(element.coeffs >= 0) and np.all(element.coeffs < 19)
+    assert not r19.sample_cn(rng).coeffs[n:].any()
+    assert r19.is_reversible(r19.sample_gamma(rng))
+
+
+def test_reused_right_operand_is_built_once(r19, rng, operator_builds):
+    b = r19.sample_ring(rng)
+    for _ in range(5):
+        a = r19.sample_ring(rng)
+        assert r19.mul(a, b) == r19.naive_product(a, b)
+    assert operator_builds == [b]
+    assert not b.right_operator.flags.writeable
+
+
+def test_cross_ring_product_builds_no_operator(r19, rng, operator_builds):
+    mine, other = r19.sample_ring(rng), SkewRing(19, 19).sample_ring(rng)
+    for a, b in ((mine, other), (other, mine)):
+        with pytest.raises(ValueError):
+            r19.mul(a, b)
+    assert operator_builds == []
