@@ -113,7 +113,7 @@ def csdp_challenge(params: GameParams, rng) -> tuple[CsdpInstance, RingElement]:
     a2, g2 = _sample_pair(ring, rng)
     pk1 = a1 * params.h * g1
     pk2 = a2 * params.h * g2
-    k = a2 * pk1 * g2.adjunct()
+    k = ring.mul_adjunct(a2 * pk1, g2)
     inst = CsdpInstance(params=params, pk1=pk1, pk2=pk2, _k=k)
     return inst, k
 
@@ -124,7 +124,7 @@ def csdp_verify(inst: CsdpInstance, k_tilde: RingElement) -> bool:
 
 def csdp_key_from_witness(inst: CsdpInstance, a: RingElement, gamma: RingElement) -> RingElement:
     """Key an adversary derives from an SDPD witness for pk1:
-    a * pk2 * adjunct(gamma)."""
+    a * pk2 * adjunct(gamma), forming the adjunct: the caller's gamma may have a C_n part."""
     return a * inst.pk2 * gamma.adjunct()
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -161,11 +161,18 @@ def _encrypt_derandomized(
     return rep_m, rep_ciphertext(pke_enc(m, pk, r, params))
 
 
+@lru_cache(maxsize=1)
+def encaps_key(ring: SkewRing, pk_bytes: bytes) -> tuple[RingElement, bytes]:
+    """(pk, rep(pk)) of the last encaps key that decoded, kept with pk's
+    operator.  rep(pk), not pk_bytes: decoding reduces chunks mod p."""
+    pk = decode_ring(ring, pk_bytes)
+    return pk, rep_ring(pk)
+
+
 def kem_encaps(pk_bytes: bytes, params: Params, rng, l1: int = 128) -> tuple[bytes, bytes]:
     """Returns (ciphertext bytes, session key)."""
-    pk = decode_ring(params.ring, pk_bytes)
-    # rep(pk), not pk_bytes: decoding reduces non-canonical chunks mod p
-    rep_m, c_bytes = _encrypt_derandomized(sample_message(params, rng), pk, rep_ring(pk), params)
+    pk, rep_pk = encaps_key(params.ring, bytes(pk_bytes))
+    rep_m, c_bytes = _encrypt_derandomized(sample_message(params, rng), pk, rep_pk, params)
     return c_bytes, h2(rep_m + c_bytes, l1)
 
 

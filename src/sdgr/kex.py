@@ -4,13 +4,13 @@ Each party holds a secret pair (a, gamma) with a supported on C_n and gamma
 in the reversible subspace, publishes pk = a * h * gamma, and derives
 k = a * peer_pk * adjunct(gamma).  Both sides agree because the C_n part is
 commutative and gamma_1 * adjunct(gamma_2) = gamma_2 * adjunct(gamma_1) on
-the reversible subspace.
+the reversible subspace.  k is computed as conj(conj(a * peer_pk) * gamma)
+(SkewRing.mul_adjunct), on the operator gamma kept from pk = a * h * gamma.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .params import Params
 from .skewring import RingElement, SubspaceTag
@@ -29,11 +29,6 @@ class SecretPair:
             raise ValueError("secret a must be non-zero and supported on C_n")
         if not ring.is_reversible(self.gamma) or self.gamma.is_zero():
             raise ValueError("secret gamma must be a non-zero reversible element")
-
-    @cached_property
-    def gamma_adjunct(self) -> RingElement:
-        """adjunct(gamma), kept: a long-term secret derives many keys."""
-        return self.gamma.adjunct()
 
 
 @dataclass(frozen=True)
@@ -67,8 +62,8 @@ def kex_keygen(params: Params, rng) -> tuple[SecretPair, RingElement]:
 
 
 def kex_shared(sk: SecretPair, peer_pk: RingElement) -> RingElement:
-    """k = a * peer_pk * adjunct(gamma)."""
-    return sk.a * peer_pk * sk.gamma_adjunct
+    """k = a * peer_pk * adjunct(gamma), through gamma's kept operator."""
+    return sk.a.ring.mul_adjunct(sk.a * peer_pk, sk.gamma)
 
 
 class KexSession:

@@ -52,6 +52,9 @@ class RingElement:
     def adjunct(self) -> "RingElement":
         return self.ring.adjunct(self)
 
+    def conjugate(self) -> "RingElement":
+        return self.ring.conjugate(self)
+
     @cached_property
     def right_operator(self) -> np.ndarray:
         """The operator of x -> x * self, built on first use and kept."""
@@ -110,6 +113,7 @@ class SkewRing:
         g = gather_index(n)
         self._gather = np.concatenate([2 * g, 2 * g + 1], axis=1)
         self._mix = np.array([[self.field.lam], [1.0]])
+        self._conj = np.array([1, -1])
         self._inv_perm = np.array([inverse(n, k) for k in range(self.size)], dtype=np.int64)
 
     # -- construction ------------------------------------------------------
@@ -189,12 +193,24 @@ class SkewRing:
     def adjunct(self, a: RingElement) -> RingElement:
         """Anti-isomorphism: sum a_g g -> sum theta(g^-1)(a_g) g^-1."""
         self._check(a)
-        tmp = a.coeffs.copy()
-        # reflections are involutions, their theta is sigma; rotations move to n-i
-        tmp[self.n :, 1] = (self.p - tmp[self.n :, 1]) % self.p
-        out = np.empty_like(tmp)
-        out[self._inv_perm] = tmp
+        # rotations move to n-i; reflections are involutions, their theta is sigma
+        out = np.empty_like(a.coeffs)
+        out[self._inv_perm] = a.coeffs
+        out[self.n :] = out[self.n :] * self._conj % self.p
         return RingElement(self, out)
+
+    def conjugate(self, a: RingElement) -> RingElement:
+        """sigma on every coefficient: a ring automorphism (sigma commutes with
+        theta), and the adjunct on C_n y (reflections are involutions)."""
+        self._check(a)
+        return RingElement(self, a.coeffs * self._conj % self.p)
+
+    def mul_adjunct(self, x: RingElement, g: RingElement) -> RingElement:
+        """x * adjunct(g) as conj(conj(x) * g), for g on C_n y where
+        adjunct(g) = conj(g): one product on g's kept operator, no adjunct."""
+        if g.coeffs[: self.n].any():
+            raise ValueError("mul_adjunct needs g supported on C_n y")
+        return self.conjugate(self.conjugate(x) * g)
 
     # -- subspace structure --------------------------------------------------
 

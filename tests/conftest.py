@@ -38,3 +38,17 @@ def operator_builds(monkeypatch) -> list:
 
     monkeypatch.setattr(SkewRing, "right_operator", spy)
     return built
+
+
+@pytest.fixture()
+def adjunct_calls(monkeypatch) -> list:
+    """The elements whose adjunct gets formed, in call order."""
+    calls = []
+    adjunct = SkewRing.adjunct
+
+    def spy(ring, a):
+        calls.append(a)
+        return adjunct(ring, a)
+
+    monkeypatch.setattr(SkewRing, "adjunct", spy)
+    return calls

@@ -6,6 +6,7 @@ import pytest
 from sdgr.kem import (
     decode_ciphertext,
     decode_ring,
+    encaps_key,
     h1,
     h1_output_bits,
     h2,
@@ -191,23 +192,71 @@ def test_kem_seeded_reproducibility(p19_params):
     assert c1 == c2 and k1 == k2
 
 
-def test_warm_kem_op_builds_six_operators(operator_builds, monkeypatch):
-    # h, adj(gamma1) and pk keep their operators, so a warm op builds those of
-    # gamma2 and adj(gamma2) in encaps and decaps, the decoded pk and c1
+def test_warm_kem_op_builds_three_operators(operator_builds, adjunct_calls):
+    # h, gamma1 and pk (kept by encaps_key and KemPrivate) keep their
+    # operators, and x * adj(gamma) runs on gamma's own, so a warm op builds
+    # those of gamma2 in encaps, and of c1 and the re-encryption's gamma2 in
+    # decaps; no adjunct is formed
     params = make_params("p41", seed=1)
     rng = random.Random(2)
     priv, pk_bytes = kem_keygen(params, rng)
     ct, key = kem_encaps(pk_bytes, params, rng)
     assert kem_decaps(priv, ct, params) == key
-    adjuncts = []
-    adjunct = SkewRing.adjunct
-    monkeypatch.setattr(SkewRing, "adjunct", lambda ring, a: adjuncts.append(a) or adjunct(ring, a))
     for tampered in (False, True):
         operator_builds.clear()
-        adjuncts.clear()
+        adjunct_calls.clear()
         ct, key = kem_encaps(pk_bytes, params, rng)
         if tampered:
             ct = bytes([ct[0] ^ 1]) + ct[1:]
         assert (kem_decaps(priv, ct, params) == key) is not tampered
-        assert len(operator_builds) == 6
-        assert len(adjuncts) == 2
+        assert len(operator_builds) == 3
+        assert adjunct_calls == []
+
+
+# -- encaps key cache ----------------------------------------------------------
+
+
+def test_encaps_key_cache_keeps_outputs(p19_params):
+    keys = [kem_keygen(p19_params, random.Random(seed)) for seed in (5, 6)]
+    cached = [kem_encaps(keys[i % 2][1], p19_params, random.Random(i)) for i in range(6)]
+    fresh = []
+    for i in range(6):
+        encaps_key.cache_clear()
+        fresh.append(kem_encaps(keys[i % 2][1], p19_params, random.Random(i)))
+    assert cached == fresh
+    for i, (ct, key) in enumerate(cached):
+        assert kem_decaps(keys[i % 2][0], ct, p19_params) == key
+
+
+def test_encaps_key_belongs_to_the_callers_ring():
+    first, second = make_params("p19", seed=5), make_params("p19", seed=5)
+    assert first.ring is not second.ring
+    _, pk_bytes = kem_keygen(first, random.Random(1))
+    for params in (first, second, first):
+        assert encaps_key(params.ring, pk_bytes)[0].ring is params.ring
+        kem_encaps(pk_bytes, params, random.Random(2))
+
+
+def test_encaps_key_errors_are_not_cached(p19_params, rng):
+    _, pk_bytes = kem_keygen(p19_params, rng)
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            kem_encaps(pk_bytes[:-1], p19_params, rng)
+        kem_encaps(pk_bytes, p19_params, rng)
+
+
+def test_encaps_key_takes_a_bytearray(p19_params, rng):
+    priv, pk_bytes = kem_keygen(p19_params, rng)
+    encaps_key.cache_clear()
+    ct, key = kem_encaps(bytearray(pk_bytes), p19_params, random.Random(3))
+    assert (ct, key) == kem_encaps(pk_bytes, p19_params, random.Random(3))
+    assert kem_decaps(priv, ct, p19_params) == key
+
+
+def test_cached_encaps_key_is_read_only(p19_params, rng):
+    _, pk_bytes = kem_keygen(p19_params, rng)
+    pk, rep_pk = encaps_key(p19_params.ring, pk_bytes)
+    assert rep_pk == pk_bytes
+    assert not pk.coeffs.flags.writeable
+    with pytest.raises(ValueError):
+        pk.coeffs[0, 0] = 1

@@ -76,3 +76,16 @@ def test_deterministic_under_seed(p19_params):
     sk1, pk1 = kex_keygen(p19_params, random.Random(99))
     sk2, pk2 = kex_keygen(p19_params, random.Random(99))
     assert pk1 == pk2 and sk1.a == sk2.a and sk1.gamma == sk2.gamma
+
+
+def test_warm_kex_session_builds_four_operators(p19_params, operator_builds, adjunct_calls):
+    # h keeps its operator, so a session builds those of the two gammas at
+    # keygen and of the two peer pks at derivation, and forms no adjunct
+    for _ in range(2):
+        operator_builds.clear()
+        alice = KexSession(p19_params, b"P_i", b"s-1", random.Random(1))
+        bob = KexSession(p19_params, b"P_j", b"s-1", random.Random(2))
+        assert alice.derive(bob.message) == bob.derive(alice.message)
+    assert len(operator_builds) == 4
+    assert {id(b) for b in operator_builds} >= {id(alice.message.pk), id(bob.message.pk)}
+    assert adjunct_calls == []

@@ -333,3 +333,64 @@ def test_cross_ring_product_builds_no_operator(r19, rng, operator_builds):
         with pytest.raises(ValueError):
             r19.mul(a, b)
     assert operator_builds == []
+
+
+# -- conjugation and x * adj(g) -----------------------------------------------
+
+
+def _cny_part(ring, a):
+    """a with its C_n part dropped."""
+    c = a.coeffs.copy()
+    c[: ring.n] = 0
+    return ring.element(c)
+
+
+def test_conjugate_is_involutive_automorphism(toy_ring, r19, rng):
+    for ring in (toy_ring, r19):
+        assert ring.one().conjugate() == ring.one()
+        for _ in range(30):
+            a, b = ring.sample_ring(rng), ring.sample_ring(rng)
+            assert a.conjugate().conjugate() == a
+            assert (a * b).conjugate() == a.conjugate() * b.conjugate()
+            assert (a + b).conjugate() == a.conjugate() + b.conjugate()
+
+
+def test_conjugate_is_adjunct_on_cny(toy_ring, r19, rng):
+    for ring in (toy_ring, r19):
+        assert ring.zero().conjugate() == ring.zero().adjunct()
+        for _ in range(20):
+            g = _cny_part(ring, ring.sample_ring(rng))
+            assert g.conjugate() == g.adjunct()
+            gamma = ring.sample_gamma(rng)
+            assert gamma.conjugate() == gamma.adjunct()
+    g = _cny_part(r19, r19.sample_ring(rng))
+    assert not r19.is_reversible(g)
+    assert g.conjugate() == g.adjunct()
+    mixed = r19.basis(1, (1, 1)) + r19.basis(r19.n, (1, 1))
+    assert mixed.conjugate() != mixed.adjunct()
+
+
+@pytest.mark.parametrize("p,n", ORACLE_RINGS[:-1])
+def test_mul_adjunct_basis_pairs(p, n):
+    ring = SkewRing(p, n)
+    for i in range(ring.size):
+        x = ring.basis(i, (1, 2))
+        for j in range(n, ring.size):
+            g = ring.basis(j, (2, 1))
+            assert ring.mul_adjunct(x, g) == ring.naive_product(x, g.adjunct())
+
+
+@pytest.mark.parametrize("p", [19, 41])
+def test_mul_adjunct_random_pairs(p, rng):
+    ring = SkewRing(p, p)
+    for _ in range(5):
+        x = ring.sample_ring(rng)
+        for g in (_cny_part(ring, ring.sample_ring(rng)), ring.sample_gamma(rng)):
+            assert ring.mul_adjunct(x, g) == ring.naive_product(x, g.adjunct())
+
+
+def test_mul_adjunct_rejects_cn_part(r19, rng):
+    x = r19.sample_ring(rng)
+    for g in (r19.one(), r19.basis(1) + r19.basis(r19.n), r19.gen_public_element(rng)):
+        with pytest.raises(ValueError):
+            r19.mul_adjunct(x, g)
