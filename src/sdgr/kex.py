@@ -4,8 +4,9 @@ Each party holds a secret pair (a, gamma) with a supported on C_n and gamma
 in the reversible subspace, publishes pk = a * h * gamma, and derives
 k = a * peer_pk * adjunct(gamma).  Both sides agree because the C_n part is
 commutative and gamma_1 * adjunct(gamma_2) = gamma_2 * adjunct(gamma_1) on
-the reversible subspace.  k is computed as conj(conj(a * peer_pk) * gamma)
-(SkewRing.mul_adjunct), on the operator gamma kept from pk = a * h * gamma.
+the reversible subspace.  adjunct(gamma) = sigma(gamma) coefficient-wise,
+so k is one product on the operator gamma kept from pk = a * h * gamma
+(SkewRing.mul_adjunct), and no adjunct is formed.
 """
 
 from __future__ import annotations

@@ -3,10 +3,13 @@
 A ring element is a dense length-2n coefficient vector over F_{q^2}: index
 i < n holds the coefficient of x^i, index n+i the coefficient of x^i y.
 Coefficients are stored as an (2n, 2) int64 numpy array so that the skew
-product (the hot loop of every scheme) is one float64 matmul against an
-operator gathered once per right operand and kept on it;
-a naive loop over pairs of basis terms that works directly on formal sums is
-kept as an independent oracle, and the cost model counts that same loop.
+product (the hot loop of every scheme) is one float64 matmul: a (2, 4n) left
+matrix built from a carries the F_{q^2} arithmetic, and the (4n, 2n) operator
+it multiplies is gathered once per right operand and kept on it.  Flipping
+the sign of the left matrix's second half gives a * sigma(b) on the same
+operator, which is a * adjunct(b) for b on C_n y.  A naive loop over pairs of
+basis terms that works directly on formal sums is kept as an independent
+oracle, and the cost model counts that same loop.
 """
 
 from __future__ import annotations
@@ -51,9 +54,6 @@ class RingElement:
 
     def adjunct(self) -> "RingElement":
         return self.ring.adjunct(self)
-
-    def conjugate(self) -> "RingElement":
-        return self.ring.conjugate(self)
 
     @cached_property
     def right_operator(self) -> np.ndarray:
@@ -109,10 +109,11 @@ class SkewRing:
         self.n = n
         self.size = 2 * n
         # index into the flattened (4n, 2) stack [b; sigma(b)]: entry
-        # (i, v*2n + k) is F_p part v of the coefficient a_i multiplies in c_k
+        # (v*2n + i, k) is F_p part v of the coefficient a_i multiplies in c_k
         g = gather_index(n)
-        self._gather = np.concatenate([2 * g, 2 * g + 1], axis=1)
-        self._mix = np.array([[self.field.lam], [1.0]])
+        self._gather = np.concatenate([2 * g, 2 * g + 1], axis=0)
+        # by sign: the factors on (a1, a0) in the left matrix's second half
+        self._twist = {s: s * np.array([[self.field.lam], [1.0]]) for s in (1, -1)}
         self._conj = np.array([1, -1])
         self._inv_perm = np.array([inverse(n, k) for k in range(self.size)], dtype=np.int64)
 
@@ -161,21 +162,44 @@ class SkewRing:
     def mul(self, a: RingElement, b: RingElement) -> RingElement:
         """Skew product: c_k = sum_i a_i * theta(g_i)(b_j) with g_i g_j = g_k.
 
-        One float64 matmul of (a0, a1) with b's kept operator (see
-        right_operator) forms r[u, v] = a_u * B_v for the four part pairs,
-        and c = (a0*B0 + lam*a1*B1) + (a0*B1 + a1*B0) t.  Every partial sum is
-        an integer at most 2n*(p-1)^2*(1+lam), which the constructor keeps
-        below 2^53, so the float64 arithmetic is exact.
+        With B0, B1 the F_p parts of b's kept (4n, 2n) operator [B0; B1] (see
+        right_operator), c = (a0*B0 + lam*a1*B1) + (a1*B0 + a0*B1) t: one
+        float64 matmul of the (2, 4n) left matrix [[a0, lam*a1], [a1, a0]]
+        with the operator, cast to int64 and reduced mod p.  Every partial
+        sum is an integer of absolute value at most 2n*(p-1)^2*(1+lam), which
+        the constructor keeps below 2^53, so the matmul and the cast are exact.
         """
+        return self._product(a, b, 1)
+
+    def mul_adjunct(self, x: RingElement, g: RingElement) -> RingElement:
+        """x * adjunct(g) for g on C_n y, where adjunct(g) = sigma(g)
+        coefficient-wise (reflections are involutions with theta = sigma).
+        sigma(g) has operator parts (B0, -B1), so this is mul's matmul on g's
+        kept operator with the left matrix's second half negated; its signed
+        sums keep mul's bound, and the int64 % maps them into [0, p)."""
+        if g.coeffs[: self.n].any():
+            raise ValueError("mul_adjunct needs g supported on C_n y")
+        return self._product(x, g, -1)
+
+    def _product(self, a: RingElement, b: RingElement, sign: int) -> RingElement:
+        """a * b for sign 1, a * sigma(b) for sign -1: the one kernel of mul
+        and mul_adjunct."""
         self._check(a, b)
-        r = (a.coeffs.T @ b.right_operator).reshape(2, 2, self.size)
-        c = r[0] + self._mix * r[1, ::-1]
-        return RingElement(self, (c % self.p).T.astype(np.int64, order="C"))
+        size = self.size
+        a_t = a.coeffs.T
+        left = np.empty((2, 2 * size))
+        left[:, :size] = a_t
+        np.multiply(a_t[::-1], self._twist[sign], out=left[:, size:])
+        c = (left @ b.right_operator).T.astype(np.int64, order="C")
+        c %= self.p
+        return RingElement(self, c)
 
     def right_operator(self, b: RingElement) -> np.ndarray:
-        """The read-only (2n, 4n) float64 operator of x -> x * b, kept by
-        RingElement.right_operator: one gather from the stacked [b; sigma(b)]
-        puts part v of the b_j that a_i meets in c_k at (i, v*2n + k)."""
+        """The read-only (4n, 2n) float64 operator of x -> x * b, kept by
+        RingElement.right_operator: the F_p parts [B0; B1] stacked, one gather
+        from the stacked [b; sigma(b)] putting part v of the b_j that a_i
+        meets in c_k at (v*2n + i, k).  The F_p matrix of x -> x * b is
+        [[B0, B1], [lam*B1, B0]]."""
         self._check(b)
         p, size = self.p, self.size
         stack = np.empty((2 * size, 2))
@@ -198,19 +222,6 @@ class SkewRing:
         out[self._inv_perm] = a.coeffs
         out[self.n :] = out[self.n :] * self._conj % self.p
         return RingElement(self, out)
-
-    def conjugate(self, a: RingElement) -> RingElement:
-        """sigma on every coefficient: a ring automorphism (sigma commutes with
-        theta), and the adjunct on C_n y (reflections are involutions)."""
-        self._check(a)
-        return RingElement(self, a.coeffs * self._conj % self.p)
-
-    def mul_adjunct(self, x: RingElement, g: RingElement) -> RingElement:
-        """x * adjunct(g) as conj(conj(x) * g), for g on C_n y where
-        adjunct(g) = conj(g): one product on g's kept operator, no adjunct."""
-        if g.coeffs[: self.n].any():
-            raise ValueError("mul_adjunct needs g supported on C_n y")
-        return self.conjugate(self.conjugate(x) * g)
 
     # -- subspace structure --------------------------------------------------
 
