@@ -233,7 +233,7 @@ def unipotent_valuation(ring: SkewRing, a: RingElement) -> int:
     p = ring.p
     poly = a.coeffs[: ring.n]
     for v in range(ring.n):
-        if (poly.sum(axis=0) % p).any():  # poly(1) != 0: not divisible by x - 1
+        if np.count_nonzero(poly.sum(axis=0) % p):  # poly(1) != 0: not divisible by x - 1
             return v
         # divide by (x - 1): q_{i-1} = p_i + p_{i+1} + ... (a suffix sum)
         poly = np.cumsum(poly[::-1], axis=0)[::-1][1:] % p

@@ -32,7 +32,9 @@ def pack_bits(values: Sequence[int], width: int) -> bytes:
     """Pack fixed-width unsigned integers into an MSB-first bitstream,
     zero-padding the final byte."""
     v = np.asarray(values)
-    if v.size and (v.min() < 0 or v.max() >= 1 << width):
+    # v >> width is non-zero exactly for the values outside [0, 2^width); the
+    # size test keeps an empty input, which asarray makes float64, off the shift
+    if v.size and np.count_nonzero(v >> width):
         raise ValueError(f"values must fit in {width} bits, got {v.min()} .. {v.max()}")
     shifts = np.arange(width - 1, -1, -1)
     bits = (v.astype(np.int64, copy=False)[:, None] >> shifts).astype(np.uint8) & 1
@@ -114,10 +116,10 @@ def h1(data: bytes, params: Params) -> SecretPair:
         stream = hashlib.shake_256(buf).digest(nbytes)
         values = unpack_bits(stream, w, coeff_count).reshape(-1, 2) % ring.p
         a_coeffs, free = values[:n], values[n:]
-        if a_coeffs.any() and free.any():
+        if np.count_nonzero(a_coeffs) and np.count_nonzero(free):
             break
         buf = buf + b"\x00"
-    a = ring.element(np.concatenate([a_coeffs, np.zeros_like(a_coeffs)]))
+    a = ring.element(np.concatenate([a_coeffs, np.zeros((n, 2), dtype=np.int64)]))
     gamma = ring.gamma_from_free(free)
     return SecretPair(a=a, gamma=gamma)
 
@@ -143,6 +145,10 @@ class KemPrivate:
     @cached_property
     def rep_pk(self) -> bytes:
         return rep_ring(self.pk)
+
+    @cached_property
+    def rep_s(self) -> bytes:
+        return rep_ring(self.s)
 
 
 def kem_keygen(params: Params, rng) -> tuple[KemPrivate, bytes]:
@@ -183,8 +189,8 @@ def kem_decaps(priv: KemPrivate, c_bytes: bytes, params: Params, l1: int = 128) 
     try:
         c = decode_ciphertext(ring, c_bytes)
     except ValueError:
-        return h2(rep_ring(priv.s) + c_bytes, l1)
+        return h2(priv.rep_s + c_bytes, l1)
     rep_m, c_prime = _encrypt_derandomized(pke_dec(c, priv.sk), priv.pk, priv.rep_pk, params)
     if hmac.compare_digest(c_prime, c_bytes):
         return h2(rep_m + c_bytes, l1)
-    return h2(rep_ring(priv.s) + c_bytes, l1)
+    return h2(priv.rep_s + c_bytes, l1)

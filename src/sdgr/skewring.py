@@ -7,9 +7,12 @@ product (the hot loop of every scheme) is one float64 matmul: a (2, 4n) left
 matrix built from a carries the F_{q^2} arithmetic, and the (4n, 2n) operator
 it multiplies is gathered once per right operand and kept on it.  Flipping
 the sign of the left matrix's second half gives a * sigma(b) on the same
-operator, which is a * adjunct(b) for b on C_n y.  A naive loop over pairs of
-basis terms that works directly on formal sums is kept as an independent
-oracle, and the cost model counts that same loop.
+operator, which is a * adjunct(b) for b on C_n y.  Every predicate on
+coefficients (zero, equal, support, palindrome) is one np.count_nonzero, a
+direct C call: on arrays this small, the Python-level wrappers behind
+ndarray.any and whole-array equality cost several times more.  A naive loop
+over pairs of basis terms that works directly on formal sums is kept as an
+independent oracle, and the cost model counts that same loop.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ class RingElement:
         return self.ring.classify(self)
 
     def is_zero(self) -> bool:
-        return not self.coeffs.any()
+        return not np.count_nonzero(self.coeffs)
 
     def coefficient(self, i: int) -> Fq2:
         return (int(self.coeffs[i, 0]), int(self.coeffs[i, 1]))
@@ -72,7 +75,11 @@ class RingElement:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RingElement):
             return NotImplemented
-        return self.ring is other.ring and np.array_equal(self.coeffs, other.coeffs)
+        return (
+            self.ring is other.ring
+            and self.coeffs.shape == other.coeffs.shape
+            and not np.count_nonzero(self.coeffs != other.coeffs)
+        )
 
     def __hash__(self) -> int:
         return hash(self.coeffs.tobytes())
@@ -177,7 +184,7 @@ class SkewRing:
         sigma(g) has operator parts (B0, -B1), so this is mul's matmul on g's
         kept operator with the left matrix's second half negated; its signed
         sums keep mul's bound, and the int64 % maps them into [0, p)."""
-        if g.coeffs[: self.n].any():
+        if np.count_nonzero(g.coeffs[: self.n]):
             raise ValueError("mul_adjunct needs g supported on C_n y")
         return self._product(x, g, -1)
 
@@ -227,8 +234,8 @@ class SkewRing:
 
     def classify(self, a: RingElement) -> SubspaceTag:
         self._check(a)
-        has_cn = bool(a.coeffs[: self.n].any())
-        has_cny = bool(a.coeffs[self.n :].any())
+        has_cn = np.count_nonzero(a.coeffs[: self.n])
+        has_cny = np.count_nonzero(a.coeffs[self.n :])
         if has_cn and has_cny:
             return SubspaceTag.MIXED
         if has_cn:
@@ -241,7 +248,7 @@ class SkewRing:
         """Coefficient transport C_n y -> C_n: sum a_i x^i y -> sum a_i x^i."""
         if self.classify(a) not in (SubspaceTag.CNY_ONLY, SubspaceTag.ZERO):
             raise ValueError("phi is defined on elements supported on C_n y")
-        out = np.zeros_like(a.coeffs)
+        out = np.zeros((self.size, 2), dtype=np.int64)
         out[: self.n] = a.coeffs[self.n :]
         return RingElement(self, out)
 
@@ -249,8 +256,10 @@ class SkewRing:
         """Membership in Gamma_theta: C_n y support, and the coefficients of
         x^i y for i = 1 .. n-1 read the same backwards."""
         self._check(a)
+        if np.count_nonzero(a.coeffs[: self.n]):
+            return False
         tail = a.coeffs[self.n + 1 :]
-        return not a.coeffs[: self.n].any() and np.array_equal(tail, tail[::-1])
+        return not np.count_nonzero(tail != tail[::-1])
 
     # -- samplers ------------------------------------------------------------
 

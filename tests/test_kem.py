@@ -1,8 +1,10 @@
 import hashlib
 import random
+import re
 
 import pytest
 
+import sdgr.kem
 from sdgr.kem import (
     decode_ciphertext,
     decode_ring,
@@ -40,10 +42,19 @@ def test_pack_unpack_roundtrip():
 
 
 def test_pack_bits_range_check():
-    with pytest.raises(ValueError):
-        pack_bits([32], 5)
-    with pytest.raises(ValueError):
-        pack_bits([-1], 5)
+    for width in range(1, 33):
+        top = (1 << width) - 1
+        nbytes = (width + 7) // 8
+        assert pack_bits([top], width) == (top << (8 * nbytes - width)).to_bytes(nbytes, "big")
+        assert pack_bits([], width) == b""
+        for bad in ([1 << width], [-1], [0, -1, top, 1 << width]):
+            message = f"values must fit in {width} bits, got {min(bad)} .. {max(bad)}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                pack_bits(bad, width)
+    # beyond int64: numpy holds these as uint64 or as Python objects
+    for bad in ([1 << 63], [1 << 64], [-1, 1 << 64]):
+        with pytest.raises(ValueError, match="values must fit in 5 bits"):
+            pack_bits(bad, 5)
     with pytest.raises(ValueError):
         unpack_bits(b"\x00", 5, 10)
 
@@ -211,6 +222,19 @@ def test_warm_kem_op_builds_three_operators(operator_builds, adjunct_calls):
         assert (kem_decaps(priv, ct, params) == key) is not tampered
         assert len(operator_builds) == 3
         assert adjunct_calls == []
+
+
+def test_implicit_rejection_encodes_s_once(p19_params, rng, monkeypatch):
+    priv, pk_bytes = kem_keygen(p19_params, rng)
+    encoded = []
+    rep = sdgr.kem.rep_ring
+    monkeypatch.setattr(sdgr.kem, "rep_ring", lambda a: encoded.append(a) or rep(a))
+    for _ in range(3):
+        ct, key = kem_encaps(pk_bytes, p19_params, rng)
+        # a tampered ciphertext fails the re-encryption check, a short one its decoding
+        for bad in (bytes([ct[0] ^ 1]) + ct[1:], ct[:-1]):
+            assert kem_decaps(priv, bad, p19_params) == h2(rep(priv.s) + bad, 128)
+    assert [a for a in encoded if a is priv.s] == [priv.s]
 
 
 # -- encaps key cache ----------------------------------------------------------

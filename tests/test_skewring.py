@@ -7,7 +7,7 @@ import pytest
 from sdgr.dihedral import build_table
 from sdgr.field import find_lambda, is_prime
 from sdgr.params import PARAM_SETS
-from sdgr.skewring import SkewRing, SubspaceTag, gather_index
+from sdgr.skewring import RingElement, SkewRing, SubspaceTag, gather_index
 
 # odd and even n: for even n the reflection x^(n/2) y mirrors onto itself
 ORACLE_RINGS = [(7, 1), (7, 2), (3, 3), (7, 4), (5, 6), (19, 19)]
@@ -232,6 +232,67 @@ def test_reversible_membership(toy_ring, rng):
     bad = toy_ring.basis(4, (1, 0))
     assert not toy_ring.is_reversible(bad)
     assert not toy_ring.is_reversible(toy_ring.basis(1))
+
+
+def _reference_predicates(ring, a):
+    """(is_zero, classify, is_reversible) in the ndarray.any and
+    np.array_equal forms the ring's count_nonzero predicates replaced."""
+    c = a.coeffs
+    has_cn, has_cny = bool(c[: ring.n].any()), bool(c[ring.n :].any())
+    tags = {
+        (False, False): SubspaceTag.ZERO,
+        (True, False): SubspaceTag.CN_ONLY,
+        (False, True): SubspaceTag.CNY_ONLY,
+        (True, True): SubspaceTag.MIXED,
+    }
+    tail = c[ring.n + 1 :]
+    return not c.any(), tags[has_cn, has_cny], not has_cn and np.array_equal(tail, tail[::-1])
+
+
+def _predicate_inputs(ring, rng):
+    yield ring.zero()
+    for k in range(ring.size):
+        yield ring.basis(k, (1, 0))
+        yield ring.basis(k, (0, 1))
+    for _ in range(10):
+        yield ring.sample_cn(rng)
+        yield _shift_to_cny(ring, ring.sample_cn(rng))
+        gamma = ring.sample_gamma(rng)
+        yield gamma
+        # gamma with the palindrome broken at x y in one F_p part
+        c = gamma.coeffs.copy()
+        c[ring.n + 1, 1] += 1
+        yield ring.element(c)
+        yield ring.gen_public_element(rng)
+        yield ring.sample_ring(rng)
+
+
+@pytest.mark.parametrize("name", ["toy", "p19", "p41"])
+def test_predicates_match_any_and_array_equal(name, rng):
+    ring = SkewRing(*PARAM_SETS[name])
+    x = ring.sample_ring(rng)
+    elems = list(_predicate_inputs(ring, rng))
+    for a in elems:
+        zero, tag, reversible = _reference_predicates(ring, a)
+        assert a.is_zero() == zero
+        assert ring.classify(a) is tag
+        assert ring.is_reversible(a) == reversible
+        if a.coeffs[: ring.n].any():
+            with pytest.raises(ValueError, match="supported on C_n y"):
+                ring.mul_adjunct(x, a)
+        else:
+            ring.mul_adjunct(x, a)
+    for a in elems[:60]:
+        assert a == ring.element(a.coeffs.tolist())
+        for b in elems[:60]:
+            assert (a == b) == np.array_equal(a.coeffs, b.coeffs)
+    # shapes that broadcast against (2n, 2) must not compare equal
+    for shape in ((1, 2), (ring.size, 1), (ring.size - 1, 2), (2 * ring.size, 2)):
+        bad = RingElement(ring, np.zeros(shape, dtype=np.int64))
+        assert bad != ring.zero() and ring.zero() != bad
+        assert not np.array_equal(bad.coeffs, ring.zero().coeffs)
+        with pytest.raises(ValueError):
+            ring.classify(bad)
 
 
 def test_gamma_free_count():
