@@ -23,7 +23,7 @@ import random
 import sys
 from typing import List, Optional
 
-from . import costmodel, fileio, games, kem
+from . import fileio, kem
 from .kex import KexSession, SecretPair, public_value
 from .field import find_lambda
 from .params import PARAM_SETS, VALID_L1, Params, make_params
@@ -157,6 +157,8 @@ def cmd_kexdemo(args) -> int:
 
 
 def cmd_solve_sdpd(args) -> int:
+    from . import games  # imported here: no other command needs it at start-up
+
     rng = _rng(args.seed)
     params = make_params(args.set, rng=rng)
     gp = games.GameParams(ring=params.ring, h=params.h)
@@ -181,6 +183,8 @@ def cmd_solve_sdpd(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from . import costmodel  # imported here: no other command needs it at start-up
+
     ring = SkewRing(*PARAM_SETS[args.set])
     rng = random.Random(1)
     a = ring.sample_ring(rng)

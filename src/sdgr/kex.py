@@ -4,14 +4,29 @@ Each party holds a secret pair (a, gamma) with a supported on C_n and gamma
 in the reversible subspace, publishes pk = a * h * gamma, and derives
 k = a * peer_pk * adjunct(gamma).  Both sides agree because the C_n part is
 commutative and gamma_1 * adjunct(gamma_2) = gamma_2 * adjunct(gamma_1) on
-the reversible subspace.  adjunct(gamma) = sigma(gamma) coefficient-wise,
-so k is one product on the operator gamma kept from pk = a * h * gamma
-(SkewRing.mul_adjunct), and no adjunct is formed.
+the reversible subspace.
+
+Both values are products in the commutative R = F_{q^2}[C_n].  Write
+gamma = G y and any z = z_C + z_Y y with G, z_C, z_Y in R.  Reversibility
+says G(x^-1) = G, so y G y = sigma(G) and y sigma(G) y = G, where sigma acts
+on coefficients; adjunct(gamma) = sigma(G) y.  With u = a G and v = a sigma(G),
+
+    pk = a * h * gamma          = v h_Y + (u h_C) y,
+    k  = a * P * adjunct(gamma) = u P_Y + (v P_C) y.
+
+A SecretPair keeps u + v y and v + u y (SkewRing.cross_operands, one matmul),
+and each value is one SkewRing.cross_mul on the kept circulants of h or of
+the peer's P: no skew product and no adjunct is formed.  pk is linear in
+(u, v), and an honest peer's P has P_Y = u_2 h_C and P_C = v_2 h_Y, so any
+(u', v') with u' h_C = u h_C and v' h_Y = v h_Y gives the same key with
+every honest peer, whether or not it comes from a secret pair.  Finding one
+from pk is linear algebra over F_p: the attack of ROADMAP item 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .params import Params
 from .skewring import RingElement, SubspaceTag
@@ -30,6 +45,11 @@ class SecretPair:
             raise ValueError("secret a must be non-zero and supported on C_n")
         if not ring.is_reversible(self.gamma) or self.gamma.is_zero():
             raise ValueError("secret gamma must be a non-zero reversible element")
+
+    @cached_property
+    def cross_operands(self) -> tuple[RingElement, RingElement]:
+        """(u + v y, v + u y) with u = a G, v = a sigma(G) for gamma = G y."""
+        return self.a.ring.cross_operands(self.a, self.gamma)
 
 
 @dataclass(frozen=True)
@@ -54,7 +74,8 @@ def sample_secret_pair(params: Params, rng) -> SecretPair:
 
 
 def public_value(params: Params, sk: SecretPair) -> RingElement:
-    return sk.a * params.h * sk.gamma
+    """pk = a * h * gamma = v h_Y + (u h_C) y, on h's kept circulants."""
+    return params.ring.cross_mul(sk.cross_operands[1], params.h)
 
 
 def kex_keygen(params: Params, rng) -> tuple[SecretPair, RingElement]:
@@ -63,8 +84,8 @@ def kex_keygen(params: Params, rng) -> tuple[SecretPair, RingElement]:
 
 
 def kex_shared(sk: SecretPair, peer_pk: RingElement) -> RingElement:
-    """k = a * peer_pk * adjunct(gamma), through gamma's kept operator."""
-    return sk.a.ring.mul_adjunct(sk.a * peer_pk, sk.gamma)
+    """k = a * peer_pk * adjunct(gamma) = u P_Y + (v P_C) y for P = peer_pk."""
+    return sk.a.ring.cross_mul(sk.cross_operands[0], peer_pk)
 
 
 class KexSession:

@@ -5,8 +5,9 @@ Enc:  c1 = public_value(r2) = a2 h gamma2, c2 = m + kex_shared(r2, pk), with
       the randomness r2 = (a2, gamma2) passed in explicitly (the KEM
       re-encryption check needs Enc to be a deterministic function of (m, pk, r2)).
 Dec:  m = c2 - kex_shared(sk, c1) = c2 - a1 c1 adjunct(gamma1).
-Both masks are KEX keys a X adjunct(gamma), each one product on gamma's
-kept operator (SkewRing.mul_adjunct).
+c1 is a KEX public value and both masks are KEX keys a X adjunct(gamma),
+each one SkewRing.cross_mul of the pair's kept (u, v) with the circulants
+kept on h, pk or c1 (see sdgr.kex).
 """
 
 from __future__ import annotations

@@ -2,12 +2,15 @@
 
 A ring element is a dense length-2n coefficient vector over F_{q^2}: index
 i < n holds the coefficient of x^i, index n+i the coefficient of x^i y.
-Coefficients are stored as an (2n, 2) int64 numpy array so that the skew
-product (the hot loop of every scheme) is one float64 matmul: a (2, 4n) left
-matrix built from a carries the F_{q^2} arithmetic, and the (4n, 2n) operator
-it multiplies is gathered once per right operand and kept on it.  Flipping
-the sign of the left matrix's second half gives a * sigma(b) on the same
-operator, which is a * adjunct(b) for b on C_n y.  Every predicate on
+Coefficients are stored as an (2n, 2) int64 numpy array so that a skew
+product is one float64 matmul: a (2, 4n) left matrix built from a carries
+the F_{q^2} arithmetic, and the (4n, 2n) operator it multiplies is gathered
+once per right operand and kept on it.  Flipping the sign of the left
+matrix's second half gives a * sigma(b) on the same operator, which is
+a * adjunct(b) for b on C_n y.  The schemes need only products in the
+commutative F_{q^2}[C_n] of an element's two halves (cross_mul): one batched
+matmul of the same left matrices with the (2, 2n, n) circulants kept on the
+right operand.  Every predicate on
 coefficients (zero, equal, support, palindrome) is one np.count_nonzero, a
 direct C call: on arrays this small, the Python-level wrappers behind
 ndarray.any and whole-array equality cost several times more.  A naive loop
@@ -62,6 +65,12 @@ class RingElement:
     def right_operator(self) -> np.ndarray:
         """The operator of x -> x * self, built on first use and kept."""
         return self.ring.right_operator(self)
+
+    @cached_property
+    def circulant(self) -> np.ndarray:
+        """The circulants of this element's C_n halves, built on first use
+        and kept: the operator of cross_mul(w, self)."""
+        return self.ring.circulant(self)
 
     def classify(self) -> SubspaceTag:
         return self.ring.classify(self)
@@ -121,6 +130,14 @@ class SkewRing:
         self._gather = np.concatenate([2 * g, 2 * g + 1], axis=0)
         # by sign: the factors on (a1, a0) in the left matrix's second half
         self._twist = {s: s * np.array([[self.field.lam], [1.0]]) for s in (1, -1)}
+        self._twists = np.stack([self._twist[1], self._twist[-1]])
+        # index into the flattened (2n, 2) coefficients: entry (h, v*n + i, k)
+        # is F_p part v of the coefficient of x^(k-i) in the C_n y half (h = 0)
+        # or in the C_n half (h = 1)
+        rot = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
+        half = np.array([n, 0])[:, None, None, None]
+        part = np.arange(2)[None, :, None, None]
+        self._circ = (2 * (half + rot) + part).reshape(2, 2 * n, n)
         self._conj = np.array([1, -1])
         self._inv_perm = np.array([inverse(n, k) for k in range(self.size)], dtype=np.int64)
 
@@ -192,14 +209,68 @@ class SkewRing:
         """a * b for sign 1, a * sigma(b) for sign -1: the one kernel of mul
         and mul_adjunct."""
         self._check(a, b)
-        size = self.size
-        a_t = a.coeffs.T
-        left = np.empty((2, 2 * size))
-        left[:, :size] = a_t
-        np.multiply(a_t[::-1], self._twist[sign], out=left[:, size:])
-        c = (left @ b.right_operator).T.astype(np.int64, order="C")
+        c = (self._left(a.coeffs.T, self._twist[sign], (2, 2 * self.size)) @ b.right_operator).T
+        c = c.astype(np.int64, order="C")
         c %= self.p
         return RingElement(self, c)
+
+    @staticmethod
+    def _left(a_t: np.ndarray, twist: np.ndarray, shape: tuple) -> np.ndarray:
+        """The float64 left matrix [[a0, lam*a1], [a1, a0]] of the F_p parts
+        a_t = [a0; a1] of m coefficients, its second half times the twist's
+        sign, in a new array of shape (..., 2, 2m): for a stack of blocks a_t
+        (..., 2, m), or for one block under the stack of twists (2, 2, 1).
+        The callers pass the shape, which costs less than deriving it."""
+        m = shape[-1] // 2
+        left = np.empty(shape)
+        left[..., :m] = a_t
+        np.multiply(a_t[..., ::-1, :], twist, out=left[..., m:])
+        return left
+
+    def cross_mul(self, w: RingElement, x: RingElement) -> RingElement:
+        """The element with C_n half w_C * x_Y and C_n y half w_Y * x_C.
+
+        z_C and z_Y are the C_n coefficient blocks of z's two halves, z =
+        z_C + z_Y y, and the products are in the commutative F_{q^2}[C_n].
+        This is one batched float64 matmul: the (2, 2, 2n) left matrices of
+        w's halves, built as mul builds its own, with x's kept (2, 2n, n)
+        circulants.  Every partial sum is at most n*(p-1)^2*(1+lam), inside
+        mul's bound, so the matmul and the cast are exact.
+        """
+        self._check(w, x)
+        size = self.size
+        halves = w.coeffs.reshape(2, self.n, 2).transpose(0, 2, 1)
+        c = (self._left(halves, self._twist[1], (2, 2, size)) @ x.circulant).transpose(0, 2, 1)
+        c = c.astype(np.int64, order="C").reshape(size, 2)
+        c %= self.p
+        return RingElement(self, c)
+
+    def cross_operands(self, a: RingElement, g: RingElement) -> tuple[RingElement, RingElement]:
+        """(u + v y, v + u y) for u = a_C * G and v = a_C * sigma(G) in
+        F_{q^2}[C_n], with a_C the C_n half of a and G the C_n y block of g:
+        the w that cross_mul takes for a * x * sigma(g) and a * x * g when g
+        is reversible (see sdgr.kex).  One matmul of a_C's left matrix under
+        both signs, stacked, with G's (2n, n) circulant; the signed sums keep
+        cross_mul's bound, and the int64 % maps them into [0, p)."""
+        self._check(a, g)
+        n, size = self.n, self.size
+        left = self._left(a.coeffs[:n].T, self._twists, (2, 2, size)).reshape(4, size)
+        uv = (left @ self.circulant(g, 0)).reshape(2, 2, n).transpose(0, 2, 1)
+        uv = uv.astype(np.int64, order="C")
+        uv %= self.p
+        return RingElement(self, uv.reshape(size, 2)), RingElement(self, uv[::-1].reshape(size, 2))
+
+    def circulant(self, b: RingElement, half: int | slice = slice(None)) -> np.ndarray:
+        """The read-only float64 circulants of b's C_n y block (half 0) and
+        C_n block (half 1), stacked (2, 2n, n) and kept by
+        RingElement.circulant, or the one `half` picks.  Circulant h is the
+        operator of w -> w * z in F_{q^2}[C_n] for mul's left matrix of w,
+        with z block h: the F_p parts [Z0; Z1], Z_v[i, k] part v of z_{k-i}.
+        One gather from b's coefficients, 2n^2 entries per half."""
+        self._check(b)
+        op = b.coeffs.astype(np.float64).ravel()[self._circ[half]]
+        op.setflags(write=False)
+        return op
 
     def right_operator(self, b: RingElement) -> np.ndarray:
         """The read-only (4n, 2n) float64 operator of x -> x * b, kept by

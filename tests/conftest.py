@@ -28,15 +28,22 @@ def rng() -> random.Random:
 
 @pytest.fixture()
 def operator_builds(monkeypatch) -> list:
-    """The right operands whose product operator gets built, in build order."""
+    """(kind, element) for every operator built, in build order: kind
+    "right_operator" for mul's (4n, 2n) operator, "circulant" for cross_mul's
+    circulants of one or both C_n halves."""
     built = []
-    build = SkewRing.right_operator
 
-    def spy(ring, b):
-        built.append(b)
-        return build(ring, b)
+    def spy_on(kind):
+        build = getattr(SkewRing, kind)
 
-    monkeypatch.setattr(SkewRing, "right_operator", spy)
+        def spy(ring, b, *args):
+            built.append((kind, b))
+            return build(ring, b, *args)
+
+        monkeypatch.setattr(SkewRing, kind, spy)
+
+    spy_on("right_operator")
+    spy_on("circulant")
     return built
 
 

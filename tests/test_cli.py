@@ -1,5 +1,9 @@
 import hashlib
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -307,3 +311,13 @@ def test_malformed_params_payload_exits_3(tmp_path, capsys, p19_h_payload, mangl
     code, err = _keygen_exit(tmp_path, Header(p=19, m=1, n=19, lam=2, l1=0), payload, capsys)
     assert code == EXIT_PARAM_MISMATCH
     assert "malformed params file" in err
+
+
+def test_cli_import_leaves_games_and_costmodel_unloaded():
+    """Only solve-sdpd and bench need games and costmodel, so every other
+    command's process start skips importing them."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+    code = "import sys, sdgr.cli; print(sorted({'sdgr.games', 'sdgr.costmodel'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

@@ -204,15 +204,16 @@ def test_kem_seeded_reproducibility(p19_params):
 
 
 def test_warm_kem_op_builds_three_operators(operator_builds, adjunct_calls):
-    # h, gamma1 and pk (kept by encaps_key and KemPrivate) keep their
-    # operators, and x * adj(gamma) runs on gamma's own, so a warm op builds
-    # those of gamma2 in encaps, and of c1 and the re-encryption's gamma2 in
-    # decaps; no adjunct is formed
+    # h and pk (kept by encaps_key and KemPrivate) keep their circulants and
+    # the long-term secret its (u, v), so a warm op builds the circulants of
+    # the ephemeral gamma2 in encaps, and of c1 and the re-encryption's gamma2
+    # in decaps; no full product operator and no adjunct is formed
     params = make_params("p41", seed=1)
     rng = random.Random(2)
     priv, pk_bytes = kem_keygen(params, rng)
     ct, key = kem_encaps(pk_bytes, params, rng)
     assert kem_decaps(priv, ct, params) == key
+    kept = {id(params.h), id(priv.pk), id(priv.sk.gamma), id(encaps_key(params.ring, pk_bytes)[0])}
     for tampered in (False, True):
         operator_builds.clear()
         adjunct_calls.clear()
@@ -220,8 +221,29 @@ def test_warm_kem_op_builds_three_operators(operator_builds, adjunct_calls):
         if tampered:
             ct = bytes([ct[0] ^ 1]) + ct[1:]
         assert (kem_decaps(priv, ct, params) == key) is not tampered
-        assert len(operator_builds) == 3
+        assert [kind for kind, _ in operator_builds] == ["circulant"] * 3
+        built = [b for _, b in operator_builds]
+        assert [params.ring.is_reversible(b) for b in built] == [True, False, True]
+        assert not kept & {id(b) for b in built}
         assert adjunct_calls == []
+
+
+def test_warm_kem_op_runs_no_skew_product(monkeypatch):
+    params = make_params("p41", seed=1)
+    rng = random.Random(2)
+    priv, pk_bytes = kem_keygen(params, rng)
+    ct, key = kem_encaps(pk_bytes, params, rng)
+    assert kem_decaps(priv, ct, params) == key
+    calls = []
+    for name in ("mul", "mul_adjunct", "right_operator"):
+        real = getattr(SkewRing, name)
+        monkeypatch.setattr(SkewRing, name, lambda *args, name=name, real=real: calls.append(name) or real(*args))
+    for tampered in (False, True):
+        ct, key = kem_encaps(pk_bytes, params, rng)
+        if tampered:
+            ct = bytes([ct[0] ^ 1]) + ct[1:]
+        assert (kem_decaps(priv, ct, params) == key) is not tampered
+    assert calls == []
 
 
 def test_implicit_rejection_encodes_s_once(p19_params, rng, monkeypatch):

@@ -7,8 +7,10 @@ from sdgr.kex import (
     SecretPair,
     kex_keygen,
     kex_shared,
+    public_value,
     sample_secret_pair,
 )
+from sdgr.params import PARAM_SETS, Params, make_params
 from sdgr.skewring import SubspaceTag
 
 
@@ -79,13 +81,66 @@ def test_deterministic_under_seed(p19_params):
 
 
 def test_warm_kex_session_builds_four_operators(p19_params, operator_builds, adjunct_calls):
-    # h keeps its operator, so a session builds those of the two gammas at
-    # keygen and of the two peer pks at derivation, and forms no adjunct
+    # h keeps its circulants, so a session builds those of the two gammas at
+    # keygen and of the two peer pks at derivation, and forms no full
+    # product operator and no adjunct
     for _ in range(2):
         operator_builds.clear()
         alice = KexSession(p19_params, b"P_i", b"s-1", random.Random(1))
         bob = KexSession(p19_params, b"P_j", b"s-1", random.Random(2))
+        gammas = [id(alice._secret.gamma), id(bob._secret.gamma)]
         assert alice.derive(bob.message) == bob.derive(alice.message)
-    assert len(operator_builds) == 4
-    assert {id(b) for b in operator_builds} >= {id(alice.message.pk), id(bob.message.pk)}
+    assert [kind for kind, _ in operator_builds] == ["circulant"] * 4
+    assert [id(b) for _, b in operator_builds] == gammas + [id(bob.message.pk), id(alice.message.pk)]
     assert adjunct_calls == []
+
+
+# -- the products in F_{q^2}[C_n] against the skew products ------------------------
+
+
+@pytest.fixture(scope="module", params=sorted(PARAM_SETS))
+def any_params(request):
+    return make_params(request.param, seed=1003)
+
+
+def _naive_shared(sk, peer_pk):
+    ring = sk.a.ring
+    return ring.naive_product(ring.naive_product(sk.a, peer_pk), sk.gamma.adjunct())
+
+
+def test_public_value_is_a_h_gamma(any_params, rng):
+    for _ in range(5):
+        sk = sample_secret_pair(any_params, rng)
+        assert public_value(any_params, sk) == sk.a * any_params.h * sk.gamma
+
+
+def test_kex_shared_is_a_p_adjunct_gamma(any_params, rng):
+    # honest peers, the party's own pk, and arbitrary mixed P
+    ring = any_params.ring
+    for _ in range(2):
+        sk, pk = kex_keygen(any_params, rng)
+        peers = [kex_keygen(any_params, rng)[1], pk, ring.sample_ring(rng), ring.gen_public_element(rng)]
+        for peer_pk in peers:
+            k = kex_shared(sk, peer_pk)
+            assert k == ring.mul_adjunct(sk.a * peer_pk, sk.gamma)
+            assert k == _naive_shared(sk, peer_pk)
+
+
+def test_all_p_minus_one_secret_and_peer_at_p41():
+    params = make_params("p41", seed=1003)
+    ring = params.ring
+    top = (ring.p - 1, ring.p - 1)
+    a = ring.element([top] * ring.n + [(0, 0)] * ring.n)
+    sk = SecretPair(a=a, gamma=ring.gamma_from_free([top] * ring.gamma_free_count()))
+    peer_pk = ring.element([top] * ring.size)
+    for h in (params.h, peer_pk):
+        assert public_value(Params(ring=ring, h=h), sk) == sk.a * h * sk.gamma
+    assert kex_shared(sk, peer_pk) == ring.mul_adjunct(sk.a * peer_pk, sk.gamma)
+    assert kex_shared(sk, peer_pk) == _naive_shared(sk, peer_pk)
+
+
+def test_public_value_refuses_a_foreign_ring(p19_params, rng):
+    sk = sample_secret_pair(p19_params, rng)
+    for other in (make_params("p19", seed=1001), make_params("toy", seed=1002)):
+        with pytest.raises(ValueError, match="different ring"):
+            public_value(other, sk)

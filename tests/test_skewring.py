@@ -408,7 +408,7 @@ def test_reused_right_operand_is_built_once(r19, rng, operator_builds):
     for _ in range(5):
         a = r19.sample_ring(rng)
         assert r19.mul(a, b) == r19.naive_product(a, b)
-    assert operator_builds == [b]
+    assert operator_builds == [("right_operator", b)]
     assert not b.right_operator.flags.writeable
 
 
@@ -450,3 +450,71 @@ def test_mul_adjunct_rejects_cn_part(r19, rng):
     for g in (r19.one(), r19.basis(1) + r19.basis(r19.n), r19.gen_public_element(rng)):
         with pytest.raises(ValueError):
             r19.mul_adjunct(x, g)
+
+
+# -- products in F_{q^2}[C_n] ----------------------------------------------------
+
+
+def _halves(ring, z):
+    """(z_C, z_Y) as elements of C_n, for z = z_C + z_Y y."""
+    cn = z.coeffs.copy()
+    cn[ring.n :] = 0
+    return ring.element(cn), ring.phi(_cny_part(ring, z))
+
+
+def _cross_oracle(ring, w, x):
+    """w_C * x_Y + (w_Y * x_C) y through the naive product."""
+    (w_c, w_y), (x_c, x_y) = _halves(ring, w), _halves(ring, x)
+    return ring.naive_product(w_c, x_y) + _shift_to_cny(ring, ring.naive_product(w_y, x_c))
+
+
+@pytest.mark.parametrize("p,n", ORACLE_RINGS[:-1])
+def test_cross_mul_basis_pairs(p, n):
+    ring = SkewRing(p, n)
+    for i in range(ring.size):
+        for j in range(ring.size):
+            w, x = ring.basis(i, (1, 2)), ring.basis(j, (2, 1))
+            assert ring.cross_mul(w, x) == _cross_oracle(ring, w, x), (i, j)
+
+
+@pytest.mark.parametrize("p", [3, 19, 41])
+def test_cross_mul_random_and_all_p_minus_one(p, rng):
+    # all p - 1 reaches the bound n*(p-1)^2*(1+lam) on every partial sum
+    ring = SkewRing(p, p)
+    top = ring.element([(p - 1, p - 1)] * ring.size)
+    pairs = [(top, top)] + [(ring.sample_ring(rng), ring.sample_ring(rng)) for _ in range(5)]
+    for w, x in pairs:
+        assert ring.cross_mul(w, x) == _cross_oracle(ring, w, x)
+
+
+@pytest.mark.parametrize("p", [3, 19, 41])
+def test_cross_operands_are_a_g_and_a_sigma_g(p, rng):
+    ring = SkewRing(p, p)
+    top = (p - 1, p - 1)
+    cases = [(ring.sample_cn(rng), ring.sample_gamma(rng)) for _ in range(5)]
+    cases.append((ring.element([top] * p + [(0, 0)] * p), ring.gamma_from_free([top] * ring.gamma_free_count())))
+    for a, g in cases:
+        u = ring.naive_product(a, ring.phi(g))
+        v = ring.naive_product(a, ring.phi(g.adjunct()))
+        assert ring.cross_operands(a, g) == (u + _shift_to_cny(ring, v), v + _shift_to_cny(ring, u))
+
+
+def test_reused_cross_operand_is_built_once(r19, rng, operator_builds):
+    x = r19.sample_ring(rng)
+    for _ in range(5):
+        w = r19.sample_ring(rng)
+        assert r19.cross_mul(w, x) == _cross_oracle(r19, w, x)
+    assert operator_builds == [("circulant", x)]
+    assert x.circulant.shape == (2, 2 * r19.n, r19.n)
+    assert not x.circulant.flags.writeable
+
+
+def test_cross_ring_cross_mul_builds_no_circulant(r19, rng, operator_builds):
+    mine, other = r19.sample_ring(rng), SkewRing(19, 19).sample_ring(rng)
+    for w, x in ((mine, other), (other, mine)):
+        with pytest.raises(ValueError, match="different ring"):
+            r19.cross_mul(w, x)
+    for a, g in ((r19.sample_cn(rng), other.ring.sample_gamma(rng)), (other, r19.sample_gamma(rng))):
+        with pytest.raises(ValueError, match="different ring"):
+            r19.cross_operands(a, g)
+    assert operator_builds == []
