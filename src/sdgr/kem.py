@@ -5,6 +5,15 @@ pair by chunking an o-bit XOF stream, o = ceil(log2 p) * 2m * (n + ceil((n+1)/2)
 into ceil(log2 p)-bit integers reduced mod p.  H2 prepends the domain byte
 0x02 and truncates to the session-key length.  rep() is the canonical
 fixed-width big-endian MSB-first bit packing of a coefficient vector.
+
+Encaps sends c = Enc(pk, m; H1(rep(m) || rep(pk))), and decaps decrypts,
+re-encrypts and compares.  Both encrypt with one product on pk's
+enc_operator, which encaps_key keeps per params and key bytes; decaps finds
+the same entry through rep(pk).  Decaps unpacks c once: it decrypts the
+chunks reduced mod p, and accepts only if the raw chunks are the
+coefficients of the re-encryption c' and no padding bit is set.  That is
+rep(c') == c without packing c', since a chunk >= p never equals a
+coefficient and rep pads with zeros.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ import numpy as np
 
 from .kex import SecretPair
 from .params import VALID_L1, Params
-from .pke import Ciphertext, PkeKeypair, pke_dec, pke_enc, pke_gen, sample_message
+from .pke import Ciphertext, PkeKeypair, enc_operator, encrypt, pke_dec, pke_gen, sample_message
 from .skewring import RingElement, SkewRing
 
 H2_PREFIX = b"\x02"
@@ -41,12 +50,14 @@ def pack_bits(values: Sequence[int], width: int) -> bytes:
     return np.packbits(bits).tobytes()
 
 
-def unpack_bits(data: bytes, width: int, count: int) -> np.ndarray:
-    """Read `count` fixed-width integers from an MSB-first bitstream."""
-    if len(data) * 8 < width * count:
+def unpack_bits(data: bytes | np.ndarray, width: int, count: int) -> np.ndarray:
+    """Read `count` fixed-width integers from an MSB-first bitstream, or from
+    each row of a 2-D uint8 array of equal-length streams."""
+    stream = data if isinstance(data, np.ndarray) else np.frombuffer(data, dtype=np.uint8)
+    if stream.shape[-1] * 8 < width * count:
         raise ValueError("bitstream too short")
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=width * count)
-    return bits.reshape(count, width) @ (1 << np.arange(width - 1, -1, -1))
+    bits = np.unpackbits(stream, axis=-1, count=width * count)
+    return bits.reshape(*stream.shape[:-1], count, width) @ (1 << np.arange(width - 1, -1, -1))
 
 
 # -- canonical serialization ---------------------------------------------------
@@ -63,31 +74,43 @@ def rep_ring(a: RingElement) -> bytes:
     return pack_bits(a.coeffs.ravel(), a.ring.field.coeff_bits)
 
 
-def decode_ring(ring: SkewRing, data: bytes) -> RingElement:
-    """Inverse of rep_ring.  Out-of-range chunks are reduced mod p, so decoding
-    never rejects; non-canonical streams fail the re-encoding comparison."""
-    if len(data) != rep_len(ring):
-        raise ValueError(f"expected {rep_len(ring)} bytes, got {len(data)}")
-    values = unpack_bits(data, ring.field.coeff_bits, ring.size * 2)
-    return ring.element(values.reshape(ring.size, 2))
-
-
 def rep_ciphertext(c: Ciphertext) -> bytes:
     return rep_ring(c.c1) + rep_ring(c.c2)
 
 
-def decode_elements(ring: SkewRing, data: bytes, count: int) -> list[RingElement]:
-    """Inverse of concatenating `count` rep_ring encodings; raises ValueError
-    unless data is exactly that long."""
+def unpack_elements(ring: SkewRing, data: bytes, count: int) -> tuple[np.ndarray, bool]:
+    """The raw chunks of `count` concatenated rep_ring encodings, (count, 2n,
+    2), and whether every padding bit is zero: data is the encoding of its
+    elements iff it is and every chunk is below p.  Raises ValueError unless
+    data is exactly that long."""
     size = rep_len(ring)
     if len(data) != count * size:
         raise ValueError(f"expected {count * size} bytes, got {len(data)}")
-    return [decode_ring(ring, data[i : i + size]) for i in range(0, len(data), size)]
+    width = ring.field.coeff_bits
+    streams = np.frombuffer(data, dtype=np.uint8).reshape(count, size)
+    chunks = unpack_bits(streams, width, 2 * ring.size).reshape(count, ring.size, 2)
+    padding = (1 << (8 * size - 2 * ring.size * width)) - 1
+    return chunks, not np.count_nonzero(streams[:, -1] & padding)
 
 
-def decode_ciphertext(ring: SkewRing, data: bytes) -> Ciphertext:
-    c1, c2 = decode_elements(ring, data, 2)
-    return Ciphertext(c1=c1, c2=c2)
+def decode_elements(ring: SkewRing, data: bytes, count: int) -> list[RingElement]:
+    """Inverse of concatenating `count` rep_ring encodings, reducing chunks
+    mod p; raises ValueError unless data is exactly that long."""
+    return [RingElement(ring, chunk % ring.p) for chunk in unpack_elements(ring, data, count)[0]]
+
+
+def decode_ring(ring: SkewRing, data: bytes) -> RingElement:
+    """Inverse of rep_ring.  Out-of-range chunks are reduced mod p, so decoding
+    never rejects; kem_decaps rejects non-canonical ciphertexts itself."""
+    return decode_elements(ring, data, 1)[0]
+
+
+def decode_ciphertext(ring: SkewRing, data: bytes) -> tuple[Ciphertext, np.ndarray, bool]:
+    """(c, chunks, padded): c decoded as decode_elements does, with the raw
+    chunks and the padding flag of unpack_elements."""
+    chunks, padded = unpack_elements(ring, data, 2)
+    c1, c2 = (RingElement(ring, chunk % ring.p) for chunk in chunks)
+    return Ciphertext(c1=c1, c2=c2), chunks, padded
 
 
 # -- hash functions ------------------------------------------------------------
@@ -104,7 +127,8 @@ def h1(data: bytes, params: Params) -> SecretPair:
 
     Chunks are reduced mod p; the first n field elements form a, the next
     ceil((n+1)/2) fill gamma's free coordinates.  A zero a or gamma triggers a
-    deterministic retry with a 0x00 byte appended, so the map stays a function.
+    deterministic retry with a 0x00 byte appended, so the map stays a function,
+    and its pairs are valid by construction.
     """
     ring = params.ring
     n = ring.n
@@ -119,9 +143,9 @@ def h1(data: bytes, params: Params) -> SecretPair:
         if np.count_nonzero(a_coeffs) and np.count_nonzero(free):
             break
         buf = buf + b"\x00"
-    a = ring.element(np.concatenate([a_coeffs, np.zeros((n, 2), dtype=np.int64)]))
-    gamma = ring.gamma_from_free(free)
-    return SecretPair(a=a, gamma=gamma)
+    a = np.zeros((ring.size, 2), dtype=np.int64)
+    a[:n] = a_coeffs
+    return SecretPair.unchecked(RingElement(ring, a), ring.gamma_from_free(free))
 
 
 def h2(data: bytes, l1: int) -> bytes:
@@ -157,40 +181,40 @@ def kem_keygen(params: Params, rng) -> tuple[KemPrivate, bytes]:
     return KemPrivate(s=s, sk=kp.sk, pk=kp.pk), rep_ring(kp.pk)
 
 
-def _encrypt_derandomized(
-    m: RingElement, pk: RingElement, rep_pk: bytes, params: Params
-) -> tuple[bytes, bytes]:
-    """(rep(m), rep(c)) for c = Enc(pk, m; H1(rep(m) || rep_pk)), rep_pk = rep(pk):
-    the encryption encaps sends and decaps recomputes to check a ciphertext."""
-    rep_m = rep_ring(m)
-    r = h1(rep_m + rep_pk, params)
-    return rep_m, rep_ciphertext(pke_enc(m, pk, r, params))
-
-
 @lru_cache(maxsize=1)
-def encaps_key(ring: SkewRing, pk_bytes: bytes) -> tuple[RingElement, bytes]:
-    """(pk, rep(pk)) of the last encaps key that decoded, kept with pk's
+def encaps_key(params: Params, pk_bytes: bytes) -> tuple[bytes, np.ndarray]:
+    """(rep(pk), enc_operator(params, pk)) for the last encaps key that
+    decoded, under the params it was used with, so that no other h meets the
     operator.  rep(pk), not pk_bytes: decoding reduces chunks mod p."""
-    pk = decode_ring(ring, pk_bytes)
-    return pk, rep_ring(pk)
+    pk = decode_ring(params.ring, pk_bytes)
+    return rep_ring(pk), enc_operator(params, pk)
+
+
+def _encrypt_derandomized(m: RingElement, pk_bytes: bytes, params: Params) -> tuple[bytes, Ciphertext]:
+    """(rep(m), c) for c = Enc(pk, m; H1(rep(m) || rep(pk))): the encryption
+    encaps sends and decaps recomputes to check a ciphertext."""
+    rep_pk, op = encaps_key(params, pk_bytes)
+    rep_m = rep_ring(m)
+    return rep_m, encrypt(m, op, h1(rep_m + rep_pk, params), params)
 
 
 def kem_encaps(pk_bytes: bytes, params: Params, rng, l1: int = 128) -> tuple[bytes, bytes]:
     """Returns (ciphertext bytes, session key)."""
-    pk, rep_pk = encaps_key(params.ring, bytes(pk_bytes))
-    rep_m, c_bytes = _encrypt_derandomized(sample_message(params, rng), pk, rep_pk, params)
+    rep_m, c = _encrypt_derandomized(sample_message(params, rng), bytes(pk_bytes), params)
+    c_bytes = rep_ciphertext(c)
     return c_bytes, h2(rep_m + c_bytes, l1)
 
 
 def kem_decaps(priv: KemPrivate, c_bytes: bytes, params: Params, l1: int = 128) -> bytes:
     """Implicit rejection: a failed re-encryption check yields the key
     H2(rep(s) || c) instead of an error."""
-    ring = params.ring
     try:
-        c = decode_ciphertext(ring, c_bytes)
+        c, chunks, padded = decode_ciphertext(params.ring, c_bytes)
     except ValueError:
         return h2(priv.rep_s + c_bytes, l1)
-    rep_m, c_prime = _encrypt_derandomized(pke_dec(c, priv.sk), priv.pk, priv.rep_pk, params)
-    if hmac.compare_digest(c_prime, c_bytes):
+    rep_m, c_prime = _encrypt_derandomized(pke_dec(c, priv.sk), priv.rep_pk, params)
+    # c_bytes == rep(c'), without packing c': every chunk is the coefficient
+    # of c' it encodes, which is below p, and no padding bit is set
+    if hmac.compare_digest(chunks.tobytes(), c_prime.c1.coeffs.tobytes() + c_prime.c2.coeffs.tobytes()) and padded:
         return h2(rep_m + c_bytes, l1)
     return h2(priv.rep_s + c_bytes, l1)

@@ -46,6 +46,14 @@ class SecretPair:
         if not ring.is_reversible(self.gamma) or self.gamma.is_zero():
             raise ValueError("secret gamma must be a non-zero reversible element")
 
+    @classmethod
+    def unchecked(cls, a: RingElement, gamma: RingElement) -> "SecretPair":
+        """The pair of an a and a gamma that are valid by construction, built
+        without the check."""
+        pair = object.__new__(cls)
+        vars(pair).update(a=a, gamma=gamma)
+        return pair
+
     @cached_property
     def cross_operands(self) -> tuple[RingElement, RingElement]:
         """(u + v y, v + u y) with u = a G, v = a sigma(G) for gamma = G y."""

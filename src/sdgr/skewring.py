@@ -10,7 +10,8 @@ matrix's second half gives a * sigma(b) on the same operator, which is
 a * adjunct(b) for b on C_n y.  The schemes need only products in the
 commutative F_{q^2}[C_n] of an element's two halves (cross_mul): one batched
 matmul of the same left matrices with the (2, 2n, n) circulants kept on the
-right operand.  Every predicate on
+right operand, or with several elements' circulants side by side in an
+operator the caller keeps.  Every predicate on
 coefficients (zero, equal, support, palindrome) is one np.count_nonzero, a
 direct C call: on arrays this small, the Python-level wrappers behind
 ndarray.any and whole-array equality cost several times more.  A naive loop
@@ -227,7 +228,7 @@ class SkewRing:
         np.multiply(a_t[..., ::-1, :], twist, out=left[..., m:])
         return left
 
-    def cross_mul(self, w: RingElement, x: RingElement) -> RingElement:
+    def cross_mul(self, w: RingElement, x: RingElement | np.ndarray) -> RingElement | np.ndarray:
         """The element with C_n half w_C * x_Y and C_n y half w_Y * x_C.
 
         z_C and z_Y are the C_n coefficient blocks of z's two halves, z =
@@ -236,14 +237,24 @@ class SkewRing:
         w's halves, built as mul builds its own, with x's kept (2, 2n, n)
         circulants.  Every partial sum is at most n*(p-1)^2*(1+lam), inside
         mul's bound, so the matmul and the cast are exact.
+
+        x may instead be an operator the caller keeps: k elements'
+        circulants side by side, (2, 2n, kn).  The result is then the
+        (2, kn, 2) coefficients of w_C's products with the first circulants
+        and of w_Y's with the second, from which the caller takes its
+        elements; the same bound holds.
         """
-        self._check(w, x)
-        size = self.size
+        if isinstance(x, RingElement):
+            self._check(w, x)
+            op = x.circulant
+        else:
+            self._check(w)
+            op = x
         halves = w.coeffs.reshape(2, self.n, 2).transpose(0, 2, 1)
-        c = (self._left(halves, self._twist[1], (2, 2, size)) @ x.circulant).transpose(0, 2, 1)
-        c = c.astype(np.int64, order="C").reshape(size, 2)
+        c = (self._left(halves, self._twist[1], (2, 2, self.size)) @ op).transpose(0, 2, 1)
+        c = c.astype(np.int64, order="C")
         c %= self.p
-        return RingElement(self, c)
+        return c if op is x else RingElement(self, c.reshape(self.size, 2))
 
     def cross_operands(self, a: RingElement, g: RingElement) -> tuple[RingElement, RingElement]:
         """(u + v y, v + u y) for u = a_C * G and v = a_C * sigma(G) in

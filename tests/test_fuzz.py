@@ -15,6 +15,7 @@ from sdgr.kem import (
     kem_encaps,
     kem_keygen,
     pack_bits,
+    rep_ciphertext,
     rep_len,
     unpack_bits,
 )
@@ -127,12 +128,15 @@ def test_decode_elements_returns_or_raises_value_error(count_ring_data):
 def test_decode_ciphertext_returns_or_raises_value_error(ring_data):
     ring, data = ring_data
     try:
-        c = decode_ciphertext(ring, data)
+        c, chunks, padded = decode_ciphertext(ring, data)
     except ValueError:
         assert len(data) != 2 * rep_len(ring)
         return
     _assert_canonical(ring, c.c1)
     _assert_canonical(ring, c.c2)
+    assert (chunks % ring.p).tolist() == [c.c1.coeffs.tolist(), c.c2.coeffs.tolist()]
+    # the raw chunks and the padding flag tell exactly the canonical encodings
+    assert (padded and chunks.max() < ring.p) == (rep_ciphertext(c) == data)
 
 
 @settings(max_examples=300, deadline=None)

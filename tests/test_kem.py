@@ -2,6 +2,7 @@ import hashlib
 import random
 import re
 
+import numpy as np
 import pytest
 
 import sdgr.kem
@@ -21,7 +22,8 @@ from sdgr.kem import (
     rep_ring,
     unpack_bits,
 )
-from sdgr.params import make_params
+from sdgr.params import PARAM_SETS, Params, make_params
+from sdgr.pke import pke_enc, sample_message
 from sdgr.skewring import SkewRing, SubspaceTag
 
 
@@ -102,8 +104,9 @@ def test_ciphertext_roundtrip(p19_params, rng):
     c = pke_enc(m, kp.pk, sample_randomness(p19_params, rng), p19_params)
     blob = rep_ciphertext(c)
     assert len(blob) == 2 * rep_len(p19_params.ring)
-    back = decode_ciphertext(p19_params.ring, blob)
+    back, chunks, padded = decode_ciphertext(p19_params.ring, blob)
     assert back.c1 == c.c1 and back.c2 == c.c2
+    assert padded and chunks.tolist() == [c.c1.coeffs.tolist(), c.c2.coeffs.tolist()]
 
 
 # -- hash functions ------------------------------------------------------------
@@ -203,17 +206,18 @@ def test_kem_seeded_reproducibility(p19_params):
     assert c1 == c2 and k1 == k2
 
 
-def test_warm_kem_op_builds_three_operators(operator_builds, adjunct_calls):
-    # h and pk (kept by encaps_key and KemPrivate) keep their circulants and
-    # the long-term secret its (u, v), so a warm op builds the circulants of
-    # the ephemeral gamma2 in encaps, and of c1 and the re-encryption's gamma2
-    # in decaps; no full product operator and no adjunct is formed
+def test_warm_kem_op_builds_two_operators(operator_builds, adjunct_calls):
+    # h and pk live in the encaps key's kept operator, and the long-term
+    # secret keeps (u, v) and the circulants decryption multiplies c1 by, so
+    # a warm op builds the circulants of the ephemeral gamma2 in encaps and of
+    # the re-encryption's gamma2 in decaps, and none of c1; no full product
+    # operator and no adjunct is formed
     params = make_params("p41", seed=1)
     rng = random.Random(2)
     priv, pk_bytes = kem_keygen(params, rng)
     ct, key = kem_encaps(pk_bytes, params, rng)
     assert kem_decaps(priv, ct, params) == key
-    kept = {id(params.h), id(priv.pk), id(priv.sk.gamma), id(encaps_key(params.ring, pk_bytes)[0])}
+    kept = {id(params.h), id(priv.pk), id(priv.sk.gamma), *map(id, priv.sk.cross_operands)}
     for tampered in (False, True):
         operator_builds.clear()
         adjunct_calls.clear()
@@ -221,9 +225,9 @@ def test_warm_kem_op_builds_three_operators(operator_builds, adjunct_calls):
         if tampered:
             ct = bytes([ct[0] ^ 1]) + ct[1:]
         assert (kem_decaps(priv, ct, params) == key) is not tampered
-        assert [kind for kind, _ in operator_builds] == ["circulant"] * 3
+        assert [kind for kind, _ in operator_builds] == ["circulant"] * 2
         built = [b for _, b in operator_builds]
-        assert [params.ring.is_reversible(b) for b in built] == [True, False, True]
+        assert [params.ring.is_reversible(b) for b in built] == [True, True]
         assert not kept & {id(b) for b in built}
         assert adjunct_calls == []
 
@@ -259,6 +263,68 @@ def test_implicit_rejection_encodes_s_once(p19_params, rng, monkeypatch):
     assert [a for a in encoded if a is priv.s] == [priv.s]
 
 
+# -- non-canonical ciphertexts -------------------------------------------------
+
+
+@pytest.fixture(scope="module", params=sorted(PARAM_SETS))
+def kem_instance(request):
+    """(params, priv, [(ct, key)]) for a few honest encapsulations."""
+    params = make_params(request.param, seed=11)
+    rng = random.Random(12)
+    priv, pk_bytes = kem_keygen(params, rng)
+    return params, priv, [kem_encaps(pk_bytes, params, rng) for _ in range(3)]
+
+
+def _assert_rejected(priv, ct, params):
+    assert kem_decaps(priv, ct, params) == h2(rep_ring(priv.s) + ct, 128)
+
+
+def test_chunk_plus_p_is_rejected(kem_instance):
+    # a chunk c and c + p decode to the same element, so only the check that
+    # c is rep(c') tells the two ciphertexts apart
+    params, priv, cts = kem_instance
+    ring, p, size = params.ring, params.p, rep_len(params.ring)
+    w = ring.field.coeff_bits
+    forged = 0
+    for ct, key in cts:
+        assert kem_decaps(priv, ct, params) == key
+        for e in (0, 1):
+            part = ct[e * size : (e + 1) * size]
+            chunks = unpack_bits(part, w, 2 * ring.size)
+            for i in np.flatnonzero(chunks + p < 1 << w):
+                bad = chunks.copy()
+                bad[i] += p
+                bad_part = pack_bits(bad, w)
+                assert decode_ring(ring, bad_part) == decode_ring(ring, part)
+                _assert_rejected(priv, ct[: e * size] + bad_part + ct[(e + 1) * size :], params)
+                forged += 1
+    assert forged
+
+
+def test_padding_bit_is_rejected(kem_instance):
+    params, priv, cts = kem_instance
+    ring, size = params.ring, rep_len(params.ring)
+    pad = 8 * size - 2 * ring.size * ring.field.coeff_bits
+    assert (pad > 0) == (params.p in (19, 23, 31))
+    for ct, key in cts:
+        for e in (0, 1):
+            last = (e + 1) * size - 1
+            for bit in range(pad):
+                bad = bytearray(ct)
+                bad[last] |= 1 << bit
+                assert decode_ring(ring, bad[e * size : last + 1]) == decode_ring(ring, ct[e * size : last + 1])
+                _assert_rejected(priv, bytes(bad), params)
+
+
+def test_every_one_bit_flip_is_rejected(kem_instance):
+    params, priv, cts = kem_instance
+    ct, _ = cts[0]
+    for bit in range(8 * len(ct)):
+        bad = bytearray(ct)
+        bad[bit // 8] ^= 0x80 >> (bit % 8)
+        _assert_rejected(priv, bytes(bad), params)
+
+
 # -- encaps key cache ----------------------------------------------------------
 
 
@@ -275,12 +341,31 @@ def test_encaps_key_cache_keeps_outputs(p19_params):
 
 
 def test_encaps_key_belongs_to_the_callers_ring():
+    # the cache is keyed on the params, so no kept operator serves another
+    # Params, even one with an equal h on another ring
     first, second = make_params("p19", seed=5), make_params("p19", seed=5)
     assert first.ring is not second.ring
     _, pk_bytes = kem_keygen(first, random.Random(1))
+    encaps_key.cache_clear()
     for params in (first, second, first):
-        assert encaps_key(params.ring, pk_bytes)[0].ring is params.ring
         kem_encaps(pk_bytes, params, random.Random(2))
+    assert encaps_key.cache_info().misses == 3
+
+
+def test_kept_operator_follows_h(p19_params):
+    # two Params on one ring with different h: a cache keyed on the ring
+    # alone would encrypt under the other h's operator
+    ring = p19_params.ring
+    other = Params(ring=ring, h=ring.gen_public_element(random.Random(9)))
+    _, pk_bytes = kem_keygen(p19_params, random.Random(1))
+    pk = decode_ring(ring, pk_bytes)
+    cts = []
+    for params in (p19_params, other, p19_params, other):
+        ct, key = kem_encaps(pk_bytes, params, random.Random(2))
+        m = sample_message(params, random.Random(2))
+        assert ct == rep_ciphertext(pke_enc(m, pk, h1(rep_ring(m) + pk_bytes, params), params))
+        cts.append(ct)
+    assert cts[0] == cts[2] != cts[1] == cts[3]
 
 
 def test_encaps_key_errors_are_not_cached(p19_params, rng):
@@ -301,8 +386,9 @@ def test_encaps_key_takes_a_bytearray(p19_params, rng):
 
 def test_cached_encaps_key_is_read_only(p19_params, rng):
     _, pk_bytes = kem_keygen(p19_params, rng)
-    pk, rep_pk = encaps_key(p19_params.ring, pk_bytes)
+    rep_pk, op = encaps_key(p19_params, pk_bytes)
     assert rep_pk == pk_bytes
-    assert not pk.coeffs.flags.writeable
+    assert op.shape == (2, 2 * p19_params.n, 2 * p19_params.n)
+    assert not op.flags.writeable
     with pytest.raises(ValueError):
-        pk.coeffs[0, 0] = 1
+        op[0, 0, 0] = 1

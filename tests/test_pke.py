@@ -2,9 +2,12 @@ import random
 
 import pytest
 
-from sdgr.kex import kex_shared
+from sdgr.kex import SecretPair, kex_shared, public_value
+from sdgr.params import PARAM_SETS, Params, make_params
 from sdgr.pke import (
     Ciphertext,
+    enc_operator,
+    encrypt,
     pke_dec,
     pke_enc,
     pke_gen,
@@ -87,3 +90,60 @@ def test_seeded_reproducibility(p19_params):
     kp1 = pke_gen(p19_params, random.Random(7))
     kp2 = pke_gen(p19_params, random.Random(7))
     assert kp1.pk == kp2.pk
+
+
+# -- Enc as one product on the kept operator, Dec on the secret's circulants ------
+
+
+@pytest.fixture(scope="module", params=sorted(PARAM_SETS))
+def any_params(request):
+    return make_params(request.param, seed=1004)
+
+
+def _naive_key(sk, x):
+    """a * x * adjunct(gamma) through the naive product."""
+    ring = sk.a.ring
+    return ring.naive_product(ring.naive_product(sk.a, x), sk.gamma.adjunct())
+
+
+def _naive_enc(params, m, pk, r):
+    ring = params.ring
+    return Ciphertext(c1=ring.naive_product(ring.naive_product(r.a, params.h), r.gamma), c2=m + _naive_key(r, pk))
+
+
+def test_enc_is_public_value_and_masked_message(any_params, rng):
+    ring = any_params.ring
+    for pk in (pke_gen(any_params, rng).pk, ring.sample_ring(rng), ring.gen_public_element(rng)):
+        op = enc_operator(any_params, pk)
+        for _ in range(3):
+            m, r = sample_message(any_params, rng), sample_randomness(any_params, rng)
+            c = encrypt(m, op, r, any_params)
+            assert c == Ciphertext(c1=public_value(any_params, r), c2=m + kex_shared(r, pk))
+            assert c == _naive_enc(any_params, m, pk, r)
+            assert c == pke_enc(m, pk, r, any_params)
+
+
+def test_dec_is_c2_minus_kex_shared(any_params, rng):
+    # c1 an honest public value, an arbitrary (mixed) element, or one half only
+    ring = any_params.ring
+    sk = pke_gen(any_params, rng).sk
+    c1s = [public_value(any_params, sample_randomness(any_params, rng)), ring.sample_ring(rng)]
+    c1s += [ring.gen_public_element(rng), ring.sample_cn(rng), ring.sample_gamma(rng)]
+    for c1 in c1s:
+        c2 = ring.sample_ring(rng)
+        m = pke_dec(Ciphertext(c1=c1, c2=c2), sk)
+        assert m == c2 - kex_shared(sk, c1)
+        assert m == c2 - _naive_key(sk, c1)
+
+
+def test_all_p_minus_one_at_p41():
+    # every operand all p - 1 reaches the float64 bound n*(p-1)^2*(1+lam)
+    params = make_params("p41", seed=1004)
+    ring = params.ring
+    top = (ring.p - 1, ring.p - 1)
+    full = ring.element([top] * ring.size)
+    r = SecretPair(a=ring.element([top] * ring.n + [(0, 0)] * ring.n), gamma=ring.gamma_from_free([top] * ring.gamma_free_count()))
+    for h in (params.h, full):
+        top_params = Params(ring=ring, h=h)
+        assert pke_enc(full, full, r, top_params) == _naive_enc(top_params, full, full, r)
+    assert pke_dec(Ciphertext(c1=full, c2=full), r) == full - _naive_key(r, full)
