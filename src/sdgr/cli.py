@@ -6,13 +6,15 @@ by --seed or, without one, by system entropy; bench checks the cost model on
 fixed inputs and times nothing (perfbench/ is the benchmark).  Exit codes:
 0 success, 1 missing or unreadable file, 2 checksum failure, bad file format,
 or a file longer than 1024 bytes (sdgr writes none that long), 3 a file that
-passes its checksum but does not fit the parameters, 4 solver guard violation.  Exit 3 covers: a params file that names no
-supported parameter set or holds a malformed h; a key or ciphertext header
-that differs from the params file's or whose l1 is not 0, 128, 192 or 256; a
-key payload of the wrong length; a private key whose a is not a non-zero
-element of C_n or whose gamma is not a non-zero reversible element, or
-whose pk is not the public value a * h * gamma of that secret.  A
-ciphertext payload of any length under the file-size cap gets a key by
+passes its checksum but does not fit the parameters, 4 solver guard
+violation.  Exit 3 covers: a params file that names no supported parameter
+set or holds a malformed h; a key or ciphertext header that differs from
+the params file's or whose l1 is not 0, 128, 192 or 256; a params or key
+payload that is not the canonical encoding of its elements (wrong length, a
+coefficient chunk >= p, or a padding bit set); a private key whose a is not
+a non-zero element of C_n or whose gamma is not a non-zero reversible
+element, or whose pk is not the public value a * h * gamma of that secret.
+A ciphertext payload of any length under the file-size cap gets a key by
 implicit rejection.
 """
 
@@ -61,7 +63,7 @@ def _load_params_file(path: str) -> Params:
         raise ParameterError(f"unsupported parameters p={p}, m={header.m}, n={n}, lambda={lam}")
     ring = SkewRing(p, n)
     try:
-        return Params(ring=ring, h=kem.decode_ring(ring, payload))
+        return Params(ring=ring, h=kem.decode_elements(ring, payload, 1)[0])
     except ValueError as exc:
         raise ParameterError(f"malformed params file: {exc}") from exc
 

@@ -4,6 +4,10 @@ Implements executable challengers for the product-decomposition (SDPD),
 computational (CSDP), and decisional (DSDP) games, an exhaustive SDPD
 solver with a search-space guard, and the subspace-membership distinguisher
 that wins DSDP when the public element degenerates to a single summand.
+
+The challengers and sdpd_verify compute a h gamma and a pk adjunct(gamma) by
+sdgr.kex's closed forms, one cross_mul each on h's or pk's kept circulants:
+they hold for any h and pk, a on C_n and reversible gamma, zero included.
 """
 
 from __future__ import annotations
@@ -60,12 +64,17 @@ def _sample_pair(ring: SkewRing, rng) -> tuple[RingElement, RingElement]:
     return ring.sample_cn(rng), ring.sample_gamma(rng)
 
 
+def _public(params: GameParams, a: RingElement, gamma: RingElement) -> RingElement:
+    """a * h * gamma for a on C_n and reversible gamma."""
+    return params.ring.cross_mul(params.ring.cross_operands(a, gamma)[1], params.h)
+
+
 # -- Game 1: decomposition ----------------------------------------------------
 
 
 def sdpd_challenge(params: GameParams, rng) -> tuple[SdpdInstance, tuple[RingElement, RingElement]]:
     a, gamma = _sample_pair(params.ring, rng)
-    pk = a * params.h * gamma
+    pk = _public(params, a, gamma)
     return SdpdInstance(params=params, pk=pk), (a, gamma)
 
 
@@ -77,7 +86,7 @@ def sdpd_verify(inst: SdpdInstance, a: RingElement, gamma: RingElement) -> bool:
         raise ValueError("candidate a must be supported on C_n")
     if not ring.is_reversible(gamma):
         raise ValueError("candidate gamma must lie in the reversible subspace")
-    return a * inst.params.h * gamma == inst.pk
+    return _public(inst.params, a, gamma) == inst.pk
 
 
 def sdpd_search_space(ring: SkewRing) -> int:
@@ -111,9 +120,10 @@ def csdp_challenge(params: GameParams, rng) -> tuple[CsdpInstance, RingElement]:
     ring = params.ring
     a1, g1 = _sample_pair(ring, rng)
     a2, g2 = _sample_pair(ring, rng)
-    pk1 = a1 * params.h * g1
-    pk2 = a2 * params.h * g2
-    k = ring.mul_adjunct(a2 * pk1, g2)
+    pk1 = _public(params, a1, g1)
+    w2 = ring.cross_operands(a2, g2)
+    pk2 = ring.cross_mul(w2[1], params.h)
+    k = ring.cross_mul(w2[0], pk1)
     inst = CsdpInstance(params=params, pk1=pk1, pk2=pk2, _k=k)
     return inst, k
 
@@ -137,7 +147,7 @@ def dsdp_challenge(params: GameParams, b: int, rng) -> DsdpInstance:
     # the CSDP instance, then a third pair: k is its key (b = 0) or a3 h gamma3
     inst, k0 = csdp_challenge(params, rng)
     a3, g3 = _sample_pair(params.ring, rng)
-    k = k0 if b == 0 else a3 * params.h * g3
+    k = k0 if b == 0 else _public(params, a3, g3)
     return DsdpInstance(params=params, pk1=inst.pk1, pk2=inst.pk2, k=k, _hidden_bit=b)
 
 

@@ -94,15 +94,18 @@ def unpack_elements(ring: SkewRing, data: bytes, count: int) -> tuple[np.ndarray
 
 
 def decode_elements(ring: SkewRing, data: bytes, count: int) -> list[RingElement]:
-    """Inverse of concatenating `count` rep_ring encodings, reducing chunks
-    mod p; raises ValueError unless data is exactly that long."""
-    return [RingElement(ring, chunk % ring.p) for chunk in unpack_elements(ring, data, count)[0]]
+    """Inverse of concatenating `count` rep_ring encodings; raises ValueError
+    unless data is exactly such a concatenation (chunks below p, zero padding)."""
+    chunks, padded = unpack_elements(ring, data, count)
+    if not padded or np.count_nonzero(chunks >= ring.p):
+        raise ValueError("non-canonical encoding: a coefficient chunk >= p or a padding bit set")
+    return [RingElement(ring, chunk) for chunk in chunks]
 
 
 def decode_ring(ring: SkewRing, data: bytes) -> RingElement:
     """Inverse of rep_ring.  Out-of-range chunks are reduced mod p, so decoding
     never rejects; kem_decaps rejects non-canonical ciphertexts itself."""
-    return decode_elements(ring, data, 1)[0]
+    return RingElement(ring, unpack_elements(ring, data, 1)[0][0] % ring.p)
 
 
 def decode_ciphertext(ring: SkewRing, data: bytes) -> tuple[Ciphertext, np.ndarray, bool]:

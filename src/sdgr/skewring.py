@@ -5,18 +5,17 @@ i < n holds the coefficient of x^i, index n+i the coefficient of x^i y.
 Coefficients are stored as an (2n, 2) int64 numpy array so that a skew
 product is one float64 matmul: a (2, 4n) left matrix built from a carries
 the F_{q^2} arithmetic, and the (4n, 2n) operator it multiplies is gathered
-once per right operand and kept on it.  Flipping the sign of the left
-matrix's second half gives a * sigma(b) on the same operator, which is
-a * adjunct(b) for b on C_n y.  The schemes need only products in the
-commutative F_{q^2}[C_n] of an element's two halves (cross_mul): one batched
-matmul of the same left matrices with the (2, 2n, n) circulants kept on the
-right operand, or with several elements' circulants side by side in an
-operator the caller keeps.  Every predicate on
-coefficients (zero, equal, support, palindrome) is one np.count_nonzero, a
-direct C call: on arrays this small, the Python-level wrappers behind
-ndarray.any and whole-array equality cost several times more.  A naive loop
-over pairs of basis terms that works directly on formal sums is kept as an
-independent oracle, and the cost model counts that same loop.
+once per right operand and kept on it.  The schemes and the game
+challengers need only products in the commutative F_{q^2}[C_n] of an
+element's two halves (cross_mul): one batched matmul of the same left
+matrices with the (2, 2n, n) circulants kept on the right operand, or with
+several elements' circulants side by side in an operator the caller keeps.
+Every predicate on coefficients (zero, equal, support, palindrome) is one
+np.count_nonzero, a direct C call: on arrays this small, the Python-level
+wrappers behind ndarray.any and whole-array equality cost several times
+more.  A naive loop over pairs of basis terms that works directly on formal
+sums is kept as an independent oracle, and the cost model counts that same
+loop.
 """
 
 from __future__ import annotations
@@ -129,9 +128,9 @@ class SkewRing:
         # (v*2n + i, k) is F_p part v of the coefficient a_i multiplies in c_k
         g = gather_index(n)
         self._gather = np.concatenate([2 * g, 2 * g + 1], axis=0)
-        # by sign: the factors on (a1, a0) in the left matrix's second half
-        self._twist = {s: s * np.array([[self.field.lam], [1.0]]) for s in (1, -1)}
-        self._twists = np.stack([self._twist[1], self._twist[-1]])
+        # the factors on (a1, a0) in the left matrix's second half, and with their negation
+        self._twist = np.array([[self.field.lam], [1.0]])
+        self._twists = np.stack([self._twist, -self._twist])
         # index into the flattened (2n, 2) coefficients: entry (h, v*n + i, k)
         # is F_p part v of the coefficient of x^(k-i) in the C_n y half (h = 0)
         # or in the C_n half (h = 1)
@@ -194,23 +193,8 @@ class SkewRing:
         sum is an integer of absolute value at most 2n*(p-1)^2*(1+lam), which
         the constructor keeps below 2^53, so the matmul and the cast are exact.
         """
-        return self._product(a, b, 1)
-
-    def mul_adjunct(self, x: RingElement, g: RingElement) -> RingElement:
-        """x * adjunct(g) for g on C_n y, where adjunct(g) = sigma(g)
-        coefficient-wise (reflections are involutions with theta = sigma).
-        sigma(g) has operator parts (B0, -B1), so this is mul's matmul on g's
-        kept operator with the left matrix's second half negated; its signed
-        sums keep mul's bound, and the int64 % maps them into [0, p)."""
-        if np.count_nonzero(g.coeffs[: self.n]):
-            raise ValueError("mul_adjunct needs g supported on C_n y")
-        return self._product(x, g, -1)
-
-    def _product(self, a: RingElement, b: RingElement, sign: int) -> RingElement:
-        """a * b for sign 1, a * sigma(b) for sign -1: the one kernel of mul
-        and mul_adjunct."""
         self._check(a, b)
-        c = (self._left(a.coeffs.T, self._twist[sign], (2, 2 * self.size)) @ b.right_operator).T
+        c = (self._left(a.coeffs.T, self._twist, (2, 2 * self.size)) @ b.right_operator).T
         c = c.astype(np.int64, order="C")
         c %= self.p
         return RingElement(self, c)
@@ -218,9 +202,9 @@ class SkewRing:
     @staticmethod
     def _left(a_t: np.ndarray, twist: np.ndarray, shape: tuple) -> np.ndarray:
         """The float64 left matrix [[a0, lam*a1], [a1, a0]] of the F_p parts
-        a_t = [a0; a1] of m coefficients, its second half times the twist's
-        sign, in a new array of shape (..., 2, 2m): for a stack of blocks a_t
-        (..., 2, m), or for one block under the stack of twists (2, 2, 1).
+        a_t = [a0; a1] of m coefficients, in a new array of shape (..., 2, 2m):
+        for a stack of blocks a_t (..., 2, m) under the twist, or for one
+        block under the stack of twists (2, 2, 1), the second negated.
         The callers pass the shape, which costs less than deriving it."""
         m = shape[-1] // 2
         left = np.empty(shape)
@@ -251,7 +235,7 @@ class SkewRing:
             self._check(w)
             op = x
         halves = w.coeffs.reshape(2, self.n, 2).transpose(0, 2, 1)
-        c = (self._left(halves, self._twist[1], (2, 2, self.size)) @ op).transpose(0, 2, 1)
+        c = (self._left(halves, self._twist, (2, 2, self.size)) @ op).transpose(0, 2, 1)
         c = c.astype(np.int64, order="C")
         c %= self.p
         return c if op is x else RingElement(self, c.reshape(self.size, 2))

@@ -11,7 +11,7 @@ import pytest
 from sdgr import cli, fileio, games
 from sdgr.cli import EXIT_CHECKSUM, EXIT_GUARD, EXIT_OK, EXIT_PARAM_MISMATCH, main
 from sdgr.fileio import HEADER_LEN, MAX_FILE_LEN, Header, crc64, read_file, write_file
-from sdgr.kem import rep_len, rep_ring
+from sdgr.kem import pack_bits, rep_len, rep_ring, unpack_bits
 from sdgr.params import PARAM_SETS, make_params
 from sdgr.skewring import SkewRing
 
@@ -123,10 +123,30 @@ def _swap(payload, index, element):
     return payload[: index * size] + rep_ring(element) + payload[(index + 1) * size :]
 
 
+def _chunk_plus_p(payload, index):
+    """payload with p added to the first chunk of its index-th ring element
+    that stays below 2^w: it passes the CRC and reduces to the same element."""
+    size, w = rep_len(P19), P19.field.coeff_bits
+    chunks = unpack_bits(payload[index * size : (index + 1) * size], w, 2 * P19.size)
+    chunks[np.argmax(chunks + P19.p < 1 << w)] += P19.p
+    return payload[: index * size] + pack_bits(chunks, w) + payload[(index + 1) * size :]
+
+
+def _padding_bit(payload):
+    """payload with the last padding bit of its last ring element set."""
+    return payload[:-1] + bytes([payload[-1] | 1])
+
+
 # file to re-seal with a valid CRC -> (header, payload) -> (header, payload)
 HOSTILE_FILES = {
     "pub-short": {"pub": lambda h, pl: (h, pl[:-1])},
     "pub-long": {"pub": lambda h, pl: (h, pl + b"\x00")},
+    "pub-chunk-plus-p": {"pub": lambda h, pl: (h, _chunk_plus_p(pl, 0))},
+    "pub-padding-bit": {"pub": lambda h, pl: (h, _padding_bit(pl))},
+    **{
+        f"priv-{name}-chunk-plus-p": {"priv": lambda h, pl, i=i: (h, _chunk_plus_p(pl, i))}
+        for i, name in enumerate(("s", "a", "gamma", "pk"))
+    },
     "priv-gamma-zero": {"priv": lambda h, pl: (h, _swap(pl, 2, P19.zero()))},
     "priv-a-off-cn": {"priv": lambda h, pl: (h, _swap(pl, 1, P19.basis(19)))},
     # unchecked, decaps would re-encrypt under this pk and print a wrong key
@@ -303,8 +323,10 @@ def p19_h_payload():
         lambda rep, ring: rep[:-1],  # payload one byte short
         lambda rep, ring: rep + b"\x00",  # payload one byte long
         lambda rep, ring: rep_ring(ring.one()),  # h supported on C_n only
+        lambda rep, ring: _chunk_plus_p(rep, 0),  # h's encoding with a chunk >= p
+        lambda rep, ring: _padding_bit(rep),
     ],
-    ids=["short", "long", "h-not-mixed"],
+    ids=["short", "long", "h-not-mixed", "chunk-plus-p", "padding-bit"],
 )
 def test_malformed_params_payload_exits_3(tmp_path, capsys, p19_h_payload, mangle):
     payload = mangle(p19_h_payload, SkewRing(19, 19))

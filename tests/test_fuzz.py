@@ -17,6 +17,7 @@ from sdgr.kem import (
     pack_bits,
     rep_ciphertext,
     rep_len,
+    rep_ring,
     unpack_bits,
 )
 from sdgr.params import VALID_L1
@@ -109,18 +110,53 @@ def test_decode_ring_returns_or_raises_value_error(ring_data):
     _assert_canonical(ring, a)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(0, 4).flatmap(lambda count: st.tuples(st.just(count), _ring_and_bytes(count))))
+def _ring_and_encodings(count: int):
+    """A ring and `count` concatenated rep_ring encodings, drawn as their
+    coefficients, with at most one bit flipped: into a chunk >= p, into a
+    padding bit, or into another encoding."""
+    def draw(ring):
+        k = 2 * ring.size
+        values = st.lists(st.integers(0, ring.p - 1), min_size=count * k, max_size=count * k)
+        w = ring.field.coeff_bits
+        encodings = values.map(lambda v: b"".join(pack_bits(v[i * k : (i + 1) * k], w) for i in range(count)))
+        flip = st.one_of(st.none(), st.integers(0, 8 * count * rep_len(ring) - 1)) if count else st.none()
+        return st.tuples(st.just(ring), st.tuples(encodings, flip).map(_flipped))
+
+    return st.sampled_from(RINGS).flatmap(draw)
+
+
+def _flipped(encoding_bit):
+    data, bit = encoding_bit
+    if bit is None:
+        return data
+    out = bytearray(data)
+    out[bit // 8] ^= 0x80 >> (bit % 8)
+    return bytes(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 4).flatmap(
+        lambda count: st.tuples(st.just(count), st.one_of(_ring_and_bytes(count), _ring_and_encodings(count)))
+    )
+)
 def test_decode_elements_returns_or_raises_value_error(count_ring_data):
     count, (ring, data) = count_ring_data
+    # data is canonical iff re-encoding its lenient decoding gives it back
+    size = rep_len(ring)
+    canonical = len(data) == count * size and data == b"".join(
+        rep_ring(decode_ring(ring, data[i * size : (i + 1) * size])) for i in range(count)
+    )
     try:
         elems = decode_elements(ring, data, count)
     except ValueError:
-        assert len(data) != count * rep_len(ring)
+        assert not canonical
         return
+    assert canonical
     assert len(elems) == count
     for a in elems:
         _assert_canonical(ring, a)
+    assert b"".join(rep_ring(a) for a in elems) == data
 
 
 @settings(max_examples=200, deadline=None)

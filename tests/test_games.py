@@ -21,6 +21,8 @@ from sdgr.games import (
     unipotent_valuation,
     wilson_interval,
 )
+from sdgr import games
+from sdgr.params import PARAM_SETS
 from sdgr.skewring import SkewRing, SubspaceTag
 
 
@@ -229,3 +231,109 @@ def test_distinguisher_oracle_on_nonzero_keys(degenerate_game):
                 continue
             assert subspace_distinguisher(inst) == b
             checked += 1
+
+
+# -- the challengers' closed forms against the naive product --------------------
+
+
+def _game(name, kind, seed=31):
+    """GameParams with h mixed, on C_n only, or on C_n y only."""
+    ring = SkewRing(*PARAM_SETS[name])
+    rng = random.Random(seed)
+    if kind == "mixed":
+        return GameParams(ring=ring, h=ring.gen_public_element(rng))
+    h = ring.sample_cn(rng)
+    return GameParams(ring=ring, h=h if kind == "cn" else ring.element(np.roll(h.coeffs, ring.n, axis=0)))
+
+
+@pytest.fixture(
+    scope="module",
+    params=[(name, kind) for name in ("toy", "p19") for kind in ("mixed", "cn", "cny")],
+    ids=lambda param: "-".join(param),
+)
+def oracle_game(request):
+    return _game(*request.param)
+
+
+def _recorded_pairs(monkeypatch) -> list:
+    """Make the challengers draw their pairs as before, but with a = 0 on
+    every third draw and gamma = 0 on every fifth; returns the pairs drawn."""
+    drawn = []
+
+    def sample(ring, rng):
+        a, gamma = ring.sample_cn(rng), ring.sample_gamma(rng)
+        if len(drawn) % 3 == 1:
+            a = ring.zero()
+        if len(drawn) % 5 == 2:
+            gamma = ring.zero()
+        drawn.append((a, gamma))
+        return a, gamma
+
+    monkeypatch.setattr(games, "_sample_pair", sample)
+    return drawn
+
+
+def test_challengers_match_the_naive_product_chains(oracle_game, monkeypatch):
+    ring, h = oracle_game.ring, oracle_game.h
+    naive = ring.naive_product
+
+    def public(a, gamma):
+        return naive(naive(a, h), gamma)
+
+    def key(a2, g2, pk1):
+        return naive(naive(a2, pk1), g2.adjunct())
+
+    drawn = _recorded_pairs(monkeypatch)
+    rng = random.Random(8)
+    for _ in range(25):
+        inst, (a, gamma) = sdpd_challenge(oracle_game, rng)
+        assert inst.pk == public(a, gamma)
+        assert sdpd_verify(inst, a, gamma)
+        # another draw's pair verifies exactly when its product is pk
+        other = drawn[len(drawn) // 2]
+        assert sdpd_verify(inst, *other) == (public(*other) == inst.pk)
+
+        start = len(drawn)
+        csdp, k = csdp_challenge(oracle_game, rng)
+        (a1, g1), (a2, g2) = drawn[start:]
+        assert (csdp.pk1, csdp.pk2) == (public(a1, g1), public(a2, g2))
+        assert k == key(a2, g2, csdp.pk1)
+
+        for b in (0, 1):
+            start = len(drawn)
+            dsdp = dsdp_challenge(oracle_game, b, rng)
+            (a1, g1), (a2, g2), (a3, g3) = drawn[start:]
+            assert (dsdp.pk1, dsdp.pk2) == (public(a1, g1), public(a2, g2))
+            assert dsdp.k == (key(a2, g2, dsdp.pk1) if b == 0 else public(a3, g3))
+    assert len(drawn) >= 200
+    assert any(a.is_zero() for a, _ in drawn) and any(gamma.is_zero() for _, gamma in drawn)
+
+
+def test_sdpd_verify_rejects_candidates_off_their_subspaces(oracle_game, rng):
+    ring = oracle_game.ring
+    inst, (a, gamma) = sdpd_challenge(oracle_game, rng)
+    broken = gamma.coeffs.copy()
+    broken[ring.n + 1, 1] += 1  # the palindrome broken at x y
+    for bad_a in (ring.basis(ring.n), ring.gen_public_element(rng)):
+        with pytest.raises(ValueError, match="candidate a"):
+            sdpd_verify(inst, bad_a, gamma)
+    for bad_gamma in (ring.one(), ring.sample_cn(rng), ring.gen_public_element(rng), ring.element(broken)):
+        with pytest.raises(ValueError, match="candidate gamma"):
+            sdpd_verify(inst, a, bad_gamma)
+    assert sdpd_verify(inst, a, gamma)
+
+
+@pytest.mark.parametrize("name", ["toy", "p19"])
+@pytest.mark.parametrize("kind", ["mixed", "cn", "cny"])
+def test_warm_dsdp_trial_runs_no_skew_product(name, kind, monkeypatch, operator_builds):
+    params = _game(name, kind, seed=3)
+    rng = random.Random(4)
+    dsdp_challenge(params, 0, rng)  # warm-up
+    calls = []
+    mul = SkewRing.mul
+    monkeypatch.setattr(SkewRing, "mul", lambda *args: calls.append(args) or mul(*args))
+    dsdp_experiment(params, subspace_distinguisher, 20, rng)
+    assert calls == []
+    assert "right_operator" not in [built for built, _ in operator_builds]
+    # h's circulants are built in the warm-up and kept on h
+    assert [b for _, b in operator_builds if b is params.h] == [params.h]

@@ -122,7 +122,7 @@ def test_kex_shared_is_a_p_adjunct_gamma(any_params, rng):
         peers = [kex_keygen(any_params, rng)[1], pk, ring.sample_ring(rng), ring.gen_public_element(rng)]
         for peer_pk in peers:
             k = kex_shared(sk, peer_pk)
-            assert k == ring.mul_adjunct(sk.a * peer_pk, sk.gamma)
+            assert k == sk.a * peer_pk * sk.gamma.adjunct()
             assert k == _naive_shared(sk, peer_pk)
 
 
@@ -135,7 +135,7 @@ def test_all_p_minus_one_secret_and_peer_at_p41():
     peer_pk = ring.element([top] * ring.size)
     for h in (params.h, peer_pk):
         assert public_value(Params(ring=ring, h=h), sk) == sk.a * h * sk.gamma
-    assert kex_shared(sk, peer_pk) == ring.mul_adjunct(sk.a * peer_pk, sk.gamma)
+    assert kex_shared(sk, peer_pk) == sk.a * peer_pk * sk.gamma.adjunct()
     assert kex_shared(sk, peer_pk) == _naive_shared(sk, peer_pk)
 
 

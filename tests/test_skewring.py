@@ -23,6 +23,13 @@ def _shift_to_cny(ring, a):
     return ring.element(np.roll(a.coeffs, ring.n, axis=0))
 
 
+def _cn_part(ring, a):
+    """a with its C_n y part dropped."""
+    c = a.coeffs.copy()
+    c[ring.n :] = 0
+    return ring.element(c)
+
+
 def _cny_part(ring, a):
     """a with its C_n part dropped."""
     c = a.coeffs.copy()
@@ -119,6 +126,13 @@ def test_gather_index_inverts_cayley_rows(n):
         assert g[i].tolist() == (np.argsort(table[i]) + (size if i >= n else 0)).tolist()
 
 
+def _cross_operands_oracle(ring, a, g):
+    """(u + v y, v + u y) for u = a G and v = a sigma(G), g = G y, through the naive product."""
+    u = ring.naive_product(a, ring.phi(g))
+    v = ring.naive_product(a, ring.phi(g.adjunct()))
+    return u + _shift_to_cny(ring, v), v + _shift_to_cny(ring, u)
+
+
 def test_mul_rejects_rings_beyond_exact_float64():
     with pytest.raises(ValueError):
         SkewRing(2147483647, 1)
@@ -135,10 +149,13 @@ def test_mul_is_exact_at_the_float64_bound(rng):
     pairs = [(top, top)] + [(ring.sample_ring(rng), ring.sample_ring(rng)) for _ in range(20)]
     for a, b in pairs:
         assert ring.mul(a, b) == ring.naive_product(a, b)
-    # mul_adjunct's left matrix has negative entries, so its partial sums are signed
-    for x, g in pairs:
-        g = _cny_part(ring, g)
-        assert ring.mul_adjunct(x, g) == ring.naive_product(x, g.adjunct())
+    # cross_operands' left matrix has negative entries, so its partial sums are signed
+    top_gamma = ring.gamma_from_free([(p - 1, p - 1)] * ring.gamma_free_count())
+    cases = [(ring.sample_cn(rng), ring.sample_gamma(rng)) for _ in range(20)]
+    cases += [(_cn_part(ring, top), g) for g in (top_gamma, ring.sample_gamma(rng))]
+    cases.append((ring.sample_cn(rng), top_gamma))
+    for a, g in cases:
+        assert ring.cross_operands(a, g) == _cross_operands_oracle(ring, a, g)
 
 
 def test_ring_axioms_random(toy_ring, rng):
@@ -270,18 +287,12 @@ def _predicate_inputs(ring, rng):
 @pytest.mark.parametrize("name", ["toy", "p19", "p41"])
 def test_predicates_match_any_and_array_equal(name, rng):
     ring = SkewRing(*PARAM_SETS[name])
-    x = ring.sample_ring(rng)
     elems = list(_predicate_inputs(ring, rng))
     for a in elems:
         zero, tag, reversible = _reference_predicates(ring, a)
         assert a.is_zero() == zero
         assert ring.classify(a) is tag
         assert ring.is_reversible(a) == reversible
-        if a.coeffs[: ring.n].any():
-            with pytest.raises(ValueError, match="supported on C_n y"):
-                ring.mul_adjunct(x, a)
-        else:
-            ring.mul_adjunct(x, a)
     for a in elems[:60]:
         assert a == ring.element(a.coeffs.tolist())
         for b in elems[:60]:
@@ -417,39 +428,7 @@ def test_cross_ring_product_builds_no_operator(r19, rng, operator_builds):
     for a, b in ((mine, other), (other, mine)):
         with pytest.raises(ValueError):
             r19.mul(a, b)
-        # g on C_n y, so only the ring check can reject it
-        with pytest.raises(ValueError):
-            r19.mul_adjunct(a, _cny_part(b.ring, b))
     assert operator_builds == []
-
-
-# -- x * adj(g) -------------------------------------------------------------
-
-
-@pytest.mark.parametrize("p,n", ORACLE_RINGS[:-1])
-def test_mul_adjunct_basis_pairs(p, n):
-    ring = SkewRing(p, n)
-    for i in range(ring.size):
-        x = ring.basis(i, (1, 2))
-        for j in range(n, ring.size):
-            g = ring.basis(j, (2, 1))
-            assert ring.mul_adjunct(x, g) == ring.naive_product(x, g.adjunct())
-
-
-@pytest.mark.parametrize("p", [19, 41])
-def test_mul_adjunct_random_pairs(p, rng):
-    ring = SkewRing(p, p)
-    for _ in range(5):
-        x = ring.sample_ring(rng)
-        for g in (_cny_part(ring, ring.sample_ring(rng)), ring.sample_gamma(rng)):
-            assert ring.mul_adjunct(x, g) == ring.naive_product(x, g.adjunct())
-
-
-def test_mul_adjunct_rejects_cn_part(r19, rng):
-    x = r19.sample_ring(rng)
-    for g in (r19.one(), r19.basis(1) + r19.basis(r19.n), r19.gen_public_element(rng)):
-        with pytest.raises(ValueError):
-            r19.mul_adjunct(x, g)
 
 
 # -- products in F_{q^2}[C_n] ----------------------------------------------------
@@ -457,9 +436,7 @@ def test_mul_adjunct_rejects_cn_part(r19, rng):
 
 def _halves(ring, z):
     """(z_C, z_Y) as elements of C_n, for z = z_C + z_Y y."""
-    cn = z.coeffs.copy()
-    cn[ring.n :] = 0
-    return ring.element(cn), ring.phi(_cny_part(ring, z))
+    return _cn_part(ring, z), ring.phi(_cny_part(ring, z))
 
 
 def _cross_oracle(ring, w, x):
@@ -494,9 +471,7 @@ def test_cross_operands_are_a_g_and_a_sigma_g(p, rng):
     cases = [(ring.sample_cn(rng), ring.sample_gamma(rng)) for _ in range(5)]
     cases.append((ring.element([top] * p + [(0, 0)] * p), ring.gamma_from_free([top] * ring.gamma_free_count())))
     for a, g in cases:
-        u = ring.naive_product(a, ring.phi(g))
-        v = ring.naive_product(a, ring.phi(g.adjunct()))
-        assert ring.cross_operands(a, g) == (u + _shift_to_cny(ring, v), v + _shift_to_cny(ring, u))
+        assert ring.cross_operands(a, g) == _cross_operands_oracle(ring, a, g)
 
 
 def test_reused_cross_operand_is_built_once(r19, rng, operator_builds):
