@@ -107,7 +107,7 @@ def cmd_keygen(args) -> int:
         + kem.rep_ring(priv.sk.gamma)
         + pk_bytes
     )
-    fileio.write_file(args.out, _params_header(params, args.l1), payload)
+    fileio.write_file(args.out, _params_header(params, args.l1), payload, mode=0o600)
     fileio.write_file(args.pub, _params_header(params, args.l1), pk_bytes)
     print(f"wrote {args.out} and {args.pub}")
     return EXIT_OK
@@ -231,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("keygen", help="generate a KEM keypair")
     p.add_argument("--params", required=True)
-    p.add_argument("--out", required=True, help="private key file")
+    p.add_argument("--out", required=True, help="private key file (created with mode 0600)")
     p.add_argument("--pub", required=True, help="public key file")
     p.add_argument("--l1", type=int, default=128, choices=VALID_L1)
     p.add_argument("--seed", type=int)

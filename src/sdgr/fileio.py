@@ -6,10 +6,21 @@ and a trailing CRC-64/XZ checksum over everything before it.  The checksum
 distinguishes file corruption from cryptographic rejection; decapsulation
 itself never signals rejection.  A file longer than MAX_FILE_LEN is refused
 before its checksum is computed, so a read costs bounded time and memory.
+
+A file is written in place: opened without O_TRUNC, overwritten from its
+first byte, and cut to length only when the old file was longer.  Opening
+with O_TRUNC ("wb") would truncate a non-empty file to zero, and on ext4
+(default auto_da_alloc) closing a file truncated that way and rewritten
+forces a flush to disk: about 50 ms per file, most of an `sdgr encaps`
+process.  The write is not atomic; a torn write (new bytes over part of the
+old file, or the old tail not yet cut) fails the checksum and reads as a
+FileFormatError.  Symlinks and hard links are written through, and an
+existing file keeps its mode; `mode` applies only to a file this creates.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -77,10 +88,16 @@ def decode_header(data: bytes) -> Header:
     return Header(p=p, m=m, n=n, lam=lam, l1=l1_bytes * 8)
 
 
-def write_file(path, header: Header, payload: bytes) -> None:
+def write_file(path, header: Header, payload: bytes, mode: int = 0o666) -> None:
     body = header.encode() + payload
-    with open(path, "wb") as fh:
-        fh.write(body + crc64(body).to_bytes(8, "big"))
+    data = body + crc64(body).to_bytes(8, "big")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), mode)
+    with open(fd, "wb") as fh:
+        # ftruncate raises EINVAL on /dev/null and pipes, whose size reads 0
+        longer = os.fstat(fd).st_size > len(data)
+        fh.write(data)
+        if longer:
+            fh.truncate()
 
 
 def read_file(path) -> tuple[Header, bytes]:

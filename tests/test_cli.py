@@ -275,6 +275,38 @@ def test_unreadable_file_exits_1(tmp_path, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_rewriting_shorter_files_in_place(tmp_path, capsys):
+    """p41 files, then shorter p19 files and a shorter ciphertext, written to
+    the same paths: each rewrite is cut to its own length, so every decaps
+    reads the files just written and prints the key of the encaps before it."""
+    params, priv, pub, ct = (str(tmp_path / f"{k}.bin") for k in ("params", "priv", "pub", "ct"))
+    keys = ["keygen", "--params", params, "--out", priv, "--pub", pub, "--l1", "256", "--seed", "2"]
+    assert main(["params", "--set", "p41", "--seed", "1", "--out", params]) == EXIT_OK
+    assert main(keys) == EXIT_OK
+    assert main(["encaps", "--params", params, "--pub", pub, "--out", ct, "--l1", "256", "--seed", "3"]) == EXIT_OK
+    sizes = {path: os.path.getsize(path) for path in (params, priv, pub, ct)}
+    assert main(["params", "--set", "p19", "--seed", "1", "--out", params]) == EXIT_OK
+    assert main(keys) == EXIT_OK
+    for l1, seed in (("256", "4"), ("128", "5")):
+        capsys.readouterr()
+        assert main(["encaps", "--params", params, "--pub", pub, "--out", ct, "--l1", l1, "--seed", seed]) == EXIT_OK
+        enc_key = capsys.readouterr().out.strip()
+        assert main(["decaps", "--params", params, "--priv", priv, "--in", ct]) == EXIT_OK
+        assert capsys.readouterr().out.strip() == enc_key
+    assert all(os.path.getsize(path) < size for path, size in sizes.items())
+    assert main(["encaps", "--params", params, "--pub", pub, "--out", os.devnull]) == EXIT_OK
+
+
+def test_private_key_is_created_owner_only(tmp_path, capsys):
+    old_umask = os.umask(0o022)
+    try:
+        _, priv, pub, _ = _make_files(tmp_path)
+    finally:
+        os.umask(old_umask)
+    assert priv.stat().st_mode & 0o077 == 0
+    assert pub.stat().st_mode & 0o777 == 0o644
+
+
 def test_toy_warning(tmp_path, capsys):
     out = tmp_path / "toy.bin"
     assert main(["params", "--set", "toy", "--seed", "1", "--out", str(out)]) == EXIT_OK
