@@ -231,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("keygen", help="generate a KEM keypair")
     p.add_argument("--params", required=True)
-    p.add_argument("--out", required=True, help="private key file (created with mode 0600)")
+    p.add_argument("--out", required=True, help="private key file (made owner-only: 0600)")
     p.add_argument("--pub", required=True, help="public key file")
     p.add_argument("--l1", type=int, default=128, choices=VALID_L1)
     p.add_argument("--seed", type=int)

@@ -1,8 +1,9 @@
 """The dihedral group D_2n = <x, y : x^n = y^2 = 1, y x y^-1 = x^-1>.
 
 Elements x^i y^j are encoded as the integer k = j*n + i.  The closed-form
-index formulas are what the ring and the cost model use; the 2n x 2n Cayley
-table of ``build_table`` is a reference they are tested against.
+product index serves pair_product (the ring's oracle and the cost model),
+not the vectorized kernels; the 2n x 2n Cayley table of ``build_table`` is
+a reference the formulas are tested against.
 """
 
 from __future__ import annotations

@@ -14,13 +14,16 @@ with O_TRUNC ("wb") would truncate a non-empty file to zero, and on ext4
 forces a flush to disk: about 50 ms per file, most of an `sdgr encaps`
 process.  The write is not atomic; a torn write (new bytes over part of the
 old file, or the old tail not yet cut) fails the checksum and reads as a
-FileFormatError.  Symlinks and hard links are written through, and an
-existing file keeps its mode; `mode` applies only to a file this creates.
+FileFormatError.  Symlinks and hard links are written through.  `mode` is
+the mode of a file this creates; an existing regular file first loses the
+permission bits `mode` does not grant (so a private key written with 0o600
+over a world-readable file is owner-only), and other files keep theirs.
 """
 
 from __future__ import annotations
 
 import os
+import stat
 import struct
 from dataclasses import dataclass
 
@@ -93,8 +96,11 @@ def write_file(path, header: Header, payload: bytes, mode: int = 0o666) -> None:
     data = body + crc64(body).to_bytes(8, "big")
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), mode)
     with open(fd, "wb") as fh:
+        st = os.fstat(fd)
+        if stat.S_ISREG(st.st_mode) and stat.S_IMODE(st.st_mode) & ~mode:
+            os.fchmod(fd, stat.S_IMODE(st.st_mode) & mode)
         # ftruncate raises EINVAL on /dev/null and pipes, whose size reads 0
-        longer = os.fstat(fd).st_size > len(data)
+        longer = st.st_size > len(data)
         fh.write(data)
         if longer:
             fh.truncate()

@@ -5,7 +5,11 @@ i < n holds the coefficient of x^i, index n+i the coefficient of x^i y.
 Coefficients are stored as an (2n, 2) int64 numpy array so that a skew
 product is one float64 matmul: a (2, 4n) left matrix built from a carries
 the F_{q^2} arithmetic, and the (4n, 2n) operator it multiplies is gathered
-once per right operand and kept on it.  The schemes and the game
+once per right operand and kept on it.  With a = a_C + a_Y y, a_C and a_Y
+in F_{q^2}[C_n], and rho(z)(x) = sigma(z)(x^-1), a*b = (a_C*b_C +
+a_Y*rho(b_Y)) + (a_C*b_Y + a_Y*rho(b_C)) y, so the operator is the
+circulants of b_C, b_Y, rho(b_Y) and rho(b_C), from the one circulant
+index that cross_mul gathers through.  The schemes and the game
 challengers need only products in the commutative F_{q^2}[C_n] of an
 element's two halves (cross_mul): one batched matmul of the same left
 matrices with the (2, 2n, n) circulants kept on the right operand, or with
@@ -13,9 +17,9 @@ several elements' circulants side by side in an operator the caller keeps.
 Every predicate on coefficients (zero, equal, support, palindrome) is one
 np.count_nonzero, a direct C call: on arrays this small, the Python-level
 wrappers behind ndarray.any and whole-array equality cost several times
-more.  A naive loop over pairs of basis terms that works directly on formal
-sums is kept as an independent oracle, and the cost model counts that same
-loop.
+more.  A naive loop over pairs of basis terms that works directly on
+formal sums is kept as an independent oracle, and the cost model counts
+that same loop.
 """
 
 from __future__ import annotations
@@ -97,21 +101,6 @@ class RingElement:
         return f"RingElement(n={self.ring.n}, coeffs={[tuple(c) for c in self.coeffs.tolist()]})"
 
 
-def gather_index(n: int) -> np.ndarray:
-    """G[i, k] = j such that g_i * g_j = g_k, plus 2n on the reflection rows.
-
-    From the dihedral relations: a rotation x^i reaches x^k (or x^k y) from
-    x^(k-i) (or x^(k-i) y); a reflection x^i y reaches x^k from x^(i-k) y and
-    x^k y from x^(i-k).  The 2n offset points reflection rows at sigma(b) in
-    the stacked vector [b; sigma(b)] that the product gathers from.
-    """
-    i = np.arange(n)[:, None]
-    k = np.arange(n)[None, :]
-    rot = (k - i) % n
-    ref = (i - k) % n + 2 * n
-    return np.block([[rot, rot + n], [ref + n, ref]])
-
-
 class SkewRing:
     """F_{q^2}^theta D_2n with theta sending reflections to the Frobenius."""
 
@@ -124,10 +113,6 @@ class SkewRing:
         self.p = p
         self.n = n
         self.size = 2 * n
-        # index into the flattened (4n, 2) stack [b; sigma(b)]: entry
-        # (v*2n + i, k) is F_p part v of the coefficient a_i multiplies in c_k
-        g = gather_index(n)
-        self._gather = np.concatenate([2 * g, 2 * g + 1], axis=0)
         # the factors on (a1, a0) in the left matrix's second half, and with their negation
         self._twist = np.array([[self.field.lam], [1.0]])
         self._twists = np.stack([self._twist, -self._twist])
@@ -189,9 +174,11 @@ class SkewRing:
         With B0, B1 the F_p parts of b's kept (4n, 2n) operator [B0; B1] (see
         right_operator), c = (a0*B0 + lam*a1*B1) + (a1*B0 + a0*B1) t: one
         float64 matmul of the (2, 4n) left matrix [[a0, lam*a1], [a1, a0]]
-        with the operator, cast to int64 and reduced mod p.  Every partial
+        with the operator, cast to int64 and reduced mod p.  The operator's rho
+        blocks hold entries in (-p, p), so |entry| <= p-1 and every partial
         sum is an integer of absolute value at most 2n*(p-1)^2*(1+lam), which
-        the constructor keeps below 2^53, so the matmul and the cast are exact.
+        the constructor keeps below 2^53: the matmul and the cast are exact,
+        and the int64 % maps the signed sums into [0, p).
         """
         self._check(a, b)
         c = (self._left(a.coeffs.T, self._twist, (2, 2 * self.size)) @ b.right_operator).T
@@ -269,17 +256,19 @@ class SkewRing:
 
     def right_operator(self, b: RingElement) -> np.ndarray:
         """The read-only (4n, 2n) float64 operator of x -> x * b, kept by
-        RingElement.right_operator: the F_p parts [B0; B1] stacked, one gather
-        from the stacked [b; sigma(b)] putting part v of the b_j that a_i
-        meets in c_k at (v*2n + i, k).  The F_p matrix of x -> x * b is
-        [[B0, B1], [lam*B1, B0]]."""
+        RingElement.right_operator: the F_p parts [B0; B1] stacked, part v of the
+        coefficient a_i multiplies in c_k at (v*2n + i, k).  Its circulant
+        blocks (see the module docstring) come from one gather: circ(rho z)_v
+        is circ(z)_v transposed, part 1 negated.  The F_p matrix of
+        x -> x * b is [[B0, B1], [lam*B1, B0]]."""
         self._check(b)
-        p, size = self.p, self.size
-        stack = np.empty((2 * size, 2))
-        stack[:size] = b.coeffs
-        stack[size:, 0] = b.coeffs[:, 0]
-        stack[size:, 1] = (p - b.coeffs[:, 1]) % p
-        op = stack.ravel()[self._gather]
+        n = self.n
+        c = b.coeffs.astype(np.float64).ravel()[self._circ].reshape(2, 2, n, n)
+        op = np.empty((2, 2, n, 2, n))  # (v, a's half, i, c's half, k)
+        op[:, 0] = c[::-1].transpose(1, 2, 0, 3)
+        op[:, 1] = c.transpose(1, 3, 0, 2)
+        op[1, 1] *= -1
+        op = op.reshape(2 * self.size, self.size)
         op.setflags(write=False)
         return op
 

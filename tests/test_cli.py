@@ -307,6 +307,18 @@ def test_private_key_is_created_owner_only(tmp_path, capsys):
     assert pub.stat().st_mode & 0o777 == 0o644
 
 
+def test_rekeying_makes_a_readable_private_key_owner_only(tmp_path, capsys):
+    # a private key left world-readable (by cp, or by an older sdgr) loses
+    # its group and other bits when keygen writes over it; the public key
+    # keeps its mode
+    _, priv, pub, _ = _make_files(tmp_path)
+    priv.chmod(0o644)
+    pub.chmod(0o644)
+    _make_files(tmp_path, seed="43")
+    assert priv.stat().st_mode & 0o077 == 0
+    assert pub.stat().st_mode & 0o777 == 0o644
+
+
 def test_toy_warning(tmp_path, capsys):
     out = tmp_path / "toy.bin"
     assert main(["params", "--set", "toy", "--seed", "1", "--out", str(out)]) == EXIT_OK

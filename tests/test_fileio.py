@@ -145,8 +145,17 @@ def test_mode_applies_to_new_files_only(tmp_path):
     write_file(fresh, header, b"secret", mode=0o600)
     write_file(existing, header, b"secret", mode=0o600)
     assert stat.S_IMODE(fresh.stat().st_mode) & 0o077 == 0
-    assert stat.S_IMODE(existing.stat().st_mode) == 0o644
+    assert stat.S_IMODE(existing.stat().st_mode) == 0o600
     assert read_file(existing) == (header, b"secret")
+
+
+def test_mode_never_changes_a_device(monkeypatch):
+    # a stub that does not call through: a wrong build run as root must not
+    # chmod the real /dev/null
+    calls = []
+    monkeypatch.setattr(os, "fchmod", lambda *args: calls.append(args))
+    write_file(os.devnull, Header(p=19, m=1, n=19, lam=2, l1=0), bytes(100), mode=0o600)
+    assert calls == []
 
 
 def test_write_goes_through_links(tmp_path):
