@@ -61,7 +61,7 @@ class DsdpInstance:
 
 def _sample_pair(ring: SkewRing, rng) -> tuple[RingElement, RingElement]:
     # games sample uniformly, zero included, exactly as the challengers state
-    return ring.sample_cn(rng), ring.sample_gamma(rng)
+    return ring.sample_pair(rng)
 
 
 def _public(params: GameParams, a: RingElement, gamma: RingElement) -> RingElement:

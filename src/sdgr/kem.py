@@ -142,13 +142,10 @@ def h1(data: bytes, params: Params) -> SecretPair:
     while True:
         stream = hashlib.shake_256(buf).digest(nbytes)
         values = unpack_bits(stream, w, coeff_count).reshape(-1, 2) % ring.p
-        a_coeffs, free = values[:n], values[n:]
-        if np.count_nonzero(a_coeffs) and np.count_nonzero(free):
+        if np.count_nonzero(values[:n]) and np.count_nonzero(values[n:]):
             break
         buf = buf + b"\x00"
-    a = np.zeros((ring.size, 2), dtype=np.int64)
-    a[:n] = a_coeffs
-    return SecretPair.unchecked(RingElement(ring, a), ring.gamma_from_free(free))
+    return SecretPair.unchecked(*ring.pair_from_values(values))
 
 
 def h2(data: bytes, l1: int) -> bytes:

@@ -68,17 +68,9 @@ class KexMessage:
 
 
 def sample_secret_pair(params: Params, rng) -> SecretPair:
-    """Uniform secret pair, resampling the (negligible) zero draws."""
-    ring = params.ring
-    while True:
-        a = ring.sample_cn(rng)
-        if not a.is_zero():
-            break
-    while True:
-        gamma = ring.sample_gamma(rng)
-        if not gamma.is_zero():
-            break
-    return SecretPair(a=a, gamma=gamma)
+    """Uniform secret pair, resampling the (negligible) zero draws: one
+    sample_pair draw, valid by construction."""
+    return SecretPair.unchecked(*params.ring.sample_pair(rng, nonzero=True))
 
 
 def public_value(params: Params, sk: SecretPair) -> RingElement:

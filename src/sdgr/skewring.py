@@ -359,6 +359,31 @@ class SkewRing:
     def gamma_free_count(self) -> int:
         return self.n // 2 + 1
 
+    def sample_pair(self, rng, nonzero: bool = False) -> tuple[RingElement, RingElement]:
+        """(sample_cn(rng), sample_gamma(rng)) from one draw, with the same
+        values and generator state.  With nonzero, a zero a and then zero
+        free coordinates are redrawn, consuming the stream as loops of those
+        two calls until each is non-zero would."""
+        n = self.n
+        values = self._draw(rng, 2 * (n + self.gamma_free_count()))
+        if nonzero:
+            while not np.count_nonzero(values[:n]):
+                values = np.concatenate((values[n:], self._draw(rng, 2 * n)))
+            while not np.count_nonzero(values[n:]):
+                values[n:] = self._draw(rng, 2 * self.gamma_free_count())
+        return self.pair_from_values(values)
+
+    def pair_from_values(self, values: np.ndarray) -> tuple[RingElement, RingElement]:
+        """(a, gamma) from n + n//2 + 1 coefficients in [0, p): a on C_n
+        holds the first n, gamma the rest as its free coordinates (see
+        gamma_from_free).  Both are views of one zero-filled array."""
+        n, end = self.n, self.n + self.gamma_free_count()
+        out = np.zeros((2, self.size, 2), dtype=np.int64)
+        out[0, :n] = values[:n]
+        out[1, n:end] = values[n:]
+        out[1, self.size - n // 2 :] = out[1, n + 1 : end][::-1]
+        return RingElement(self, out[0]), RingElement(self, out[1])
+
     def gen_public_element(self, rng) -> RingElement:
         """Public h = h1 + h2 with both halves non-zero, by rejection sampling."""
         while True:

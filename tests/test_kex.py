@@ -40,6 +40,63 @@ def test_sample_secret_pair_shape(p19_params, rng):
         assert not sk.gamma.is_zero()
 
 
+def _loop_pair(ring, rng) -> tuple:
+    """The oracle: sample_cn until a != 0, then sample_gamma until gamma != 0,
+    as sample_secret_pair drew its pair before it drew it in one call.
+    Returns (a, gamma, zero a draws, zero gamma draws)."""
+    zero_a = zero_gamma = 0
+    while (a := ring.sample_cn(rng)).is_zero():
+        zero_a += 1
+    while (gamma := ring.sample_gamma(rng)).is_zero():
+        zero_gamma += 1
+    return a, gamma, zero_a, zero_gamma
+
+
+def test_sample_secret_pair_is_the_redraw_loops(toy_params):
+    # a zero a is 1/729 of toy draws and zero free coordinates 1/81, so both
+    # redraw branches show up among 5,000 seeds
+    ring = toy_params.ring
+    zero_a = zero_gamma = 0
+    for seed in range(5000):
+        ours, ref = random.Random(seed), random.Random(seed)
+        sk = sample_secret_pair(toy_params, ours)
+        a, gamma, za, zg = _loop_pair(ring, ref)
+        assert sk.a == a and sk.gamma == gamma
+        assert ours.getstate() == ref.getstate()
+        zero_a += za
+        zero_gamma += zg
+    assert zero_a > 0 and zero_gamma > 0
+
+
+class _Scripted:
+    """An rng whose getrandbits returns the scripted values in order."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def getrandbits(self, k):
+        assert k == 2  # p = 3
+        return next(self._values)
+
+
+def test_sample_secret_pair_redraws_on_a_scripted_stream(toy_params):
+    # two zero a draws in a row, then a zero gamma; each 3 is >= p, so the
+    # sampler rejects it and draws again
+    zero_a = [0] * 6
+    a = [1, 3, 0, 2, 0, 0, 1]
+    zero_free = [0, 3, 0, 0, 0]
+    free = [2, 0, 1, 1]
+    script = zero_a + [3] + zero_a + a + zero_free + free
+    ring = toy_params.ring
+    ours, ref = _Scripted(script), _Scripted(script)
+    sk = sample_secret_pair(toy_params, ours)
+    assert _loop_pair(ring, ref) == (sk.a, sk.gamma, 2, 1)
+    assert sk.a == ring.element([(1, 0), (2, 0), (0, 1)] + [(0, 0)] * 3)
+    assert sk.gamma == ring.gamma_from_free([(2, 0), (1, 1)])
+    with pytest.raises(StopIteration):  # the script is used up, and no more
+        ours.getrandbits(2)
+
+
 def test_agreement(p19_params, rng):
     for _ in range(50):
         sk1, pk1 = kex_keygen(p19_params, rng)

@@ -393,6 +393,28 @@ def test_draw_is_the_randrange_loop(name):
             assert ours.getstate() == ref.getstate()
 
 
+@pytest.mark.parametrize("name", sorted(PARAM_SETS))
+def test_sample_pair_is_sample_cn_then_sample_gamma(name):
+    ring = SkewRing(*PARAM_SETS[name])
+    for seed in range(20):
+        ours, ref = random.Random(seed), random.Random(seed)
+        a, gamma = ring.sample_pair(ours)
+        assert a == ring.sample_cn(ref) and gamma == ring.sample_gamma(ref)
+        assert ours.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("name", sorted(PARAM_SETS))
+def test_pair_from_values(name, rng):
+    ring = SkewRing(*PARAM_SETS[name])
+    n = ring.n
+    values = ring._draw(rng, 2 * (n + ring.gamma_free_count()))
+    a, gamma = ring.pair_from_values(values)
+    assert a.classify() in (SubspaceTag.CN_ONLY, SubspaceTag.ZERO)
+    assert a.coeffs[:n].tolist() == values[:n].tolist()
+    assert gamma == ring.gamma_from_free(values[n:].tolist())
+    assert ring.is_reversible(gamma)
+
+
 def test_samplers_take_system_random(r19):
     rng = random.SystemRandom()
     n = r19.n
