@@ -8,6 +8,8 @@ that wins DSDP when the public element degenerates to a single summand.
 The challengers and sdpd_verify compute a h gamma and a pk adjunct(gamma) by
 sdgr.kex's closed forms, one cross_mul each on h's or pk's kept circulants:
 they hold for any h and pk, a on C_n and reversible gamma, zero included.
+The challengers draw each pair (a, gamma) with one SkewRing.sample_pair,
+uniformly, zero included, exactly as the games state.
 """
 
 from __future__ import annotations
@@ -59,11 +61,6 @@ class DsdpInstance:
     _hidden_bit: int = field(repr=False)
 
 
-def _sample_pair(ring: SkewRing, rng) -> tuple[RingElement, RingElement]:
-    # games sample uniformly, zero included, exactly as the challengers state
-    return ring.sample_pair(rng)
-
-
 def _public(params: GameParams, a: RingElement, gamma: RingElement) -> RingElement:
     """a * h * gamma for a on C_n and reversible gamma."""
     return params.ring.cross_mul(params.ring.cross_operands(a, gamma)[1], params.h)
@@ -73,7 +70,7 @@ def _public(params: GameParams, a: RingElement, gamma: RingElement) -> RingEleme
 
 
 def sdpd_challenge(params: GameParams, rng) -> tuple[SdpdInstance, tuple[RingElement, RingElement]]:
-    a, gamma = _sample_pair(params.ring, rng)
+    a, gamma = params.ring.sample_pair(rng)
     pk = _public(params, a, gamma)
     return SdpdInstance(params=params, pk=pk), (a, gamma)
 
@@ -118,8 +115,8 @@ def sdpd_bruteforce(inst: SdpdInstance) -> List[tuple[RingElement, RingElement]]
 
 def csdp_challenge(params: GameParams, rng) -> tuple[CsdpInstance, RingElement]:
     ring = params.ring
-    a1, g1 = _sample_pair(ring, rng)
-    a2, g2 = _sample_pair(ring, rng)
+    a1, g1 = ring.sample_pair(rng)
+    a2, g2 = ring.sample_pair(rng)
     pk1 = _public(params, a1, g1)
     w2 = ring.cross_operands(a2, g2)
     pk2 = ring.cross_mul(w2[1], params.h)
@@ -146,7 +143,7 @@ def dsdp_challenge(params: GameParams, b: int, rng) -> DsdpInstance:
         raise ValueError("b must be 0 or 1")
     # the CSDP instance, then a third pair: k is its key (b = 0) or a3 h gamma3
     inst, k0 = csdp_challenge(params, rng)
-    a3, g3 = _sample_pair(params.ring, rng)
+    a3, g3 = params.ring.sample_pair(rng)
     k = k0 if b == 0 else _public(params, a3, g3)
     return DsdpInstance(params=params, pk1=inst.pk1, pk2=inst.pk2, k=k, _hidden_bit=b)
 

@@ -14,9 +14,11 @@ on coefficients; adjunct(gamma) = sigma(G) y.  With u = a G and v = a sigma(G),
     pk = a * h * gamma          = v h_Y + (u h_C) y,
     k  = a * P * adjunct(gamma) = u P_Y + (v P_C) y.
 
-A SecretPair keeps u + v y and v + u y (SkewRing.cross_operands, one matmul),
-and each value is one SkewRing.cross_mul on the kept circulants of h or of
-the peer's P: no skew product and no adjunct is formed.  pk is linear in
+A SecretPair keeps u + v y and v + u y (SkewRing.cross_operands: one
+matmul of a's raw coefficients with the F_p matrices of products by
+sigma(G) and G, which carry lam and sigma's signs), and each value is one
+SkewRing.cross_mul of those raw coefficients with the matrices kept on h or
+on the peer's P: no skew product and no adjunct is formed.  pk is linear in
 (u, v), and an honest peer's P has P_Y = u_2 h_C and P_C = v_2 h_Y, so any
 (u', v') with u' h_C = u h_C and v' h_Y = v h_Y gives the same key with
 every honest peer, whether or not it comes from a secret pair.  Finding one

@@ -11,12 +11,13 @@ In R = F_{q^2}[C_n] (see sdgr.kex), with r2's w = u + v y,
     c1   = v h_Y + (u h_C) y,
     mask = u pk_Y + (v pk_C) y,
 
-so Enc is one SkewRing.cross_mul of w with pk's circulants beside h's, h's
-halves swapped (enc_operator, which the KEM keeps per key): u's row gives
-[mask_C | c1_Y] and v's row [mask_Y | c1_C].  Dec is one cross_mul of c1
-with the circulants kept on the secret's own w: c1_C meets v and c1_Y meets
-u, so kex_shared(sk, c1) is the result with its halves swapped, and no
-operator of c1 is built.
+so Enc is one SkewRing.cross_mul of w's raw coefficients with pk's
+(2n, 2n) F_p product matrices beside h's, h's halves swapped (enc_operator,
+(2, 2n, 4n), which the KEM keeps per key): u's row gives [mask_C | c1_Y]
+and v's row [mask_Y | c1_C].  Dec is one cross_mul of c1 with the matrices
+kept on the secret's own w: c1_C meets v and c1_Y meets u, so
+kex_shared(sk, c1) is the result with its halves swapped, and no operator
+of c1 is built.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ def pke_gen(params: Params, rng) -> PkeKeypair:
 
 
 def enc_operator(params: Params, pk: RingElement) -> np.ndarray:
-    """The read-only (2, 2n, 2n) operator of Enc under pk: pk's circulants
-    beside h's, h's halves swapped."""
+    """The read-only (2, 2n, 4n) operator of Enc under pk: pk's (2, 2n, 2n)
+    product matrices (see SkewRing.circulant) beside h's, h's halves swapped."""
     op = np.concatenate([params.ring.circulant(pk), params.h.circulant[::-1]], axis=2)
     op.setflags(write=False)
     return op

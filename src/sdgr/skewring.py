@@ -8,12 +8,15 @@ the F_{q^2} arithmetic, and the (4n, 2n) operator it multiplies is gathered
 once per right operand and kept on it.  With a = a_C + a_Y y, a_C and a_Y
 in F_{q^2}[C_n], and rho(z)(x) = sigma(z)(x^-1), a*b = (a_C*b_C +
 a_Y*rho(b_Y)) + (a_C*b_Y + a_Y*rho(b_C)) y, so the operator is the
-circulants of b_C, b_Y, rho(b_Y) and rho(b_C), from the one circulant
-index that cross_mul gathers through.  The schemes and the game
-challengers need only products in the commutative F_{q^2}[C_n] of an
-element's two halves (cross_mul): one batched matmul of the same left
-matrices with the (2, 2n, n) circulants kept on the right operand, or with
-several elements' circulants side by side in an operator the caller keeps.
+circulants of b_C, b_Y, rho(b_Y) and rho(b_C), gathered through part of
+circulant's index.  The schemes and the game challengers need only
+products in the commutative F_{q^2}[C_n] of an element's two halves
+(cross_mul), and there the kept operator carries the F_{q^2} arithmetic
+instead: the (2n, 2n) F_p matrix of w -> w * z for each of the right
+operand's halves z, gathered once with lam and sigma's signs in its
+entries, so a product is one batched matmul of the left operand's raw
+coefficients, or of several elements' matrices side by side in an operator
+the caller keeps.
 Every predicate on coefficients (zero, equal, support, palindrome) is one
 np.count_nonzero, a direct C call: on arrays this small, the Python-level
 wrappers behind ndarray.any and whole-array equality cost several times
@@ -31,6 +34,7 @@ from itertools import product
 from typing import Iterator, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .dihedral import inverse, mul_index
 from .field import Fq2, QuadraticField
@@ -72,8 +76,9 @@ class RingElement:
 
     @cached_property
     def circulant(self) -> np.ndarray:
-        """The circulants of this element's C_n halves, built on first use
-        and kept: the operator of cross_mul(w, self)."""
+        """The (2, 2n, 2n) F_p matrices of w -> w * z for this element's C_n
+        y block and C_n block z, built on first use and kept: the operator
+        of cross_mul(w, self)."""
         return self.ring.circulant(self)
 
     def classify(self) -> SubspaceTag:
@@ -113,16 +118,11 @@ class SkewRing:
         self.p = p
         self.n = n
         self.size = 2 * n
-        # the factors on (a1, a0) in the left matrix's second half, and with their negation
-        self._twist = np.array([[self.field.lam], [1.0]])
-        self._twists = np.stack([self._twist, -self._twist])
-        # index into the flattened (2n, 2) coefficients: entry (h, v*n + i, k)
-        # is F_p part v of the coefficient of x^(k-i) in the C_n y half (h = 0)
-        # or in the C_n half (h = 1)
-        rot = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
-        half = np.array([n, 0])[:, None, None, None]
-        part = np.arange(2)[None, :, None, None]
-        self._circ = (2 * (half + rot) + part).reshape(2, 2 * n, n)
+        # circulant gathers from [1, lam, -1, -lam] (x) coeffs.ravel(), factor f at 4n*f;
+        # (lam, 1) are the factors on (a1, a0) in mul's left matrix's second half
+        self._factors = np.array([[1.0], [self.field.lam], [-1.0], [-self.field.lam]])
+        self._twist = self._factors[1::-1]
+        self._circ = self._circulant_index(n)
         self._conj = np.array([1, -1])
         self._inv_perm = np.array([inverse(n, k) for k in range(self.size)], dtype=np.int64)
 
@@ -181,22 +181,17 @@ class SkewRing:
         and the int64 % maps the signed sums into [0, p).
         """
         self._check(a, b)
-        c = (self._left(a.coeffs.T, self._twist, (2, 2 * self.size)) @ b.right_operator).T
+        c = (self._left(a.coeffs.T) @ b.right_operator).T
         c = c.astype(np.int64, order="C")
         c %= self.p
         return RingElement(self, c)
 
-    @staticmethod
-    def _left(a_t: np.ndarray, twist: np.ndarray, shape: tuple) -> np.ndarray:
-        """The float64 left matrix [[a0, lam*a1], [a1, a0]] of the F_p parts
-        a_t = [a0; a1] of m coefficients, in a new array of shape (..., 2, 2m):
-        for a stack of blocks a_t (..., 2, m) under the twist, or for one
-        block under the stack of twists (2, 2, 1), the second negated.
-        The callers pass the shape, which costs less than deriving it."""
-        m = shape[-1] // 2
-        left = np.empty(shape)
-        left[..., :m] = a_t
-        np.multiply(a_t[..., ::-1, :], twist, out=left[..., m:])
+    def _left(self, a_t: np.ndarray) -> np.ndarray:
+        """mul's float64 left matrix [[a0, lam*a1], [a1, a0]] of the F_p parts
+        a_t = [a0; a1] of the 2n coefficients, in a new (2, 4n) array."""
+        left = np.empty((2, 2 * self.size))
+        left[:, : self.size] = a_t
+        np.multiply(a_t[::-1], self._twist, out=left[:, self.size :])
         return left
 
     def cross_mul(self, w: RingElement, x: RingElement | np.ndarray) -> RingElement | np.ndarray:
@@ -204,13 +199,15 @@ class SkewRing:
 
         z_C and z_Y are the C_n coefficient blocks of z's two halves, z =
         z_C + z_Y y, and the products are in the commutative F_{q^2}[C_n].
-        This is one batched float64 matmul: the (2, 2, 2n) left matrices of
-        w's halves, built as mul builds its own, with x's kept (2, 2n, n)
-        circulants.  Every partial sum is at most n*(p-1)^2*(1+lam), inside
-        mul's bound, so the matmul and the cast are exact.
+        This is one batched float64 matmul of w's raw coefficients, a
+        (1, 2n) row per half, with x's kept (2, 2n, 2n) circulants, which
+        carry the F_{q^2} arithmetic (see circulant).  Their entries have
+        |entry| <= lam*(p-1), so every partial sum is at most
+        n*(p-1)^2*(1+lam), inside mul's bound: the matmul and the cast are
+        exact.
 
         x may instead be an operator the caller keeps: k elements'
-        circulants side by side, (2, 2n, kn).  The result is then the
+        circulants side by side, (2, 2n, 2kn).  The result is then the
         (2, kn, 2) coefficients of w_C's products with the first circulants
         and of w_Y's with the second, from which the caller takes its
         elements; the same bound holds.
@@ -221,52 +218,71 @@ class SkewRing:
         else:
             self._check(w)
             op = x
-        halves = w.coeffs.reshape(2, self.n, 2).transpose(0, 2, 1)
-        c = (self._left(halves, self._twist, (2, 2, self.size)) @ op).transpose(0, 2, 1)
-        c = c.astype(np.int64, order="C")
+        c = (w.coeffs.reshape(2, 1, self.size) @ op).astype(np.int64)
         c %= self.p
-        return c if op is x else RingElement(self, c.reshape(self.size, 2))
+        return c.reshape(2, -1, 2) if op is x else RingElement(self, c.reshape(self.size, 2))
 
     def cross_operands(self, a: RingElement, g: RingElement) -> tuple[RingElement, RingElement]:
         """(u + v y, v + u y) for u = a_C * G and v = a_C * sigma(G) in
         F_{q^2}[C_n], with a_C the C_n half of a and G the C_n y block of g:
         the w that cross_mul takes for a * x * sigma(g) and a * x * g when g
-        is reversible (see sdgr.kex).  One matmul of a_C's left matrix under
-        both signs, stacked, with G's (2n, n) circulant; the signed sums keep
-        cross_mul's bound, and the int64 % maps them into [0, p)."""
+        is reversible (see sdgr.kex).  One matmul of a_C's raw (1, 2n) row
+        with the circulants of sigma(G) and G, stacked; their entries keep
+        cross_mul's bound, and the int64 % maps the signed sums into [0, p)."""
         self._check(a, g)
         n, size = self.n, self.size
-        left = self._left(a.coeffs[:n].T, self._twists, (2, 2, size)).reshape(4, size)
-        uv = (left @ self.circulant(g, 0)).reshape(2, 2, n).transpose(0, 2, 1)
-        uv = uv.astype(np.int64, order="C")
-        uv %= self.p
-        return RingElement(self, uv.reshape(size, 2)), RingElement(self, uv[::-1].reshape(size, 2))
+        vu = (a.coeffs[:n].reshape(1, size) @ self.circulant(g, slice(0, 2))).astype(np.int64)
+        vu %= self.p
+        return RingElement(self, vu[::-1].reshape(size, 2)), RingElement(self, vu.reshape(size, 2))
 
-    def circulant(self, b: RingElement, half: int | slice = slice(None)) -> np.ndarray:
-        """The read-only float64 circulants of b's C_n y block (half 0) and
-        C_n block (half 1), stacked (2, 2n, n) and kept by
-        RingElement.circulant, or the one `half` picks.  Circulant h is the
-        operator of w -> w * z in F_{q^2}[C_n] for mul's left matrix of w,
-        with z block h: the F_p parts [Z0; Z1], Z_v[i, k] part v of z_{k-i}.
-        One gather from b's coefficients, 2n^2 entries per half."""
+    def circulant(self, b: RingElement, blocks: slice = slice(1, 3)) -> np.ndarray:
+        """The read-only float64 operators of w -> w * z in F_{q^2}[C_n] on
+        w's raw coefficients, for z = sigma(b_Y), b_Y and b_C, the `blocks`
+        slice of them stacked: by default the (2, 2n, 2n) circulants of b's
+        C_n y block and C_n block that RingElement.circulant keeps, and
+        slice(0, 2) for cross_operands.  Row (i, s) and column (k, t),
+        the order of coeffs.ravel(), hold part s^t of z_{k-i}, times lam
+        when (s, t) = (1, 0): one take out of [1, lam, -1, -lam] (x)
+        b.coeffs, 4n^2 entries per block."""
         self._check(b)
-        op = b.coeffs.astype(np.float64).ravel()[self._circ[half]]
+        op = (self._factors * b.coeffs.ravel()).take(self._circ[blocks])
         op.setflags(write=False)
         return op
+
+    @staticmethod
+    def _circulant_index(n: int) -> np.ndarray:
+        """circulant's (3, 2n, 2n) gather index into the (4, 4n) table
+        [1, lam, -1, -lam] (x) coeffs.ravel(), for the blocks sigma(z_Y),
+        z_Y and z_C.  Entry ((i, s), (k, t)) depends on i and k only through
+        j = 2(k-i) + t mod 2n: it is d[s, j], where q = j ^ s is the position
+        of part s^t of z_{k-i} in z's block (q & 1 = s^t), offset by the
+        block (2n for z_Y) and by 4n times the factor f = s, or s + 2 in the
+        signed block, where s^t = 1: lam at (1, 0), and -1 or -lam where
+        sigma negates part 1.  With d spanning j in [0, 4n), row i is d's
+        window at 2n - 2i, so the index is one copy of a strided view of the
+        (3, 2, 4n) array d."""
+        s = np.arange(2)[:, None]
+        q = (np.arange(4 * n) ^ s) % (2 * n)
+        factor = 4 * n * (s + np.array([2, 0, 0])[:, None, None])
+        d = q + (q & 1) * factor + np.array([2 * n, 2 * n, 0])[:, None, None]
+        st = d.strides
+        rows = as_strided(d[:, :, 2 * n :], (3, n, 2, 2 * n), (st[0], -2 * st[2], st[1], st[2]))
+        return rows.reshape(3, 2 * n, 2 * n)
 
     def right_operator(self, b: RingElement) -> np.ndarray:
         """The read-only (4n, 2n) float64 operator of x -> x * b, kept by
         RingElement.right_operator: the F_p parts [B0; B1] stacked, part v of the
         coefficient a_i multiplies in c_k at (v*2n + i, k).  Its circulant
-        blocks (see the module docstring) come from one gather: circ(rho z)_v
-        is circ(z)_v transposed, part 1 negated.  The F_p matrix of
-        x -> x * b is [[B0, B1], [lam*B1, B0]]."""
+        blocks (see the module docstring) come from one gather through the
+        s = 0 rows of circulant's index for b_Y and b_C, which hold part v
+        of z_{k-i} at (i, k, v): circ(rho z)_v is circ(z)_v transposed, part
+        1 negated.  The F_p matrix of x -> x * b is [[B0, B1], [lam*B1, B0]]."""
         self._check(b)
         n = self.n
-        c = b.coeffs.astype(np.float64).ravel()[self._circ].reshape(2, 2, n, n)
+        c = b.coeffs.astype(np.float64).ravel().take(self._circ[1:, ::2]).reshape(2, n, n, 2)
         op = np.empty((2, 2, n, 2, n))  # (v, a's half, i, c's half, k)
-        op[:, 0] = c[::-1].transpose(1, 2, 0, 3)
-        op[:, 1] = c.transpose(1, 3, 0, 2)
+        op[:, 0] = c[::-1].transpose(3, 1, 0, 2)
+        op[:, 1] = c.transpose(3, 2, 0, 1)
         op[1, 1] *= -1
         op = op.reshape(2 * self.size, self.size)
         op.setflags(write=False)

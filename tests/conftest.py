@@ -29,8 +29,9 @@ def rng() -> random.Random:
 @pytest.fixture()
 def operator_builds(monkeypatch) -> list:
     """(kind, element) for every operator built, in build order: kind
-    "right_operator" for mul's (4n, 2n) operator, "circulant" for cross_mul's
-    circulants of one or both C_n halves."""
+    "right_operator" for mul's (4n, 2n) operator, "circulant" for the
+    (2n, 2n) F_p matrices of products in F_{q^2}[C_n]: cross_mul's of both
+    C_n halves, or cross_operands' of sigma(G) and G."""
     built = []
 
     def spy_on(kind):

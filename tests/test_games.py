@@ -21,7 +21,6 @@ from sdgr.games import (
     unipotent_valuation,
     wilson_interval,
 )
-from sdgr import games
 from sdgr.params import PARAM_SETS
 from sdgr.skewring import SkewRing, SubspaceTag
 
@@ -269,7 +268,7 @@ def _recorded_pairs(monkeypatch) -> list:
         drawn.append((a, gamma))
         return a, gamma
 
-    monkeypatch.setattr(games, "_sample_pair", sample)
+    monkeypatch.setattr(SkewRing, "sample_pair", sample)
     return drawn
 
 

@@ -388,7 +388,7 @@ def test_cached_encaps_key_is_read_only(p19_params, rng):
     _, pk_bytes = kem_keygen(p19_params, rng)
     rep_pk, op = encaps_key(p19_params, pk_bytes)
     assert rep_pk == pk_bytes
-    assert op.shape == (2, 2 * p19_params.n, 2 * p19_params.n)
+    assert op.shape == (2, 2 * p19_params.n, 4 * p19_params.n)
     assert not op.flags.writeable
     with pytest.raises(ValueError):
         op[0, 0, 0] = 1

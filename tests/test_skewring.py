@@ -1,11 +1,13 @@
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from sdgr.field import find_lambda, is_prime
 from sdgr.params import PARAM_SETS
+from sdgr.pke import enc_operator
 from sdgr.skewring import RingElement, SkewRing, SubspaceTag
 
 # odd and even n: for even n the reflection x^(n/2) y mirrors onto itself
@@ -115,6 +117,25 @@ def test_right_operator_rows_are_basis_products(p, n, rng):
             assert (op[ring.size + i] % p).tolist() == expected[:, 1].tolist(), i
 
 
+@pytest.mark.parametrize("p,n", ORACLE_RINGS)
+def test_circulant_rows_are_basis_products(p, n, rng):
+    # row (i, s) of the block of z is the F_p parts of t^s x^i * z in C_n, for
+    # z = sigma(b_Y) and b_Y (cross_operands' blocks) and b_Y and b_C (the kept ones)
+    ring = SkewRing(p, n)
+    for b in (ring.sample_ring(rng), ring.sample_gamma(rng)):
+        b_y = ring.phi(_cny_part(ring, b))
+        sigma_b_y = ring.element([(c0, -c1) for c0, c1 in b_y.coeffs.tolist()])
+        layouts = ((ring.circulant(b, slice(0, 2)), (sigma_b_y, b_y)), (b.circulant, (b_y, _cn_part(ring, b))))
+        for op, zs in layouts:
+            assert op.shape == (2, ring.size, ring.size)
+            assert np.abs(op).max() <= ring.field.lam * (p - 1)
+            for block, z in zip(op, zs):
+                for i in range(n):
+                    for s, unit in enumerate(((1, 0), (0, 1))):
+                        expected = ring.naive_product(ring.basis(i, unit), z).coeffs[:n]
+                        assert (block[2 * i + s] % p).tolist() == expected.ravel().tolist(), (i, s)
+
+
 def _cross_operands_oracle(ring, a, g):
     """(u + v y, v + u y) for u = a G and v = a sigma(G), g = G y, through the naive product."""
     u = ring.naive_product(a, ring.phi(g))
@@ -145,6 +166,15 @@ def test_mul_is_exact_at_the_float64_bound(rng):
     cases.append((ring.sample_cn(rng), top_gamma))
     for a, g in cases:
         assert ring.cross_operands(a, g) == _cross_operands_oracle(ring, a, g)
+    # cross_mul on an element's kept circulants and on a caller-kept operator
+    # (Params insists on p | n, so enc_operator gets a stand-in); with all
+    # entries p - 1, every partial sum reaches n*(p-1)^2*(1+lam)
+    for w in (top, ring.sample_ring(rng)):
+        assert ring.cross_mul(w, top) == _cross_oracle(ring, w, top)
+    c = ring.cross_mul(top, enc_operator(SimpleNamespace(ring=ring, h=top), top))
+    assert c.shape == (2, ring.size, 2)
+    for block in (c[:, :n], c[::-1, n:]):
+        assert RingElement(ring, block.reshape(ring.size, 2)) == _cross_oracle(ring, top, top)
 
 
 def test_ring_axioms_random(toy_ring, rng):
@@ -491,7 +521,7 @@ def test_reused_cross_operand_is_built_once(r19, rng, operator_builds):
         w = r19.sample_ring(rng)
         assert r19.cross_mul(w, x) == _cross_oracle(r19, w, x)
     assert operator_builds == [("circulant", x)]
-    assert x.circulant.shape == (2, 2 * r19.n, r19.n)
+    assert x.circulant.shape == (2, 2 * r19.n, 2 * r19.n)
     assert not x.circulant.flags.writeable
 
 
