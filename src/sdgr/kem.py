@@ -7,13 +7,12 @@ into ceil(log2 p)-bit integers reduced mod p.  H2 prepends the domain byte
 fixed-width big-endian MSB-first bit packing of a coefficient vector.
 
 Encaps sends c = Enc(pk, m; H1(rep(m) || rep(pk))), and decaps decrypts,
-re-encrypts and compares.  Both encrypt with one product on pk's
-enc_operator, which encaps_key keeps per params and key bytes; decaps finds
-the same entry through rep(pk).  Decaps unpacks c once: it decrypts the
+re-encrypts and compares, on raw coefficient arrays through pke's kernels
+and pk's enc_operator, kept by encaps_key per params and key bytes and
+found again through rep(pk).  Decaps unpacks c once: it decrypts the
 chunks reduced mod p, and accepts only if the raw chunks are the
-coefficients of the re-encryption c' and no padding bit is set.  That is
-rep(c') == c without packing c', since a chunk >= p never equals a
-coefficient and rep pads with zeros.
+coefficients of the re-encryption c' and no padding bit is set: rep(c') ==
+c, since a chunk >= p never equals a coefficient and rep pads with zeros.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ import numpy as np
 
 from .kex import SecretPair
 from .params import VALID_L1, Params
-from .pke import Ciphertext, PkeKeypair, enc_operator, encrypt, pke_dec, pke_gen, sample_message
+from .pke import Ciphertext, PkeKeypair, decrypt, enc_operator, encrypt, pke_gen, sample_message
 from .skewring import RingElement, SkewRing
 
 H2_PREFIX = b"\x02"
@@ -37,17 +36,17 @@ H2_PREFIX = b"\x02"
 # -- bit packing --------------------------------------------------------------
 
 
-def pack_bits(values: Sequence[int], width: int) -> bytes:
+def pack_bits(values: Sequence[int] | np.ndarray, width: int) -> bytes:
     """Pack fixed-width unsigned integers into an MSB-first bitstream,
-    zero-padding the final byte."""
+    zero-padding the final byte; a 2-D input packs and pads each row."""
     v = np.asarray(values)
     # v >> width is non-zero exactly for the values outside [0, 2^width); the
     # size test keeps an empty input, which asarray makes float64, off the shift
     if v.size and np.count_nonzero(v >> width):
         raise ValueError(f"values must fit in {width} bits, got {v.min()} .. {v.max()}")
     shifts = np.arange(width - 1, -1, -1)
-    bits = (v.astype(np.int64, copy=False)[:, None] >> shifts).astype(np.uint8) & 1
-    return np.packbits(bits).tobytes()
+    bits = (v.astype(np.int64, copy=False)[..., None] >> shifts).astype(np.uint8) & 1
+    return np.packbits(bits.reshape(*v.shape[:-1], -1), axis=-1).tobytes()
 
 
 def unpack_bits(data: bytes | np.ndarray, width: int, count: int) -> np.ndarray:
@@ -75,7 +74,7 @@ def rep_ring(a: RingElement) -> bytes:
 
 
 def rep_ciphertext(c: Ciphertext) -> bytes:
-    return rep_ring(c.c1) + rep_ring(c.c2)
+    return pack_bits(np.stack((c.c1.coeffs.ravel(), c.c2.coeffs.ravel())), c.c1.ring.field.coeff_bits)
 
 
 def unpack_elements(ring: SkewRing, data: bytes, count: int) -> tuple[np.ndarray, bool]:
@@ -190,31 +189,34 @@ def encaps_key(params: Params, pk_bytes: bytes) -> tuple[bytes, np.ndarray]:
     return rep_ring(pk), enc_operator(params, pk)
 
 
-def _encrypt_derandomized(m: RingElement, pk_bytes: bytes, params: Params) -> tuple[bytes, Ciphertext]:
-    """(rep(m), c) for c = Enc(pk, m; H1(rep(m) || rep(pk))): the encryption
-    encaps sends and decaps recomputes to check a ciphertext."""
+def _encrypt_derandomized(m: np.ndarray, pk_bytes: bytes, params: Params) -> tuple[bytes, np.ndarray]:
+    """(rep(m), c) for c = Enc(pk, m; H1(rep(m) || rep(pk))), m and c raw:
+    the encryption encaps sends and decaps recomputes to check a ciphertext."""
+    ring = params.ring
     rep_pk, op = encaps_key(params, pk_bytes)
-    rep_m = rep_ring(m)
-    return rep_m, encrypt(m, op, h1(rep_m + rep_pk, params), params)
+    rep_m = pack_bits(m.ravel(), ring.field.coeff_bits)
+    r2 = h1(rep_m + rep_pk, params)
+    return rep_m, encrypt(m, op, ring.cross_rows(r2.a, r2.gamma), ring.p)
 
 
 def kem_encaps(pk_bytes: bytes, params: Params, rng, l1: int = 128) -> tuple[bytes, bytes]:
     """Returns (ciphertext bytes, session key)."""
-    rep_m, c = _encrypt_derandomized(sample_message(params, rng), bytes(pk_bytes), params)
-    c_bytes = rep_ciphertext(c)
+    rep_m, c = _encrypt_derandomized(sample_message(params, rng).coeffs, bytes(pk_bytes), params)
+    c_bytes = pack_bits(c.reshape(2, -1), params.ring.field.coeff_bits)
     return c_bytes, h2(rep_m + c_bytes, l1)
 
 
 def kem_decaps(priv: KemPrivate, c_bytes: bytes, params: Params, l1: int = 128) -> bytes:
     """Implicit rejection: a failed re-encryption check yields the key
     H2(rep(s) || c) instead of an error."""
+    ring = params.ring
     try:
-        c, chunks, padded = decode_ciphertext(params.ring, c_bytes)
+        chunks, padded = unpack_elements(ring, c_bytes, 2)
     except ValueError:
         return h2(priv.rep_s + c_bytes, l1)
-    rep_m, c_prime = _encrypt_derandomized(pke_dec(c, priv.sk), priv.rep_pk, params)
+    rep_m, c_prime = _encrypt_derandomized(decrypt(chunks % ring.p, priv.sk), priv.rep_pk, params)
     # c_bytes == rep(c'), without packing c': every chunk is the coefficient
     # of c' it encodes, which is below p, and no padding bit is set
-    if hmac.compare_digest(chunks.tobytes(), c_prime.c1.coeffs.tobytes() + c_prime.c2.coeffs.tobytes()) and padded:
+    if hmac.compare_digest(chunks.tobytes(), c_prime.tobytes()) and padded:
         return h2(rep_m + c_bytes, l1)
     return h2(priv.rep_s + c_bytes, l1)

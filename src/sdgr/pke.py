@@ -11,13 +11,14 @@ In R = F_{q^2}[C_n] (see sdgr.kex), with r2's w = u + v y,
     c1   = v h_Y + (u h_C) y,
     mask = u pk_Y + (v pk_C) y,
 
-so Enc is one SkewRing.cross_mul of w's raw coefficients with pk's
-(2n, 2n) F_p product matrices beside h's, h's halves swapped (enc_operator,
-(2, 2n, 4n), which the KEM keeps per key): u's row gives [mask_C | c1_Y]
-and v's row [mask_Y | c1_C].  Dec is one cross_mul of c1 with the matrices
-kept on the secret's own w: c1_C meets v and c1_Y meets u, so
-kex_shared(sk, c1) is the result with its halves swapped, and no operator
-of c1 is built.
+so Enc is one batched matmul of the raw rows [u; v] of r2's w
+(SkewRing.cross_rows) with pk's (2n, 2n) F_p product matrices beside h's,
+h's halves swapped (enc_operator, (2, 2n, 4n), which the KEM keeps per
+key): u's row gives [mask_C | c1_Y] and v's row [mask_Y | c1_C].  Dec
+multiplies c1's raw rows by the matrices kept on the secret's own w: c1_C
+meets v and c1_Y meets u, so kex_shared(sk, c1) is the result, halves
+swapped.  encrypt and decrypt run on raw (2n, 2) arrays, as the KEM does;
+pke_enc and pke_dec check their operands' ring and wrap the arrays.
 """
 
 from __future__ import annotations
@@ -56,22 +57,38 @@ def enc_operator(params: Params, pk: RingElement) -> np.ndarray:
     return op
 
 
-def encrypt(m: RingElement, op: np.ndarray, r2: SecretPair, params: Params) -> Ciphertext:
-    """Enc(pk, m; r2) on pk's enc_operator."""
-    ring, n = params.ring, params.n
-    c = ring.cross_mul(r2.cross_operands[0], op)
-    mask = RingElement(ring, c[:, :n].reshape(ring.size, 2))
-    return Ciphertext(c1=RingElement(ring, c[::-1, n:].reshape(ring.size, 2)), c2=m + mask)
+def encrypt(m: np.ndarray, op: np.ndarray, rows: np.ndarray, p: int) -> np.ndarray:
+    """Enc(pk, m; r2) on raw coefficients: m's (2n, 2) array, pk's
+    enc_operator and r2's cross_rows [v; u] give [c1; c2], (2, 2n, 2), in
+    [0, p); the sums, m's added, stay within cross_mul's exact bound."""
+    size = m.shape[0]
+    c = (rows[::-1] @ op)[:, 0]  # [mask_C | c1_Y] and [mask_Y | c1_C]
+    out = np.concatenate((c[::-1, size:], c[:, :size] + m.reshape(2, size))).astype(np.int64)
+    out %= p
+    return out.reshape(2, size, 2)
+
+
+def decrypt(c: np.ndarray, sk: SecretPair) -> np.ndarray:
+    """Dec(sk, c) = c2 - kex_shared(sk, c1) on raw [c1; c2], (2, 2n, 2) in
+    [0, p), and the circulants sk keeps, as m's (2n, 2) array."""
+    ring = sk.a.ring
+    k = c[0].reshape(2, 1, ring.size) @ sk.cross_operands[0].circulant
+    m = (c[1].reshape(2, ring.size) - k[::-1, 0]).astype(np.int64)
+    m %= ring.p
+    return m.reshape(ring.size, 2)
 
 
 def pke_enc(m: RingElement, pk: RingElement, r2: SecretPair, params: Params) -> Ciphertext:
-    return encrypt(m, enc_operator(params, pk), r2, params)
+    ring = params.ring
+    ring._check(m)
+    c = encrypt(m.coeffs, enc_operator(params, pk), ring.cross_rows(r2.a, r2.gamma), ring.p)
+    return Ciphertext(c1=RingElement(ring, c[0]), c2=RingElement(ring, c[1]))
 
 
 def pke_dec(c: Ciphertext, sk: SecretPair) -> RingElement:
     ring = sk.a.ring
-    k = ring.cross_mul(c.c1, sk.cross_operands[0].circulant)
-    return c.c2 - RingElement(ring, k[::-1].reshape(ring.size, 2))
+    ring._check(c.c1, c.c2)
+    return RingElement(ring, decrypt(np.stack((c.c1.coeffs, c.c2.coeffs)), sk))
 
 
 def sample_message(params: Params, rng) -> RingElement:

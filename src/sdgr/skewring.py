@@ -36,7 +36,7 @@ from typing import Iterator, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .dihedral import inverse, mul_index
+from .dihedral import mul_index
 from .field import Fq2, QuadraticField
 
 
@@ -124,7 +124,7 @@ class SkewRing:
         self._twist = self._factors[1::-1]
         self._circ = self._circulant_index(n)
         self._conj = np.array([1, -1])
-        self._inv_perm = np.array([inverse(n, k) for k in range(self.size)], dtype=np.int64)
+        self._inv_perm = np.concatenate(((-np.arange(n)) % n, np.arange(n, 2 * n)))  # dihedral.inverse
 
     # -- construction ------------------------------------------------------
 
@@ -226,14 +226,18 @@ class SkewRing:
         """(u + v y, v + u y) for u = a_C * G and v = a_C * sigma(G) in
         F_{q^2}[C_n], with a_C the C_n half of a and G the C_n y block of g:
         the w that cross_mul takes for a * x * sigma(g) and a * x * g when g
-        is reversible (see sdgr.kex).  One matmul of a_C's raw (1, 2n) row
-        with the circulants of sigma(G) and G, stacked; their entries keep
-        cross_mul's bound, and the int64 % maps the signed sums into [0, p)."""
+        is reversible (see sdgr.kex), built on cross_rows."""
+        vu = self.cross_rows(a, g)
+        return RingElement(self, vu[::-1].reshape(self.size, 2)), RingElement(self, vu.reshape(self.size, 2))
+
+    def cross_rows(self, a: RingElement, g: RingElement) -> np.ndarray:
+        """cross_operands' raw (2, 1, 2n) rows [v; u]: one matmul of a_C's raw
+        row with the stacked matrices of sigma(G) and G, which keep
+        cross_mul's bound; the int64 % maps the signed sums into [0, p)."""
         self._check(a, g)
-        n, size = self.n, self.size
-        vu = (a.coeffs[:n].reshape(1, size) @ self.circulant(g, slice(0, 2))).astype(np.int64)
+        vu = (a.coeffs[: self.n].reshape(1, self.size) @ self.circulant(g, slice(0, 2))).astype(np.int64)
         vu %= self.p
-        return RingElement(self, vu[::-1].reshape(size, 2)), RingElement(self, vu.reshape(size, 2))
+        return vu
 
     def circulant(self, b: RingElement, blocks: slice = slice(1, 3)) -> np.ndarray:
         """The read-only float64 operators of w -> w * z in F_{q^2}[C_n] on

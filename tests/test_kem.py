@@ -21,9 +21,10 @@ from sdgr.kem import (
     rep_len,
     rep_ring,
     unpack_bits,
+    unpack_elements,
 )
 from sdgr.params import PARAM_SETS, Params, make_params
-from sdgr.pke import pke_enc, sample_message
+from sdgr.pke import pke_dec, pke_enc, sample_message
 from sdgr.skewring import SkewRing, SubspaceTag
 
 
@@ -59,6 +60,25 @@ def test_pack_bits_range_check():
             pack_bits(bad, 5)
     with pytest.raises(ValueError):
         unpack_bits(b"\x00", 5, 10)
+
+
+@pytest.mark.parametrize("name", sorted(PARAM_SETS))
+def test_two_row_pack_is_two_single_packs(name):
+    # each row is padded on its own: p19, p23 and p31 pad their last byte,
+    # toy and p41 do not
+    ring = SkewRing(*PARAM_SETS[name])
+    w = ring.field.coeff_bits
+    assert (2 * ring.size * w % 8 != 0) == (name in ("p19", "p23", "p31"))
+    rng = random.Random(13)
+    rows = np.stack([ring.sample_ring(rng).coeffs.ravel() for _ in range(2)])
+    rows[1, -1] = (1 << w) - 1
+    packed = pack_bits(rows, w)
+    assert packed == pack_bits(rows[0], w) + pack_bits(rows[1], w)
+    assert len(packed) == 2 * rep_len(ring)
+    assert unpack_elements(ring, packed, 2)[0].reshape(2, -1).tolist() == rows.tolist()
+    rows[1, 0] = 1 << w
+    with pytest.raises(ValueError, match=f"values must fit in {w} bits"):
+        pack_bits(rows, w)
 
 
 # -- canonical serialization ---------------------------------------------------
@@ -273,6 +293,19 @@ def kem_instance(request):
     rng = random.Random(12)
     priv, pk_bytes = kem_keygen(params, rng)
     return params, priv, [kem_encaps(pk_bytes, params, rng) for _ in range(3)]
+
+
+def test_encaps_sends_the_pke_ciphertext(kem_instance):
+    # the raw path encaps runs is Enc(pk, m; H1(rep(m) || rep(pk))) on objects
+    params, priv, _ = kem_instance
+    pk_bytes = rep_ring(priv.pk)
+    for seed in range(3):
+        ct, key = kem_encaps(pk_bytes, params, random.Random(seed))
+        m = sample_message(params, random.Random(seed))
+        c = pke_enc(m, priv.pk, h1(rep_ring(m) + pk_bytes, params), params)
+        assert ct == rep_ciphertext(c)
+        assert key == h2(rep_ring(m) + ct, 128)
+        assert pke_dec(c, priv.sk) == m
 
 
 def _assert_rejected(priv, ct, params):

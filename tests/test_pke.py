@@ -1,11 +1,13 @@
 import random
 
+import numpy as np
 import pytest
 
 from sdgr.kex import SecretPair, kex_shared, public_value
 from sdgr.params import PARAM_SETS, Params, make_params
 from sdgr.pke import (
     Ciphertext,
+    decrypt,
     enc_operator,
     encrypt,
     pke_dec,
@@ -14,6 +16,7 @@ from sdgr.pke import (
     sample_message,
     sample_randomness,
 )
+from sdgr.skewring import RingElement
 
 
 def test_round_trip(p19_params, rng):
@@ -117,10 +120,29 @@ def test_enc_is_public_value_and_masked_message(any_params, rng):
         op = enc_operator(any_params, pk)
         for _ in range(3):
             m, r = sample_message(any_params, rng), sample_randomness(any_params, rng)
-            c = encrypt(m, op, r, any_params)
+            c = Ciphertext(*(RingElement(ring, x) for x in encrypt(m.coeffs, op, ring.cross_rows(r.a, r.gamma), ring.p)))
             assert c == Ciphertext(c1=public_value(any_params, r), c2=m + kex_shared(r, pk))
             assert c == _naive_enc(any_params, m, pk, r)
             assert c == pke_enc(m, pk, r, any_params)
+
+
+def test_raw_kernels_match_pke_enc_and_pke_dec(any_params, rng):
+    # encrypt and decrypt on raw (2n, 2) arrays, the KEM's path, against the
+    # object API; decrypt also on a c that is no encryption
+    ring = any_params.ring
+    kp = pke_gen(any_params, rng)
+    op = enc_operator(any_params, kp.pk)
+    for _ in range(3):
+        m, r = sample_message(any_params, rng), sample_randomness(any_params, rng)
+        c = encrypt(m.coeffs, op, ring.cross_rows(r.a, r.gamma), ring.p)
+        assert c.shape == (2, ring.size, 2) and c.dtype == np.int64
+        obj = pke_enc(m, kp.pk, r, any_params)
+        assert c.tolist() == [obj.c1.coeffs.tolist(), obj.c2.coeffs.tolist()]
+        assert decrypt(c, kp.sk).tolist() == pke_dec(obj, kp.sk).coeffs.tolist() == m.coeffs.tolist()
+        c1, c2 = ring.sample_ring(rng), ring.sample_ring(rng)
+        raw = decrypt(np.stack((c1.coeffs, c2.coeffs)), kp.sk)
+        assert raw.shape == (ring.size, 2) and raw.dtype == np.int64
+        assert raw.tolist() == pke_dec(Ciphertext(c1=c1, c2=c2), kp.sk).coeffs.tolist()
 
 
 def test_dec_is_c2_minus_kex_shared(any_params, rng):

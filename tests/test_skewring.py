@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from sdgr.dihedral import inverse
 from sdgr.field import find_lambda, is_prime
 from sdgr.params import PARAM_SETS
 from sdgr.pke import enc_operator
@@ -134,6 +135,13 @@ def test_circulant_rows_are_basis_products(p, n, rng):
                     for s, unit in enumerate(((1, 0), (0, 1))):
                         expected = ring.naive_product(ring.basis(i, unit), z).coeffs[:n]
                         assert (block[2 * i + s] % p).tolist() == expected.ravel().tolist(), (i, s)
+
+
+@pytest.mark.parametrize("p,n", ORACLE_RINGS)
+def test_adjunct_permutation_is_dihedral_inverse(p, n):
+    perm = SkewRing(p, n)._inv_perm
+    assert perm.dtype == np.int64
+    assert perm.tolist() == [inverse(n, k) for k in range(2 * n)]
 
 
 def _cross_operands_oracle(ring, a, g):
@@ -513,6 +521,18 @@ def test_cross_operands_are_a_g_and_a_sigma_g(p, rng):
     cases.append((ring.element([top] * p + [(0, 0)] * p), ring.gamma_from_free([top] * ring.gamma_free_count())))
     for a, g in cases:
         assert ring.cross_operands(a, g) == _cross_operands_oracle(ring, a, g)
+
+
+@pytest.mark.parametrize("p", [3, 19, 41])
+def test_cross_operands_wrap_cross_rows(p, rng):
+    # rows [v; u] of one matmul: v + u y is their flat order, u + v y reversed
+    ring = SkewRing(p, p)
+    a, g = ring.sample_cn(rng), ring.sample_gamma(rng)
+    rows = ring.cross_rows(a, g)
+    assert rows.shape == (2, 1, ring.size) and rows.dtype == np.int64
+    uv, vu = ring.cross_operands(a, g)
+    assert vu.coeffs.ravel().tolist() == rows.ravel().tolist()
+    assert uv.coeffs.ravel().tolist() == rows[::-1].ravel().tolist()
 
 
 def test_reused_cross_operand_is_built_once(r19, rng, operator_builds):
