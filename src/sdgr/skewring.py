@@ -2,21 +2,22 @@
 
 A ring element is a dense length-2n coefficient vector over F_{q^2}: index
 i < n holds the coefficient of x^i, index n+i the coefficient of x^i y.
-Coefficients are stored as an (2n, 2) int64 numpy array so that a skew
-product is one float64 matmul: a (2, 4n) left matrix built from a carries
-the F_{q^2} arithmetic, and the (4n, 2n) operator it multiplies is gathered
-once per right operand and kept on it.  With a = a_C + a_Y y, a_C and a_Y
-in F_{q^2}[C_n], and rho(z)(x) = sigma(z)(x^-1), a*b = (a_C*b_C +
-a_Y*rho(b_Y)) + (a_C*b_Y + a_Y*rho(b_C)) y, so the operator is the
-circulants of b_C, b_Y, rho(b_Y) and rho(b_C), gathered through part of
-circulant's index.  The schemes and the game challengers need only
-products in the commutative F_{q^2}[C_n] of an element's two halves
-(cross_mul), and there the kept operator carries the F_{q^2} arithmetic
-instead: the (2n, 2n) F_p matrix of w -> w * z for each of the right
-operand's halves z, gathered once with lam and sigma's signs in its
-entries, so a product is one batched matmul of the left operand's raw
-coefficients, or of several elements' matrices side by side in an operator
-the caller keeps.
+Coefficients are stored as an (2n, 2) int64 numpy array, whose ravel() is
+the element's raw F_p coefficients.  Every product runs one kernel: a
+float64 matmul of raw coefficient rows with the (2n, 2n) F_p matrices of
+w -> w * z in the commutative F_{q^2}[C_n], gathered once per right operand
+with lam and sigma's signs in their entries and kept on it (circulant).
+Write z = z_C + z_Y y with z_C and z_Y in F_{q^2}[C_n].  The schemes and
+the game challengers need only cross_mul, whose two halves w_C * x_Y and
+w_Y * x_C are one row each against x's matrices of x_Y and x_C.  The skew
+product needs y z = rho(z) y, where rho(z)(x) = sigma(z)(x^-1) is an
+involutive automorphism of F_{q^2}[C_n] and, on raw coefficients, a signed
+permutation, so
+
+    a*b = (a_C*b_C + rho(rho(a_Y)*b_Y)) + (a_C*b_Y + rho(rho(a_Y)*b_C)) y:
+
+the rows [a_C; rho(a_Y)] times the same two matrices b keeps for
+cross_mul, with one take for each rho.
 Every predicate on coefficients (zero, equal, support, palindrome) is one
 np.count_nonzero, a direct C call: on arrays this small, the Python-level
 wrappers behind ndarray.any and whole-array equality cost several times
@@ -70,15 +71,11 @@ class RingElement:
         return self.ring.adjunct(self)
 
     @cached_property
-    def right_operator(self) -> np.ndarray:
-        """The operator of x -> x * self, built on first use and kept."""
-        return self.ring.right_operator(self)
-
-    @cached_property
     def circulant(self) -> np.ndarray:
         """The (2, 2n, 2n) F_p matrices of w -> w * z for this element's C_n
         y block and C_n block z, built on first use and kept: the operator
-        of cross_mul(w, self)."""
+        every product by this element multiplies by, cross_mul(w, self) and
+        w * self."""
         return self.ring.circulant(self)
 
     def classify(self) -> SubspaceTag:
@@ -118,13 +115,15 @@ class SkewRing:
         self.p = p
         self.n = n
         self.size = 2 * n
-        # circulant gathers from [1, lam, -1, -lam] (x) coeffs.ravel(), factor f at 4n*f;
-        # (lam, 1) are the factors on (a1, a0) in mul's left matrix's second half
+        # circulant gathers from [1, lam, -1, -lam] (x) coeffs.ravel(), factor f at 4n*f
         self._factors = np.array([[1.0], [self.field.lam], [-1.0], [-self.field.lam]])
-        self._twist = self._factors[1::-1]
         self._circ = self._circulant_index(n)
         self._conj = np.array([1, -1])
         self._inv_perm = np.concatenate(((-np.arange(n)) % n, np.arange(n, 2 * n)))  # dihedral.inverse
+        # built by mul's first call; assigned here because a cached_property
+        # writes through the instance __dict__, which on CPython 3.11 slowed
+        # every later attribute read on the ring (a toy DSDP trial by 4%)
+        self._mul_index = None
 
     # -- construction ------------------------------------------------------
 
@@ -171,30 +170,41 @@ class SkewRing:
     def mul(self, a: RingElement, b: RingElement) -> RingElement:
         """Skew product: c_k = sum_i a_i * theta(g_i)(b_j) with g_i g_j = g_k.
 
-        With B0, B1 the F_p parts of b's kept (4n, 2n) operator [B0; B1] (see
-        right_operator), c = (a0*B0 + lam*a1*B1) + (a1*B0 + a0*B1) t: one
-        float64 matmul of the (2, 4n) left matrix [[a0, lam*a1], [a1, a0]]
-        with the operator, cast to int64 and reduced mod p.  The operator's rho
-        blocks hold entries in (-p, p), so |entry| <= p-1 and every partial
-        sum is an integer of absolute value at most 2n*(p-1)^2*(1+lam), which
-        the constructor keeps below 2^53: the matmul and the cast are exact,
-        and the int64 % maps the signed sums into [0, p).
+        By the module docstring's identity, one batched float64 matmul of
+        the raw rows [a_C; rho(a_Y); -rho(a_Y)] with b's kept circulants
+        gives every product summed; the outer rho is one take, which reads
+        the negated row where sigma negates.  Each sum is at most
+        2n*(p-1)^2*(1+lam), twice cross_mul's bound, which the constructor
+        keeps below 2^53: the matmul, the sum and the cast are exact, and
+        the int64 % maps the signed sums into [0, p).
         """
         self._check(a, b)
-        c = (self._left(a.coeffs.T) @ b.right_operator).T
-        c = c.astype(np.int64, order="C")
+        take_rows, sign, plain, twisted = self._mul_index or self._build_mul_index()
+        rows = a.coeffs.take(take_rows)
+        rows *= sign
+        out = rows @ b.circulant
+        c = (out.take(plain) + out.take(twisted)).astype(np.int64)
         c %= self.p
-        return RingElement(self, c)
+        return RingElement(self, c.reshape(self.size, 2))
 
-    def _left(self, a_t: np.ndarray) -> np.ndarray:
-        """mul's float64 left matrix [[a0, lam*a1], [a1, a0]] of the F_p parts
-        a_t = [a0; a1] of the 2n coefficients, in a new (2, 4n) array."""
-        left = np.empty((2, 2 * self.size))
-        left[:, : self.size] = a_t
-        np.multiply(a_t[::-1], self._twist, out=left[:, self.size :])
-        return left
+    def _build_mul_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """mul's indices, kept on the ring: of the rows [a_C; rho(a_Y);
+        -rho(a_Y)] in a.coeffs.ravel(), with their signs, and of a_C*b_C,
+        a_C*b_Y (plain) and rho(rho(a_Y)*b_Y), rho(rho(a_Y)*b_C) (twisted)
+        in the flat (2, 3, 2n) matmul result.  On raw coefficients
+        rho(z)[j] = (-1)^t z[rho[j]] for j = 2i + t, with rho[j] =
+        2(-i mod n) + t from the adjunct's permutation."""
+        n, size = self.n, self.size
+        t = np.arange(size) & 1
+        rho = 2 * self._inv_perm[:n].repeat(2) + t
+        take_rows = np.stack((np.arange(size), size + rho, size + rho))
+        sign = np.stack((np.ones(size, dtype=np.int64), 1 - 2 * t, 2 * t - 1))
+        plain = np.array([[3], [0]]) * size + np.arange(size)
+        twisted = (np.array([[1], [4]]) + t) * size + rho
+        self._mul_index = (take_rows, sign, plain, twisted)
+        return self._mul_index
 
-    def cross_mul(self, w: RingElement, x: RingElement | np.ndarray) -> RingElement | np.ndarray:
+    def cross_mul(self, w: RingElement, x: RingElement) -> RingElement:
         """The element with C_n half w_C * x_Y and C_n y half w_Y * x_C.
 
         z_C and z_Y are the C_n coefficient blocks of z's two halves, z =
@@ -205,22 +215,11 @@ class SkewRing:
         |entry| <= lam*(p-1), so every partial sum is at most
         n*(p-1)^2*(1+lam), inside mul's bound: the matmul and the cast are
         exact.
-
-        x may instead be an operator the caller keeps: k elements'
-        circulants side by side, (2, 2n, 2kn).  The result is then the
-        (2, kn, 2) coefficients of w_C's products with the first circulants
-        and of w_Y's with the second, from which the caller takes its
-        elements; the same bound holds.
         """
-        if isinstance(x, RingElement):
-            self._check(w, x)
-            op = x.circulant
-        else:
-            self._check(w)
-            op = x
-        c = (w.coeffs.reshape(2, 1, self.size) @ op).astype(np.int64)
+        self._check(w, x)
+        c = (w.coeffs.reshape(2, 1, self.size) @ x.circulant).astype(np.int64)
         c %= self.p
-        return c.reshape(2, -1, 2) if op is x else RingElement(self, c.reshape(self.size, 2))
+        return RingElement(self, c.reshape(self.size, 2))
 
     def cross_operands(self, a: RingElement, g: RingElement) -> tuple[RingElement, RingElement]:
         """(u + v y, v + u y) for u = a_C * G and v = a_C * sigma(G) in
@@ -272,25 +271,6 @@ class SkewRing:
         st = d.strides
         rows = as_strided(d[:, :, 2 * n :], (3, n, 2, 2 * n), (st[0], -2 * st[2], st[1], st[2]))
         return rows.reshape(3, 2 * n, 2 * n)
-
-    def right_operator(self, b: RingElement) -> np.ndarray:
-        """The read-only (4n, 2n) float64 operator of x -> x * b, kept by
-        RingElement.right_operator: the F_p parts [B0; B1] stacked, part v of the
-        coefficient a_i multiplies in c_k at (v*2n + i, k).  Its circulant
-        blocks (see the module docstring) come from one gather through the
-        s = 0 rows of circulant's index for b_Y and b_C, which hold part v
-        of z_{k-i} at (i, k, v): circ(rho z)_v is circ(z)_v transposed, part
-        1 negated.  The F_p matrix of x -> x * b is [[B0, B1], [lam*B1, B0]]."""
-        self._check(b)
-        n = self.n
-        c = b.coeffs.astype(np.float64).ravel().take(self._circ[1:, ::2]).reshape(2, n, n, 2)
-        op = np.empty((2, 2, n, 2, n))  # (v, a's half, i, c's half, k)
-        op[:, 0] = c[::-1].transpose(3, 1, 0, 2)
-        op[:, 1] = c.transpose(3, 2, 0, 1)
-        op[1, 1] *= -1
-        op = op.reshape(2 * self.size, self.size)
-        op.setflags(write=False)
-        return op
 
     def naive_product(self, a: RingElement, b: RingElement) -> RingElement:
         """Independent oracle: the formal-sum product, with no precomputed index."""

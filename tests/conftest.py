@@ -28,23 +28,17 @@ def rng() -> random.Random:
 
 @pytest.fixture()
 def operator_builds(monkeypatch) -> list:
-    """(kind, element) for every operator built, in build order: kind
-    "right_operator" for mul's (4n, 2n) operator, "circulant" for the
-    (2n, 2n) F_p matrices of products in F_{q^2}[C_n]: cross_mul's of both
-    C_n halves, or cross_operands' of sigma(G) and G."""
+    """("circulant", element) for every operator built, in build order: the
+    (2n, 2n) F_p matrices of products in F_{q^2}[C_n], of both C_n halves
+    for mul and cross_mul, or of sigma(G) and G for cross_operands."""
     built = []
+    build = SkewRing.circulant
 
-    def spy_on(kind):
-        build = getattr(SkewRing, kind)
+    def spy(ring, b, *args):
+        built.append(("circulant", b))
+        return build(ring, b, *args)
 
-        def spy(ring, b, *args):
-            built.append((kind, b))
-            return build(ring, b, *args)
-
-        monkeypatch.setattr(SkewRing, kind, spy)
-
-    spy_on("right_operator")
-    spy_on("circulant")
+    monkeypatch.setattr(SkewRing, "circulant", spy)
     return built
 
 

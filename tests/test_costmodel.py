@@ -75,11 +75,11 @@ def test_opcount_reset():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 19, 41])
 def test_production_kernel_gathers_what_the_model_counts(n):
-    # the operator SkewRing.mul multiplies by holds the two F_p parts of
-    # each of the 4n^2 basis pairs the model counts
+    # the circulants every product by b multiplies by hold the two F_p
+    # parts of each of the 4n^2 basis pairs the model counts
     ring = SkewRing(3, n)
     b = ring.sample_ring(random.Random(n))
-    assert ring.right_operator(b).size == 2 * product_cost_model(n, 0)[1]
+    assert b.circulant.size == 2 * product_cost_model(n, 0)[1]
 
 
 @pytest.mark.parametrize("p,n", [(3, 3), (19, 19)])

@@ -259,9 +259,8 @@ def test_warm_kem_op_runs_no_skew_product(monkeypatch):
     ct, key = kem_encaps(pk_bytes, params, rng)
     assert kem_decaps(priv, ct, params) == key
     calls = []
-    for name in ("mul", "right_operator"):
-        real = getattr(SkewRing, name)
-        monkeypatch.setattr(SkewRing, name, lambda *args, name=name, real=real: calls.append(name) or real(*args))
+    mul = SkewRing.mul
+    monkeypatch.setattr(SkewRing, "mul", lambda *args: calls.append(args) or mul(*args))
     for tampered in (False, True):
         ct, key = kem_encaps(pk_bytes, params, rng)
         if tampered:

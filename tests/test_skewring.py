@@ -8,7 +8,7 @@ import pytest
 from sdgr.dihedral import inverse
 from sdgr.field import find_lambda, is_prime
 from sdgr.params import PARAM_SETS
-from sdgr.pke import enc_operator
+from sdgr.pke import enc_operator, encrypt
 from sdgr.skewring import RingElement, SkewRing, SubspaceTag
 
 # odd and even n: for even n the reflection x^(n/2) y mirrors onto itself
@@ -106,19 +106,6 @@ def test_mul_matches_naive_oracle_on_every_basis_pair(p, n, rng):
 
 
 @pytest.mark.parametrize("p,n", ORACLE_RINGS)
-def test_right_operator_rows_are_basis_products(p, n, rng):
-    # rows i and 2n + i of the (4n, 2n) operator are the F_p parts of g_i * b
-    ring = SkewRing(p, n)
-    for b in (ring.sample_ring(rng), ring.sample_gamma(rng)):
-        op = ring.right_operator(b)
-        assert op.shape == (2 * ring.size, ring.size)
-        for i in range(ring.size):
-            expected = ring.naive_product(ring.basis(i), b).coeffs
-            assert (op[i] % p).tolist() == expected[:, 0].tolist(), i
-            assert (op[ring.size + i] % p).tolist() == expected[:, 1].tolist(), i
-
-
-@pytest.mark.parametrize("p,n", ORACLE_RINGS)
 def test_circulant_rows_are_basis_products(p, n, rng):
     # row (i, s) of the block of z is the F_p parts of t^s x^i * z in C_n, for
     # z = sigma(b_Y) and b_Y (cross_operands' blocks) and b_Y and b_C (the kept ones)
@@ -174,15 +161,15 @@ def test_mul_is_exact_at_the_float64_bound(rng):
     cases.append((ring.sample_cn(rng), top_gamma))
     for a, g in cases:
         assert ring.cross_operands(a, g) == _cross_operands_oracle(ring, a, g)
-    # cross_mul on an element's kept circulants and on a caller-kept operator
-    # (Params insists on p | n, so enc_operator gets a stand-in); with all
+    # cross_mul on an element's kept circulants, and pke.encrypt on
+    # enc_operator (Params insists on p | n, so it gets a stand-in); with all
     # entries p - 1, every partial sum reaches n*(p-1)^2*(1+lam)
     for w in (top, ring.sample_ring(rng)):
         assert ring.cross_mul(w, top) == _cross_oracle(ring, w, top)
-    c = ring.cross_mul(top, enc_operator(SimpleNamespace(ring=ring, h=top), top))
-    assert c.shape == (2, ring.size, 2)
-    for block in (c[:, :n], c[::-1, n:]):
-        assert RingElement(ring, block.reshape(ring.size, 2)) == _cross_oracle(ring, top, top)
+    rows = top.coeffs.reshape(2, 1, ring.size)  # [v; u], both all p - 1
+    c1, c2 = encrypt(top.coeffs, enc_operator(SimpleNamespace(ring=ring, h=top), top), rows, p)
+    assert RingElement(ring, c1) == _cross_oracle(ring, top, top)
+    assert RingElement(ring, c2) == top + _cross_oracle(ring, top, top)
 
 
 def test_ring_axioms_random(toy_ring, rng):
@@ -468,8 +455,8 @@ def test_reused_right_operand_is_built_once(r19, rng, operator_builds):
     for _ in range(5):
         a = r19.sample_ring(rng)
         assert r19.mul(a, b) == r19.naive_product(a, b)
-    assert operator_builds == [("right_operator", b)]
-    assert not b.right_operator.flags.writeable
+    assert operator_builds == [("circulant", b)]
+    assert not b.circulant.flags.writeable
 
 
 def test_cross_ring_product_builds_no_operator(r19, rng, operator_builds):
