@@ -5,11 +5,17 @@ computational (CSDP), and decisional (DSDP) games, an exhaustive SDPD
 solver with a search-space guard, and the subspace-membership distinguisher
 that wins DSDP when the public element degenerates to a single summand.
 
-The challengers and sdpd_verify compute a h gamma and a pk adjunct(gamma) by
-sdgr.kex's closed forms, one cross_mul each on h's or pk's kept circulants:
-they hold for any h and pk, a on C_n and reversible gamma, zero included.
-The challengers draw each pair (a, gamma) with one SkewRing.sample_pair,
-uniformly, zero included, exactly as the games state.
+Every public value of a challenge is a product by the same h.  The
+challengers draw each pair (a, gamma) with one SkewRing.sample_pair,
+uniformly, zero included, exactly as the games state.  They, and
+sdpd_verify for its candidate, take each pair's raw cross rows [v; u] with
+one SkewRing.cross_rows and compute every a h gamma = v h_Y + (u h_C) y
+(sdgr.kex's closed form) in one matmul of all the rows with h's kept
+circulants.  The CSDP key a2 pk1 adjunct(gamma2) = u2 pk1_Y + (v2 pk1_C) y
+is pair 2's rows, reversed, against pk1's circulants; a DSDP trial with
+b = 1 does not compute it.  The forms hold for any h, a on C_n and
+reversible gamma, zero included.  The solver fixes the right operand
+instead: one matmul of every a on C_n per h gamma.
 """
 
 from __future__ import annotations
@@ -61,18 +67,30 @@ class DsdpInstance:
     _hidden_bit: int = field(repr=False)
 
 
-def _public(params: GameParams, a: RingElement, gamma: RingElement) -> RingElement:
-    """a * h * gamma for a on C_n and reversible gamma."""
-    return params.ring.cross_mul(params.ring.cross_operands(a, gamma)[1], params.h)
+def _publics(params: GameParams, pairs) -> tuple[np.ndarray, list[RingElement]]:
+    """Each pair's raw cross rows [v; u] (SkewRing.cross_rows), stacked
+    (m, 2, 1, 2n), and its public value a h gamma = v h_Y + (u h_C) y: one
+    matmul of all the rows with h's kept circulants."""
+    ring = params.ring
+    rows = np.concatenate([ring.cross_rows(a, gamma) for a, gamma in pairs]).reshape(-1, 2, 1, ring.size)
+    return rows, _cross(ring, rows, params.h)
+
+
+def _cross(ring: SkewRing, rows: np.ndarray, x: RingElement) -> list[RingElement]:
+    """SkewRing.cross_mul(w, x) for each w in the raw rows (..., 2, 1, 2n):
+    one matmul with x's kept circulants, within cross_mul's bound."""
+    out = (rows @ x.circulant).astype(np.int64)
+    out %= ring.p
+    return [RingElement(ring, c) for c in out.reshape(-1, ring.size, 2)]
 
 
 # -- Game 1: decomposition ----------------------------------------------------
 
 
 def sdpd_challenge(params: GameParams, rng) -> tuple[SdpdInstance, tuple[RingElement, RingElement]]:
-    a, gamma = params.ring.sample_pair(rng)
-    pk = _public(params, a, gamma)
-    return SdpdInstance(params=params, pk=pk), (a, gamma)
+    pair = params.ring.sample_pair(rng)
+    _, (pk,) = _publics(params, [pair])
+    return SdpdInstance(params=params, pk=pk), pair
 
 
 def sdpd_verify(inst: SdpdInstance, a: RingElement, gamma: RingElement) -> bool:
@@ -83,7 +101,8 @@ def sdpd_verify(inst: SdpdInstance, a: RingElement, gamma: RingElement) -> bool:
         raise ValueError("candidate a must be supported on C_n")
     if not ring.is_reversible(gamma):
         raise ValueError("candidate gamma must lie in the reversible subspace")
-    return _public(inst.params, a, gamma) == inst.pk
+    _, (pk,) = _publics(inst.params, [(a, gamma)])
+    return pk == inst.pk
 
 
 def sdpd_search_space(ring: SkewRing) -> int:
@@ -92,22 +111,26 @@ def sdpd_search_space(ring: SkewRing) -> int:
 
 
 def sdpd_bruteforce(inst: SdpdInstance) -> List[tuple[RingElement, RingElement]]:
-    """Exhaustive enumeration of all (a, gamma) with a h gamma = pk.
+    """Exhaustive enumeration of all (a, gamma) with a h gamma = pk, in
+    iter_cn order with gamma fastest.
 
-    Guarded to desk scale; precomputes h*gamma per gamma so the inner loop is
-    a single product.
+    Guarded to desk scale.  An a on C_n has a z = a_C z_C + (a_C z_Y) y, so
+    for each gamma one matmul of every a_C's raw row with the kept
+    circulants of z = h gamma gives every product by it.
     """
     ring = inst.params.ring
     space = sdpd_search_space(ring)
     if space > SEARCH_SPACE_GUARD:
         raise ValueError(f"search space {space} exceeds guard {SEARCH_SPACE_GUARD}")
-    h_gammas = [(gamma, inst.params.h * gamma) for gamma in ring.iter_gamma()]
-    found = []
-    for a in ring.iter_cn():
-        for gamma, hg in h_gammas:
-            if a * hg == inst.pk:
-                found.append((a, gamma))
-    return found
+    cns, gammas = list(ring.iter_cn()), list(ring.iter_gamma())
+    rows = np.array([a.coeffs[: ring.n] for a in cns]).reshape(len(cns), ring.size)
+    target = inst.pk.coeffs.reshape(2, 1, ring.size)[::-1]  # [pk_Y; pk_C], the circulants' order
+    hits = []
+    for j, gamma in enumerate(gammas):
+        out = (rows @ (inst.params.h * gamma).circulant).astype(np.int64)
+        out %= ring.p
+        hits.extend((i, j) for i in np.flatnonzero((out == target).all(axis=(0, 2))))
+    return [(cns[i], gammas[j]) for i, j in sorted(hits)]
 
 
 # -- Game 2: computational ----------------------------------------------------
@@ -115,14 +138,9 @@ def sdpd_bruteforce(inst: SdpdInstance) -> List[tuple[RingElement, RingElement]]
 
 def csdp_challenge(params: GameParams, rng) -> tuple[CsdpInstance, RingElement]:
     ring = params.ring
-    a1, g1 = ring.sample_pair(rng)
-    a2, g2 = ring.sample_pair(rng)
-    pk1 = _public(params, a1, g1)
-    w2 = ring.cross_operands(a2, g2)
-    pk2 = ring.cross_mul(w2[1], params.h)
-    k = ring.cross_mul(w2[0], pk1)
-    inst = CsdpInstance(params=params, pk1=pk1, pk2=pk2, _k=k)
-    return inst, k
+    rows, (pk1, pk2) = _publics(params, [ring.sample_pair(rng), ring.sample_pair(rng)])
+    (k,) = _cross(ring, rows[1, ::-1], pk1)  # a2 pk1 adjunct(gamma2) = u2 pk1_Y + (v2 pk1_C) y
+    return CsdpInstance(params=params, pk1=pk1, pk2=pk2, _k=k), k
 
 
 def csdp_verify(inst: CsdpInstance, k_tilde: RingElement) -> bool:
@@ -141,11 +159,13 @@ def csdp_key_from_witness(inst: CsdpInstance, a: RingElement, gamma: RingElement
 def dsdp_challenge(params: GameParams, b: int, rng) -> DsdpInstance:
     if b not in (0, 1):
         raise ValueError("b must be 0 or 1")
-    # the CSDP instance, then a third pair: k is its key (b = 0) or a3 h gamma3
-    inst, k0 = csdp_challenge(params, rng)
-    a3, g3 = params.ring.sample_pair(rng)
-    k = k0 if b == 0 else _public(params, a3, g3)
-    return DsdpInstance(params=params, pk1=inst.pk1, pk2=inst.pk2, k=k, _hidden_bit=b)
+    # the CSDP instance's two pairs, then a third: k is the CSDP key (b = 0)
+    # or a3 h gamma3 (b = 1), and the other one is not computed
+    ring = params.ring
+    pairs = [ring.sample_pair(rng) for _ in range(3)]
+    rows, pks = _publics(params, pairs[: 2 + b])
+    k = pks[2] if b else _cross(ring, rows[1, ::-1], pks[0])[0]
+    return DsdpInstance(params=params, pk1=pks[0], pk2=pks[1], k=k, _hidden_bit=b)
 
 
 # -- advantage estimation ------------------------------------------------------

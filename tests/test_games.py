@@ -335,3 +335,81 @@ def test_warm_dsdp_trial_runs_no_skew_product(name, kind, monkeypatch, operator_
     assert calls == []
     # h's circulants are built in the warm-up and kept on h
     assert [b for _, b in operator_builds if b is params.h] == [params.h]
+
+
+# -- the batched challengers and solver against their pair-by-pair forms ------
+
+
+@pytest.mark.parametrize("name", ["toy", "p19"])
+def test_challengers_match_pairwise_cross_products(name):
+    # per pair one cross_operands, then one cross_mul per value, as sdgr.kex
+    # computes them; the generator must end where the pairs' draws leave it
+    params = _game(name, "mixed")
+    ring, h = params.ring, params.h
+    for seed in range(50):
+        twin = random.Random(seed)
+        ws, states = [], []
+        for _ in range(3):
+            ws.append(ring.cross_operands(*ring.sample_pair(twin)))
+            states.append(twin.getstate())
+        pk1, pk2, pk3 = (ring.cross_mul(w[1], h) for w in ws)
+        key = ring.cross_mul(ws[1][0], pk1)
+
+        rng = random.Random(seed)
+        sdpd, _ = sdpd_challenge(params, rng)
+        assert sdpd.pk == pk1 and rng.getstate() == states[0]
+        rng = random.Random(seed)
+        csdp, k = csdp_challenge(params, rng)
+        assert (csdp.pk1, csdp.pk2, k) == (pk1, pk2, key) and rng.getstate() == states[1]
+        for b, want in ((0, key), (1, pk3)):
+            rng = random.Random(seed)
+            dsdp = dsdp_challenge(params, b, rng)
+            assert (dsdp.pk1, dsdp.pk2, dsdp.k) == (pk1, pk2, want)
+            assert rng.getstate() == states[2]
+
+
+@pytest.mark.parametrize("name", ["toy", "p19"])
+@pytest.mark.parametrize("kind", ["mixed", "cn", "cny"])
+def test_warm_dsdp_trial_builds_three_circulants(name, kind, operator_builds):
+    # the gamma operators of the pairs it multiplies, and pk1's for the key
+    # at b = 0; at b = 1 the CSDP key is not computed
+    params = _game(name, kind, seed=3)
+    rng = random.Random(6)
+    dsdp_challenge(params, 0, rng)  # warm-up: h's circulants
+    for b in (0, 1, 0, 1):
+        operator_builds.clear()
+        inst = dsdp_challenge(params, b, rng)
+        built = [elem for _, elem in operator_builds]
+        assert len(built) == 3
+        assert any(elem is inst.pk1 for elem in built) == (b == 0)
+        assert not any(elem is params.h for elem in built)
+
+
+def _bruteforce_loop(inst):
+    """Reference for sdpd_bruteforce: every a against every h gamma, one
+    skew product per pair, a outermost."""
+    ring = inst.params.ring
+    h_gammas = [(gamma, inst.params.h * gamma) for gamma in ring.iter_gamma()]
+    found = []
+    for a in ring.iter_cn():
+        for gamma, hg in h_gammas:
+            if a * hg == inst.pk:
+                found.append((a, gamma))
+    return found
+
+
+def test_sdpd_bruteforce_matches_the_pairwise_loop(toy_game, degenerate_game, monkeypatch):
+    # the recorded draws plant a = 0 in the second challenge and gamma = 0 in
+    # the third, so each game gets two zero secrets and one random one
+    drawn = _recorded_pairs(monkeypatch)
+    rng = random.Random(12)
+    sizes = []
+    for game in (toy_game, degenerate_game):
+        for _ in range(3):
+            inst, planted = sdpd_challenge(game, rng)
+            found = sdpd_bruteforce(inst)
+            assert found == _bruteforce_loop(inst)
+            assert any(a == planted[0] and gamma == planted[1] for a, gamma in found)
+            sizes.append(len(found))
+    assert drawn[1][0].is_zero() and drawn[2][1].is_zero()
+    assert sizes[1] == sizes[2] == 1449  # every a h gamma = 0 for mixed h

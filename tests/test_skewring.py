@@ -382,6 +382,15 @@ def test_elements_are_immutable(toy_ring):
     a = toy_ring.one()
     with pytest.raises(ValueError):
         a.coeffs[0, 0] = 2
+    op = a.circulant
+    assert a.circulant is op  # kept in its slot by the first use
+    for name in ("ring", "coeffs", "circulant", "_circulant", "other"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert not hasattr(a, "__dict__")
+    assert a.circulant is op and a == toy_ring.one()
 
 
 def test_cross_ring_rejected(toy_ring):
