@@ -87,11 +87,7 @@ class QuadraticField:
         """a -> a^p, which is conjugation: t -> -t."""
         return (a[0], (-a[1]) % self.p)
 
-    # -- sampling / enumeration -------------------------------------------
-
-    def sample(self, rng) -> Fq2:
-        """Uniform element of F_{p^2}; rng is any object with randrange()."""
-        return (rng.randrange(self.p), rng.randrange(self.p))
+    # -- enumeration -------------------------------------------------------
 
     def elements(self) -> Iterator[Fq2]:
         for c0 in range(self.p):

@@ -10,12 +10,12 @@ challengers draw each pair (a, gamma) with one SkewRing.sample_pair,
 uniformly, zero included, exactly as the games state.  They, and
 sdpd_verify for its candidate, take each pair's raw cross rows [v; u] with
 one SkewRing.cross_rows and compute every a h gamma = v h_Y + (u h_C) y
-(sdgr.kex's closed form) in one matmul of all the rows with h's kept
-circulants.  The CSDP key a2 pk1 adjunct(gamma2) = u2 pk1_Y + (v2 pk1_C) y
-is pair 2's rows, reversed, against pk1's circulants; a DSDP trial with
-b = 1 does not compute it.  The forms hold for any h, a on C_n and
-reversible gamma, zero included.  The solver fixes the right operand
-instead: one matmul of every a on C_n per h gamma.
+(sdgr.kex's closed form) in one SkewRing.cross_mul of all the rows by h.
+The CSDP key a2 pk1 adjunct(gamma2) = u2 pk1_Y + (v2 pk1_C) y is pair 2's
+rows, reversed, by pk1; a DSDP trial with b = 1 does not compute it.  The
+forms hold for any h, a on C_n and reversible gamma, zero included.  The
+solver fixes the right operand instead: one matmul of every a_C's raw row
+per h gamma.
 """
 
 from __future__ import annotations
@@ -70,18 +70,10 @@ class DsdpInstance:
 def _publics(params: GameParams, pairs) -> tuple[np.ndarray, list[RingElement]]:
     """Each pair's raw cross rows [v; u] (SkewRing.cross_rows), stacked
     (m, 2, 1, 2n), and its public value a h gamma = v h_Y + (u h_C) y: one
-    matmul of all the rows with h's kept circulants."""
+    cross_mul of all the rows with h."""
     ring = params.ring
     rows = np.concatenate([ring.cross_rows(a, gamma) for a, gamma in pairs]).reshape(-1, 2, 1, ring.size)
-    return rows, _cross(ring, rows, params.h)
-
-
-def _cross(ring: SkewRing, rows: np.ndarray, x: RingElement) -> list[RingElement]:
-    """SkewRing.cross_mul(w, x) for each w in the raw rows (..., 2, 1, 2n):
-    one matmul with x's kept circulants, within cross_mul's bound."""
-    out = (rows @ x.circulant).astype(np.int64)
-    out %= ring.p
-    return [RingElement(ring, c) for c in out.reshape(-1, ring.size, 2)]
+    return rows, [RingElement(ring, c) for c in ring.cross_mul(rows, params.h)]
 
 
 # -- Game 1: decomposition ----------------------------------------------------
@@ -116,21 +108,24 @@ def sdpd_bruteforce(inst: SdpdInstance) -> List[tuple[RingElement, RingElement]]
 
     Guarded to desk scale.  An a on C_n has a z = a_C z_C + (a_C z_Y) y, so
     for each gamma one matmul of every a_C's raw row with the kept
-    circulants of z = h gamma gives every product by it.
+    circulants of z = h gamma gives every product by it.  Only the hits
+    become elements.
     """
     ring = inst.params.ring
     space = sdpd_search_space(ring)
     if space > SEARCH_SPACE_GUARD:
         raise ValueError(f"search space {space} exceeds guard {SEARCH_SPACE_GUARD}")
-    cns, gammas = list(ring.iter_cn()), list(ring.iter_gamma())
-    rows = np.array([a.coeffs[: ring.n] for a in cns]).reshape(len(cns), ring.size)
+    gammas = list(ring.iter_gamma())
+    rows = np.indices((ring.p,) * ring.size).reshape(ring.size, -1).T  # every a_C, in iter_cn order
     target = inst.pk.coeffs.reshape(2, 1, ring.size)[::-1]  # [pk_Y; pk_C], the circulants' order
     hits = []
     for j, gamma in enumerate(gammas):
         out = (rows @ (inst.params.h * gamma).circulant).astype(np.int64)
         out %= ring.p
         hits.extend((i, j) for i in np.flatnonzero((out == target).all(axis=(0, 2))))
-    return [(cns[i], gammas[j]) for i, j in sorted(hits)]
+    hits.sort()
+    cns = np.pad(rows[[i for i, _ in hits]], ((0, 0), (0, ring.size))).reshape(-1, ring.size, 2)
+    return [(RingElement(ring, a), gammas[j]) for a, (_, j) in zip(cns, hits)]
 
 
 # -- Game 2: computational ----------------------------------------------------
@@ -139,7 +134,7 @@ def sdpd_bruteforce(inst: SdpdInstance) -> List[tuple[RingElement, RingElement]]
 def csdp_challenge(params: GameParams, rng) -> tuple[CsdpInstance, RingElement]:
     ring = params.ring
     rows, (pk1, pk2) = _publics(params, [ring.sample_pair(rng), ring.sample_pair(rng)])
-    (k,) = _cross(ring, rows[1, ::-1], pk1)  # a2 pk1 adjunct(gamma2) = u2 pk1_Y + (v2 pk1_C) y
+    k = RingElement(ring, ring.cross_mul(rows[1, ::-1], pk1))  # u2 pk1_Y + (v2 pk1_C) y
     return CsdpInstance(params=params, pk1=pk1, pk2=pk2, _k=k), k
 
 
@@ -164,7 +159,7 @@ def dsdp_challenge(params: GameParams, b: int, rng) -> DsdpInstance:
     ring = params.ring
     pairs = [ring.sample_pair(rng) for _ in range(3)]
     rows, pks = _publics(params, pairs[: 2 + b])
-    k = pks[2] if b else _cross(ring, rows[1, ::-1], pks[0])[0]
+    k = pks[2] if b else RingElement(ring, ring.cross_mul(rows[1, ::-1], pks[0]))
     return DsdpInstance(params=params, pk1=pks[0], pk2=pks[1], k=k, _hidden_bit=b)
 
 

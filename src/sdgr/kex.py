@@ -14,11 +14,11 @@ on coefficients; adjunct(gamma) = sigma(G) y.  With u = a G and v = a sigma(G),
     pk = a * h * gamma          = v h_Y + (u h_C) y,
     k  = a * P * adjunct(gamma) = u P_Y + (v P_C) y.
 
-A SecretPair keeps u + v y and v + u y (SkewRing.cross_operands: one
-matmul of a's raw coefficients with the F_p matrices of products by
-sigma(G) and G, which carry lam and sigma's signs), and each value is one
-SkewRing.cross_mul of those raw coefficients with the matrices kept on h or
-on the peer's P: no skew product and no adjunct is formed.  pk is linear in
+A SecretPair keeps the raw rows [v; u] (SkewRing.cross_rows: one matmul
+of a's raw coefficients with the F_p matrices of products by sigma(G) and
+G, which carry lam and sigma's signs), and each value is one
+SkewRing.cross_mul of those rows, or of [u; v], with the matrices kept on h
+or on the peer's P: no skew product and no adjunct is formed.  pk is linear in
 (u, v), and an honest peer's P has P_Y = u_2 h_C and P_C = v_2 h_Y, so any
 (u', v') with u' h_C = u h_C and v' h_Y = v h_Y gives the same key with
 every honest peer, whether or not it comes from a secret pair.  Finding one
@@ -29,6 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+
+import numpy as np
 
 from .params import Params
 from .skewring import RingElement, SubspaceTag
@@ -57,9 +59,16 @@ class SecretPair:
         return pair
 
     @cached_property
-    def cross_operands(self) -> tuple[RingElement, RingElement]:
-        """(u + v y, v + u y) with u = a G, v = a sigma(G) for gamma = G y."""
-        return self.a.ring.cross_operands(self.a, self.gamma)
+    def rows(self) -> np.ndarray:
+        """The read-only raw rows [v; u] of u = a G, v = a sigma(G) for gamma = G y."""
+        rows = self.a.ring.cross_rows(self.a, self.gamma)
+        rows.setflags(write=False)
+        return rows
+
+    @cached_property
+    def w(self) -> RingElement:
+        """u + v y, whose kept circulants pke.decrypt multiplies c1 by."""
+        return RingElement(self.a.ring, self.rows[::-1].reshape(self.a.ring.size, 2))
 
 
 @dataclass(frozen=True)
@@ -77,7 +86,9 @@ def sample_secret_pair(params: Params, rng) -> SecretPair:
 
 def public_value(params: Params, sk: SecretPair) -> RingElement:
     """pk = a * h * gamma = v h_Y + (u h_C) y, on h's kept circulants."""
-    return params.ring.cross_mul(sk.cross_operands[1], params.h)
+    ring = params.ring
+    ring._check(sk.a)
+    return RingElement(ring, ring.cross_mul(sk.rows, params.h))
 
 
 def kex_keygen(params: Params, rng) -> tuple[SecretPair, RingElement]:
@@ -87,7 +98,8 @@ def kex_keygen(params: Params, rng) -> tuple[SecretPair, RingElement]:
 
 def kex_shared(sk: SecretPair, peer_pk: RingElement) -> RingElement:
     """k = a * peer_pk * adjunct(gamma) = u P_Y + (v P_C) y for P = peer_pk."""
-    return sk.a.ring.cross_mul(sk.cross_operands[0], peer_pk)
+    ring = sk.a.ring
+    return RingElement(ring, ring.cross_mul(sk.rows[::-1], peer_pk))
 
 
 class KexSession:

@@ -15,10 +15,11 @@ so Enc is one batched matmul of the raw rows [u; v] of r2's w
 (SkewRing.cross_rows) with pk's (2n, 2n) F_p product matrices beside h's,
 h's halves swapped (enc_operator, (2, 2n, 4n), which the KEM keeps per
 key): u's row gives [mask_C | c1_Y] and v's row [mask_Y | c1_C].  Dec
-multiplies c1's raw rows by the matrices kept on the secret's own w: c1_C
-meets v and c1_Y meets u, so kex_shared(sk, c1) is the result, halves
-swapped.  encrypt and decrypt run on raw (2n, 2) arrays, as the KEM does;
-pke_enc and pke_dec check their operands' ring and wrap the arrays.
+multiplies c1's raw rows by the matrices kept on the secret's own w
+(SecretPair.w): c1_C meets v and c1_Y meets u, so kex_shared(sk, c1) is the
+result, halves swapped.  Each reduces once, m added or taken away, so not
+through SkewRing.cross_mul, and runs on raw (2n, 2) arrays, as the KEM
+does; pke_enc and pke_dec check their operands' ring and wrap the arrays.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ def decrypt(c: np.ndarray, sk: SecretPair) -> np.ndarray:
     """Dec(sk, c) = c2 - kex_shared(sk, c1) on raw [c1; c2], (2, 2n, 2) in
     [0, p), and the circulants sk keeps, as m's (2n, 2) array."""
     ring = sk.a.ring
-    k = c[0].reshape(2, 1, ring.size) @ sk.cross_operands[0].circulant
+    k = c[0].reshape(2, 1, ring.size) @ sk.w.circulant
     m = (c[1].reshape(2, ring.size) - k[::-1, 0]).astype(np.int64)
     m %= ring.p
     return m.reshape(ring.size, 2)

@@ -8,8 +8,8 @@ float64 matmul of raw coefficient rows with the (2n, 2n) F_p matrices of
 w -> w * z in the commutative F_{q^2}[C_n], gathered once per right operand
 with lam and sigma's signs in their entries and kept on it (circulant).
 Write z = z_C + z_Y y with z_C and z_Y in F_{q^2}[C_n].  The schemes and
-the game challengers need only cross_mul, whose two halves w_C * x_Y and
-w_Y * x_C are one row each against x's matrices of x_Y and x_C.  The skew
+the game challengers need only cross_mul: raw rows [w_C; w_Y], any number
+of w, each one row against x's matrix of x_Y or x_C.  The skew
 product needs y z = rho(z) y, where rho(z)(x) = sigma(z)(x^-1) is an
 involutive automorphism of F_{q^2}[C_n] and, on raw coefficients, a signed
 permutation, so
@@ -84,7 +84,7 @@ class RingElement:
     def circulant(self) -> np.ndarray:
         """The (2, 2n, 2n) F_p matrices of w -> w * z for this element's C_n
         y block and C_n block z, built on first use and kept in a slot: the
-        operator every product by this element multiplies by, cross_mul(w,
+        operator every product by this element multiplies by, cross_mul(rows,
         self) and w * self."""
         try:
             return self._circulant
@@ -219,35 +219,30 @@ class SkewRing:
         self._mul_index = (take_rows, sign, plain, twisted)
         return self._mul_index
 
-    def cross_mul(self, w: RingElement, x: RingElement) -> RingElement:
-        """The element with C_n half w_C * x_Y and C_n y half w_Y * x_C.
+    def cross_mul(self, rows: np.ndarray, x: RingElement) -> np.ndarray:
+        """The raw coefficients, (..., 2n, 2) in [0, p), of the elements with
+        C_n half w_C * x_Y and C_n y half w_Y * x_C, for the raw rows
+        [w_C; w_Y], (..., 2, 1, 2n) in [0, p), of any number of w.
 
         z_C and z_Y are the C_n coefficient blocks of z's two halves, z =
         z_C + z_Y y, and the products are in the commutative F_{q^2}[C_n].
-        This is one batched float64 matmul of w's raw coefficients, a
-        (1, 2n) row per half, with x's kept (2, 2n, 2n) circulants, which
-        carry the F_{q^2} arithmetic (see circulant).  Their entries have
-        |entry| <= lam*(p-1), so every partial sum is at most
-        n*(p-1)^2*(1+lam), inside mul's bound: the matmul and the cast are
-        exact.
+        This is one broadcast float64 matmul of the rows with x's kept
+        (2, 2n, 2n) circulants, which carry the F_{q^2} arithmetic (see
+        circulant).  Their entries have |entry| <= lam*(p-1), so every
+        partial sum is at most n*(p-1)^2*(1+lam), inside mul's bound: the
+        matmul and the cast are exact.
         """
-        self._check(w, x)
-        c = (w.coeffs.reshape(2, 1, self.size) @ x.circulant).astype(np.int64)
+        self._check(x)
+        c = (rows @ x.circulant).astype(np.int64)
         c %= self.p
-        return RingElement(self, c.reshape(self.size, 2))
-
-    def cross_operands(self, a: RingElement, g: RingElement) -> tuple[RingElement, RingElement]:
-        """(u + v y, v + u y) for u = a_C * G and v = a_C * sigma(G) in
-        F_{q^2}[C_n], with a_C the C_n half of a and G the C_n y block of g:
-        the w that cross_mul takes for a * x * sigma(g) and a * x * g when g
-        is reversible (see sdgr.kex), built on cross_rows."""
-        vu = self.cross_rows(a, g)
-        return RingElement(self, vu[::-1].reshape(self.size, 2)), RingElement(self, vu.reshape(self.size, 2))
+        return c.reshape(rows.shape[:-3] + (self.size, 2))
 
     def cross_rows(self, a: RingElement, g: RingElement) -> np.ndarray:
-        """cross_operands' raw (2, 1, 2n) rows [v; u]: one matmul of a_C's raw
-        row with the stacked matrices of sigma(G) and G, which keep
-        cross_mul's bound; the int64 % maps the signed sums into [0, p)."""
+        """The raw (2, 1, 2n) rows [v; u] in [0, p) of u = a_C * G and v =
+        a_C * sigma(G), for a's C_n half a_C and g's C_n y block G: cross_mul's
+        rows for a x g, and reversed for a x sigma(g), when g is reversible
+        (see sdgr.kex).  One matmul with the stacked matrices of sigma(G) and
+        G, in cross_mul's bound; the int64 % maps the signed sums into [0, p)."""
         self._check(a, g)
         vu = (a.coeffs[: self.n].reshape(1, self.size) @ self.circulant(g, slice(0, 2))).astype(np.int64)
         vu %= self.p
@@ -258,7 +253,7 @@ class SkewRing:
         w's raw coefficients, for z = sigma(b_Y), b_Y and b_C, the `blocks`
         slice of them stacked: by default the (2, 2n, 2n) circulants of b's
         C_n y block and C_n block that RingElement.circulant keeps, and
-        slice(0, 2) for cross_operands.  Row (i, s) and column (k, t),
+        slice(0, 2) for cross_rows.  Row (i, s) and column (k, t),
         the order of coeffs.ravel(), hold part s^t of z_{k-i}, times lam
         when (s, t) = (1, 0): one take out of [1, lam, -1, -lam] (x)
         b.coeffs, 4n^2 entries per block."""

@@ -30,7 +30,8 @@ def rng() -> random.Random:
 def operator_builds(monkeypatch) -> list:
     """("circulant", element) for every operator built, in build order: the
     (2n, 2n) F_p matrices of products in F_{q^2}[C_n], of both C_n halves
-    for mul and cross_mul, or of sigma(G) and G for cross_operands."""
+    for mul, cross_mul and pke.decrypt (a secret's w), or of sigma(G) and G
+    for cross_rows (a secret's gamma)."""
     built = []
     build = SkewRing.circulant
 

@@ -1,8 +1,15 @@
 import random
+from collections import Counter
 
 import pytest
 
 from sdgr.field import QuadraticField, find_lambda, is_prime
+from sdgr.skewring import SkewRing
+
+
+def _sample(f, rng):
+    """Uniform element of F_{p^2}: two rng.randrange(p) draws."""
+    return (rng.randrange(f.p), rng.randrange(f.p))
 
 
 def test_find_lambda_examples():
@@ -60,7 +67,7 @@ def test_inverse_property(p):
     f = QuadraticField(p)
     elems = list(f.elements())
     rng = random.Random(p)
-    for a in elems if p == 3 else [f.sample(rng) for _ in range(20)]:
+    for a in elems if p == 3 else [_sample(f, rng) for _ in range(20)]:
         if a != f.zero:
             assert len({f.mul(a, b) for b in elems}) == f.order, a
 
@@ -70,7 +77,7 @@ def test_frobenius_fixes_base_field_and_has_order_two():
     assert f.frobenius((7, 0)) == (7, 0)
     rng = random.Random(9)
     for _ in range(200):
-        a = f.sample(rng)
+        a = _sample(f, rng)
         assert f.frobenius(f.frobenius(a)) == a
 
 
@@ -86,7 +93,7 @@ def test_frobenius_matches_ladder(p):
         elems = list(f.elements())
     else:
         rng = random.Random(p)
-        elems = [f.sample(rng) for _ in range(200)]
+        elems = [_sample(f, rng) for _ in range(200)]
     for a in elems:
         assert f.frobenius(a) == frobenius_ladder(f, a)
 
@@ -96,7 +103,7 @@ def test_frobenius_is_automorphism(p):
     f = QuadraticField(p)
     rng = random.Random(100 + p)
     for _ in range(300):
-        a, b = f.sample(rng), f.sample(rng)
+        a, b = _sample(f, rng), _sample(f, rng)
         assert f.frobenius(f.add(a, b)) == f.add(f.frobenius(a), f.frobenius(b))
         assert f.frobenius(f.mul(a, b)) == f.mul(f.frobenius(a), f.frobenius(b))
 
@@ -106,7 +113,7 @@ def test_field_axioms_random_triples(p):
     f = QuadraticField(p)
     rng = random.Random(200 + p)
     for _ in range(2000):
-        a, b, c = f.sample(rng), f.sample(rng), f.sample(rng)
+        a, b, c = _sample(f, rng), _sample(f, rng), _sample(f, rng)
         assert f.add(a, b) == f.add(b, a)
         assert f.mul(a, b) == f.mul(b, a)
         assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
@@ -115,27 +122,25 @@ def test_field_axioms_random_triples(p):
 
 
 def test_sample_is_uniform_enough():
-    f = QuadraticField(3)
+    # the F_{p^2} coefficients the ring's samplers draw
+    ring = SkewRing(3, 3)
     rng = random.Random(77)
-    counts = {}
-    draws = 20000
-    for _ in range(draws):
-        a = f.sample(rng)
-        assert 0 <= a[0] < 3 and 0 <= a[1] < 3
-        counts[a] = counts.get(a, 0) + 1
-    assert len(counts) == 9
-    expected = draws / 9
+    draws = [tuple(c) for _ in range(3334) for c in ring.sample_ring(rng).coeffs.tolist()]
+    counts = Counter(draws)
+    assert len(counts) == 9 and all(0 <= c0 < 3 and 0 <= c1 < 3 for c0, c1 in counts)
+    expected = len(draws) / 9
     chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
     assert chi2 < 26  # ~5 sigma for 8 degrees of freedom
 
 
 def test_sample_is_deterministic_under_seed():
-    f = QuadraticField(19)
-    seq1 = [f.sample(random.Random(5)) for _ in range(1)]
-    a = [f.sample(random.Random(5)) for _ in range(1)]
-    assert seq1 == a
-    r1, r2 = random.Random(5), random.Random(5)
-    assert [f.sample(r1) for _ in range(50)] == [f.sample(r2) for _ in range(50)]
+    # a seed fixes the ring's coefficient draws, which are _sample's draws
+    ring = SkewRing(19, 19)
+    r1, r2, r3 = random.Random(5), random.Random(5), random.Random(5)
+    for _ in range(3):
+        a, b = ring.sample_ring(r1), ring.sample_ring(r2)
+        assert a == b
+        assert [tuple(c) for c in a.coeffs.tolist()] == [_sample(ring.field, r3) for _ in range(ring.size)]
 
 
 def test_is_prime_small():

@@ -21,6 +21,7 @@ from sdgr.games import (
     unipotent_valuation,
     wilson_interval,
 )
+from sdgr.kex import SecretPair, kex_shared, public_value
 from sdgr.params import PARAM_SETS
 from sdgr.skewring import SkewRing, SubspaceTag
 
@@ -342,18 +343,18 @@ def test_warm_dsdp_trial_runs_no_skew_product(name, kind, monkeypatch, operator_
 
 @pytest.mark.parametrize("name", ["toy", "p19"])
 def test_challengers_match_pairwise_cross_products(name):
-    # per pair one cross_operands, then one cross_mul per value, as sdgr.kex
-    # computes them; the generator must end where the pairs' draws leave it
+    # pair by pair, with sdgr.kex's public_value and kex_shared on each
+    # pair's own rows; the generator must end where the pairs' draws leave it
     params = _game(name, "mixed")
-    ring, h = params.ring, params.h
+    ring = params.ring
     for seed in range(50):
         twin = random.Random(seed)
-        ws, states = [], []
+        sks, states = [], []
         for _ in range(3):
-            ws.append(ring.cross_operands(*ring.sample_pair(twin)))
+            sks.append(SecretPair.unchecked(*ring.sample_pair(twin)))
             states.append(twin.getstate())
-        pk1, pk2, pk3 = (ring.cross_mul(w[1], h) for w in ws)
-        key = ring.cross_mul(ws[1][0], pk1)
+        pk1, pk2, pk3 = (public_value(params, sk) for sk in sks)
+        key = kex_shared(sks[1], pk1)
 
         rng = random.Random(seed)
         sdpd, _ = sdpd_challenge(params, rng)

@@ -228,16 +228,18 @@ def test_kem_seeded_reproducibility(p19_params):
 
 def test_warm_kem_op_builds_two_operators(operator_builds, adjunct_calls):
     # h and pk live in the encaps key's kept operator, and the long-term
-    # secret keeps (u, v) and the circulants decryption multiplies c1 by, so
-    # a warm op builds the circulants of the ephemeral gamma2 in encaps and of
-    # the re-encryption's gamma2 in decaps, and none of c1; no full product
-    # operator and no adjunct is formed
+    # secret keeps its rows [v; u] and w = u + v y, whose circulants
+    # decryption multiplies c1 by, so a warm op builds the circulants of the
+    # ephemeral gamma2 in encaps and of the re-encryption's gamma2 in decaps,
+    # and none of c1; no full product operator and no adjunct is formed
     params = make_params("p41", seed=1)
     rng = random.Random(2)
     priv, pk_bytes = kem_keygen(params, rng)
     ct, key = kem_encaps(pk_bytes, params, rng)
     assert kem_decaps(priv, ct, params) == key
-    kept = {id(params.h), id(priv.pk), id(priv.sk.gamma), *map(id, priv.sk.cross_operands)}
+    # the first decaps built w's circulants, once, and the secret keeps them
+    assert sum(b is priv.sk.w for _, b in operator_builds) == 1
+    kept = {id(params.h), id(priv.pk), id(priv.sk.gamma), id(priv.sk.w)}
     for tampered in (False, True):
         operator_builds.clear()
         adjunct_calls.clear()

@@ -201,3 +201,15 @@ def test_public_value_refuses_a_foreign_ring(p19_params, rng):
     for other in (make_params("p19", seed=1001), make_params("toy", seed=1002)):
         with pytest.raises(ValueError, match="different ring"):
             public_value(other, sk)
+
+
+def test_kex_shared_refuses_a_foreign_peer_pk(p19_params, rng, operator_builds):
+    # the secret's raw rows carry no ring, so the peer's pk is what is
+    # checked, before its circulants are built
+    sk, _ = kex_keygen(p19_params, rng)
+    for other in (make_params("p19", seed=1001), make_params("toy", seed=1002)):
+        _, peer_pk = kex_keygen(other, rng)
+        operator_builds.clear()
+        with pytest.raises(ValueError, match="different ring"):
+            kex_shared(sk, peer_pk)
+        assert operator_builds == []

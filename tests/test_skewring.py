@@ -7,6 +7,7 @@ import pytest
 
 from sdgr.dihedral import inverse
 from sdgr.field import find_lambda, is_prime
+from sdgr.kex import SecretPair
 from sdgr.params import PARAM_SETS
 from sdgr.pke import enc_operator, encrypt
 from sdgr.skewring import RingElement, SkewRing, SubspaceTag
@@ -92,7 +93,7 @@ def test_mul_matches_naive_oracle_on_every_basis_pair(p, n, rng):
 
     def nonzero():
         while True:
-            c = ring.field.sample(rng)
+            c = (rng.randrange(p), rng.randrange(p))
             if c != (0, 0):
                 return c
 
@@ -108,7 +109,7 @@ def test_mul_matches_naive_oracle_on_every_basis_pair(p, n, rng):
 @pytest.mark.parametrize("p,n", ORACLE_RINGS)
 def test_circulant_rows_are_basis_products(p, n, rng):
     # row (i, s) of the block of z is the F_p parts of t^s x^i * z in C_n, for
-    # z = sigma(b_Y) and b_Y (cross_operands' blocks) and b_Y and b_C (the kept ones)
+    # z = sigma(b_Y) and b_Y (cross_rows' blocks) and b_Y and b_C (the kept ones)
     ring = SkewRing(p, n)
     for b in (ring.sample_ring(rng), ring.sample_gamma(rng)):
         b_y = ring.phi(_cny_part(ring, b))
@@ -138,6 +139,12 @@ def _cross_operands_oracle(ring, a, g):
     return u + _shift_to_cny(ring, v), v + _shift_to_cny(ring, u)
 
 
+def _cross_operands(ring, a, g):
+    """(u + v y, v + u y) wrapped from cross_rows' rows [v; u]."""
+    rows = ring.cross_rows(a, g)
+    return tuple(RingElement(ring, r.reshape(ring.size, 2)) for r in (rows[::-1], rows))
+
+
 def test_mul_rejects_rings_beyond_exact_float64():
     with pytest.raises(ValueError):
         SkewRing(2147483647, 1)
@@ -154,18 +161,21 @@ def test_mul_is_exact_at_the_float64_bound(rng):
     pairs = [(top, top)] + [(ring.sample_ring(rng), ring.sample_ring(rng)) for _ in range(20)]
     for a, b in pairs:
         assert ring.mul(a, b) == ring.naive_product(a, b)
-    # cross_operands' left matrix has negative entries, so its partial sums are signed
+    # cross_rows' left matrix has negative entries, so its partial sums are signed
     top_gamma = ring.gamma_from_free([(p - 1, p - 1)] * ring.gamma_free_count())
     cases = [(ring.sample_cn(rng), ring.sample_gamma(rng)) for _ in range(20)]
     cases += [(_cn_part(ring, top), g) for g in (top_gamma, ring.sample_gamma(rng))]
     cases.append((ring.sample_cn(rng), top_gamma))
     for a, g in cases:
-        assert ring.cross_operands(a, g) == _cross_operands_oracle(ring, a, g)
-    # cross_mul on an element's kept circulants, and pke.encrypt on
-    # enc_operator (Params insists on p | n, so it gets a stand-in); with all
-    # entries p - 1, every partial sum reaches n*(p-1)^2*(1+lam)
-    for w in (top, ring.sample_ring(rng)):
-        assert ring.cross_mul(w, top) == _cross_oracle(ring, w, top)
+        assert _cross_operands(ring, a, g) == _cross_operands_oracle(ring, a, g)
+    # cross_mul on an element's kept circulants, batched and row by row, and
+    # pke.encrypt on enc_operator (Params insists on p | n, so it gets a
+    # stand-in); with all entries p - 1, every partial sum reaches
+    # n*(p-1)^2*(1+lam)
+    ws = [top, ring.sample_ring(rng)]
+    batch = ring.cross_mul(np.stack([_rows(ring, w) for w in ws]), top)
+    for w, c in zip(ws, batch):
+        assert _cross(ring, w, top) == RingElement(ring, c) == _cross_oracle(ring, w, top)
     rows = top.coeffs.reshape(2, 1, ring.size)  # [v; u], both all p - 1
     c1, c2 = encrypt(top.coeffs, enc_operator(SimpleNamespace(ring=ring, h=top), top), rows, p)
     assert RingElement(ring, c1) == _cross_oracle(ring, top, top)
@@ -490,13 +500,23 @@ def _cross_oracle(ring, w, x):
     return ring.naive_product(w_c, x_y) + _shift_to_cny(ring, ring.naive_product(w_y, x_c))
 
 
+def _rows(ring, w):
+    """w's raw rows [w_C; w_Y], the (2, 1, 2n) operand of cross_mul."""
+    return w.coeffs.reshape(2, 1, ring.size)
+
+
+def _cross(ring, w, x):
+    """cross_mul on one w, wrapped as an element."""
+    return RingElement(ring, ring.cross_mul(_rows(ring, w), x))
+
+
 @pytest.mark.parametrize("p,n", ORACLE_RINGS[:-1])
 def test_cross_mul_basis_pairs(p, n):
     ring = SkewRing(p, n)
     for i in range(ring.size):
         for j in range(ring.size):
             w, x = ring.basis(i, (1, 2)), ring.basis(j, (2, 1))
-            assert ring.cross_mul(w, x) == _cross_oracle(ring, w, x), (i, j)
+            assert _cross(ring, w, x) == _cross_oracle(ring, w, x), (i, j)
 
 
 @pytest.mark.parametrize("p", [3, 19, 41])
@@ -506,36 +526,61 @@ def test_cross_mul_random_and_all_p_minus_one(p, rng):
     top = ring.element([(p - 1, p - 1)] * ring.size)
     pairs = [(top, top)] + [(ring.sample_ring(rng), ring.sample_ring(rng)) for _ in range(5)]
     for w, x in pairs:
-        assert ring.cross_mul(w, x) == _cross_oracle(ring, w, x)
+        c = ring.cross_mul(_rows(ring, w), x)
+        assert c.shape == (ring.size, 2) and c.dtype == np.int64
+        assert RingElement(ring, c) == _cross_oracle(ring, w, x)
+
+
+@pytest.mark.parametrize("p", [3, 19, 41])
+def test_cross_mul_batched_matches_row_by_row(p, rng):
+    # an (m, 2, 1, 2n) stack, all-(p - 1) rows among them, against one x;
+    # a (k, m, 2, 1, 2n) stack keeps both leading axes
+    ring = SkewRing(p, p)
+    top = ring.element([(p - 1, p - 1)] * ring.size)
+    ws = [top] + [ring.sample_ring(rng) for _ in range(4)] + [top]
+    rows = np.stack([_rows(ring, w) for w in ws])
+    for x in (top, ring.sample_ring(rng)):
+        batch = ring.cross_mul(rows, x)
+        assert batch.shape == (len(ws), ring.size, 2) and batch.dtype == np.int64
+        for w, c in zip(ws, batch):
+            assert RingElement(ring, c) == _cross(ring, w, x) == _cross_oracle(ring, w, x)
+        nested = ring.cross_mul(rows.reshape(2, 3, 2, 1, ring.size), x)
+        assert nested.shape == (2, 3, ring.size, 2)
+        assert nested.reshape(batch.shape).tolist() == batch.tolist()
 
 
 @pytest.mark.parametrize("p", [3, 19, 41])
 def test_cross_operands_are_a_g_and_a_sigma_g(p, rng):
+    # cross_rows' [v; u] as the elements u + v y and v + u y
     ring = SkewRing(p, p)
     top = (p - 1, p - 1)
     cases = [(ring.sample_cn(rng), ring.sample_gamma(rng)) for _ in range(5)]
     cases.append((ring.element([top] * p + [(0, 0)] * p), ring.gamma_from_free([top] * ring.gamma_free_count())))
     for a, g in cases:
-        assert ring.cross_operands(a, g) == _cross_operands_oracle(ring, a, g)
+        assert _cross_operands(ring, a, g) == _cross_operands_oracle(ring, a, g)
 
 
 @pytest.mark.parametrize("p", [3, 19, 41])
 def test_cross_operands_wrap_cross_rows(p, rng):
-    # rows [v; u] of one matmul: v + u y is their flat order, u + v y reversed
+    # a secret pair keeps the rows [v; u] of one matmul, read-only, and
+    # builds u + v y, their reverse, on first use
     ring = SkewRing(p, p)
     a, g = ring.sample_cn(rng), ring.sample_gamma(rng)
     rows = ring.cross_rows(a, g)
     assert rows.shape == (2, 1, ring.size) and rows.dtype == np.int64
-    uv, vu = ring.cross_operands(a, g)
-    assert vu.coeffs.ravel().tolist() == rows.ravel().tolist()
-    assert uv.coeffs.ravel().tolist() == rows[::-1].ravel().tolist()
+    assert np.count_nonzero(rows < 0) == np.count_nonzero(rows >= p) == 0
+    sk = SecretPair.unchecked(a, g)
+    assert sk.rows.tolist() == rows.tolist() and not sk.rows.flags.writeable
+    assert sk.w == _cross_operands_oracle(ring, a, g)[0]
+    assert sk.w.coeffs.ravel().tolist() == rows[::-1].ravel().tolist()
+    assert sk.w is sk.w
 
 
 def test_reused_cross_operand_is_built_once(r19, rng, operator_builds):
     x = r19.sample_ring(rng)
     for _ in range(5):
         w = r19.sample_ring(rng)
-        assert r19.cross_mul(w, x) == _cross_oracle(r19, w, x)
+        assert _cross(r19, w, x) == _cross_oracle(r19, w, x)
     assert operator_builds == [("circulant", x)]
     assert x.circulant.shape == (2, 2 * r19.n, 2 * r19.n)
     assert not x.circulant.flags.writeable
@@ -543,10 +588,9 @@ def test_reused_cross_operand_is_built_once(r19, rng, operator_builds):
 
 def test_cross_ring_cross_mul_builds_no_circulant(r19, rng, operator_builds):
     mine, other = r19.sample_ring(rng), SkewRing(19, 19).sample_ring(rng)
-    for w, x in ((mine, other), (other, mine)):
-        with pytest.raises(ValueError, match="different ring"):
-            r19.cross_mul(w, x)
+    with pytest.raises(ValueError, match="different ring"):
+        r19.cross_mul(_rows(r19, mine), other)
     for a, g in ((r19.sample_cn(rng), other.ring.sample_gamma(rng)), (other, r19.sample_gamma(rng))):
         with pytest.raises(ValueError, match="different ring"):
-            r19.cross_operands(a, g)
+            r19.cross_rows(a, g)
     assert operator_builds == []
