@@ -6,11 +6,11 @@ solver with a search-space guard, and the subspace-membership distinguisher
 that wins DSDP when the public element degenerates to a single summand.
 
 Every public value of a challenge is a product by the same h.  The
-challengers draw each pair (a, gamma) with one SkewRing.sample_pair,
-uniformly, zero included, exactly as the games state.  They, and
-sdpd_verify for its candidate, take each pair's raw cross rows [v; u] with
-one SkewRing.cross_rows and compute every a h gamma = v h_Y + (u h_C) y
-(sdgr.kex's closed form) in one SkewRing.cross_mul of all the rows by h.
+challengers draw a challenge's pairs (a, gamma) in one
+SkewRing.sample_pair_values, uniformly, zero included, as the games state.
+They, and sdpd_verify for its candidate, take the pairs' raw cross rows
+[v; u] in one SkewRing.pair_rows and compute every a h gamma = v h_Y +
+(u h_C) y (sdgr.kex's closed form) in one SkewRing.cross_mul by h.
 The CSDP key a2 pk1 adjunct(gamma2) = u2 pk1_Y + (v2 pk1_C) y is pair 2's
 rows, reversed, by pk1; a DSDP trial with b = 1 does not compute it.  The
 forms hold for any h, a on C_n and reversible gamma, zero included.  The
@@ -67,12 +67,12 @@ class DsdpInstance:
     _hidden_bit: int = field(repr=False)
 
 
-def _publics(params: GameParams, pairs) -> tuple[np.ndarray, list[RingElement]]:
-    """Each pair's raw cross rows [v; u] (SkewRing.cross_rows), stacked
-    (m, 2, 1, 2n), and its public value a h gamma = v h_Y + (u h_C) y: one
-    cross_mul of all the rows with h."""
+def _publics(params: GameParams, values: np.ndarray) -> tuple[np.ndarray, list[RingElement]]:
+    """The raw cross rows [v; u], (m, 2, 1, 2n), of the pairs with values
+    (m, n + n//2 + 1, 2) (SkewRing.pair_rows), and each pair's public value
+    a h gamma = v h_Y + (u h_C) y: one cross_mul of all the rows with h."""
     ring = params.ring
-    rows = np.concatenate([ring.cross_rows(a, gamma) for a, gamma in pairs]).reshape(-1, 2, 1, ring.size)
+    rows = ring.pair_rows(values)
     return rows, [RingElement(ring, c) for c in ring.cross_mul(rows, params.h)]
 
 
@@ -80,9 +80,9 @@ def _publics(params: GameParams, pairs) -> tuple[np.ndarray, list[RingElement]]:
 
 
 def sdpd_challenge(params: GameParams, rng) -> tuple[SdpdInstance, tuple[RingElement, RingElement]]:
-    pair = params.ring.sample_pair(rng)
-    _, (pk,) = _publics(params, [pair])
-    return SdpdInstance(params=params, pk=pk), pair
+    values = params.ring.sample_pair_values(rng)
+    _, (pk,) = _publics(params, values)
+    return SdpdInstance(params=params, pk=pk), params.ring.pair_from_values(values[0])
 
 
 def sdpd_verify(inst: SdpdInstance, a: RingElement, gamma: RingElement) -> bool:
@@ -93,7 +93,7 @@ def sdpd_verify(inst: SdpdInstance, a: RingElement, gamma: RingElement) -> bool:
         raise ValueError("candidate a must be supported on C_n")
     if not ring.is_reversible(gamma):
         raise ValueError("candidate gamma must lie in the reversible subspace")
-    _, (pk,) = _publics(inst.params, [(a, gamma)])
+    _, (pk,) = _publics(inst.params, ring.pair_values(a, gamma)[None])
     return pk == inst.pk
 
 
@@ -133,7 +133,7 @@ def sdpd_bruteforce(inst: SdpdInstance) -> List[tuple[RingElement, RingElement]]
 
 def csdp_challenge(params: GameParams, rng) -> tuple[CsdpInstance, RingElement]:
     ring = params.ring
-    rows, (pk1, pk2) = _publics(params, [ring.sample_pair(rng), ring.sample_pair(rng)])
+    rows, (pk1, pk2) = _publics(params, ring.sample_pair_values(rng, 2))
     k = RingElement(ring, ring.cross_mul(rows[1, ::-1], pk1))  # u2 pk1_Y + (v2 pk1_C) y
     return CsdpInstance(params=params, pk1=pk1, pk2=pk2, _k=k), k
 
@@ -154,11 +154,10 @@ def csdp_key_from_witness(inst: CsdpInstance, a: RingElement, gamma: RingElement
 def dsdp_challenge(params: GameParams, b: int, rng) -> DsdpInstance:
     if b not in (0, 1):
         raise ValueError("b must be 0 or 1")
-    # the CSDP instance's two pairs, then a third: k is the CSDP key (b = 0)
-    # or a3 h gamma3 (b = 1), and the other one is not computed
+    # the CSDP instance's two pairs, then a third, in one draw: k is the CSDP
+    # key (b = 0) or a3 h gamma3 (b = 1), and the other one is not computed
     ring = params.ring
-    pairs = [ring.sample_pair(rng) for _ in range(3)]
-    rows, pks = _publics(params, pairs[: 2 + b])
+    rows, pks = _publics(params, ring.sample_pair_values(rng, 3)[: 2 + b])
     k = pks[2] if b else RingElement(ring, ring.cross_mul(rows[1, ::-1], pks[0]))
     return DsdpInstance(params=params, pk1=pks[0], pk2=pks[1], k=k, _hidden_bit=b)
 

@@ -73,10 +73,6 @@ def rep_ring(a: RingElement) -> bytes:
     return pack_bits(a.coeffs.ravel(), a.ring.field.coeff_bits)
 
 
-def rep_ciphertext(c: Ciphertext) -> bytes:
-    return pack_bits(np.stack((c.c1.coeffs.ravel(), c.c2.coeffs.ravel())), c.c1.ring.field.coeff_bits)
-
-
 def unpack_elements(ring: SkewRing, data: bytes, count: int) -> tuple[np.ndarray, bool]:
     """The raw chunks of `count` concatenated rep_ring encodings, (count, 2n,
     2), and whether every padding bit is zero: data is the encoding of its
@@ -125,12 +121,18 @@ def h1_output_bits(p: int, m: int, n: int) -> int:
 
 
 def h1(data: bytes, params: Params) -> SecretPair:
-    """Derive a secret pair from an o-bit SHAKE256 stream.
+    """The secret pair of h1_values, valid by construction."""
+    values = h1_values(data, params)
+    return SecretPair.unchecked(*params.ring.pair_from_values(values), values)
+
+
+def h1_values(data: bytes, params: Params) -> np.ndarray:
+    """Derive a secret pair's values (see SkewRing.pair_from_values) from an
+    o-bit SHAKE256 stream.
 
     Chunks are reduced mod p; the first n field elements form a, the next
     ceil((n+1)/2) fill gamma's free coordinates.  A zero a or gamma triggers a
-    deterministic retry with a 0x00 byte appended, so the map stays a function,
-    and its pairs are valid by construction.
+    deterministic retry with a 0x00 byte appended, so the map stays a function.
     """
     ring = params.ring
     n = ring.n
@@ -144,7 +146,7 @@ def h1(data: bytes, params: Params) -> SecretPair:
         if np.count_nonzero(values[:n]) and np.count_nonzero(values[n:]):
             break
         buf = buf + b"\x00"
-    return SecretPair.unchecked(*ring.pair_from_values(values))
+    return values
 
 
 def h2(data: bytes, l1: int) -> bytes:
@@ -190,13 +192,12 @@ def encaps_key(params: Params, pk_bytes: bytes) -> tuple[bytes, np.ndarray]:
 
 
 def _encrypt_derandomized(m: np.ndarray, pk_bytes: bytes, params: Params) -> tuple[bytes, np.ndarray]:
-    """(rep(m), c) for c = Enc(pk, m; H1(rep(m) || rep(pk))), m and c raw:
-    the encryption encaps sends and decaps recomputes to check a ciphertext."""
+    """(rep(m), c) for c = Enc(pk, m; H1(rep(m) || rep(pk))), m, c and H1's
+    values raw: the encryption encaps sends and decaps recomputes."""
     ring = params.ring
     rep_pk, op = encaps_key(params, pk_bytes)
     rep_m = pack_bits(m.ravel(), ring.field.coeff_bits)
-    r2 = h1(rep_m + rep_pk, params)
-    return rep_m, encrypt(m, op, ring.cross_rows(r2.a, r2.gamma), ring.p)
+    return rep_m, encrypt(m, op, ring.pair_rows(h1_values(rep_m + rep_pk, params)), ring.p)
 
 
 def kem_encaps(pk_bytes: bytes, params: Params, rng, l1: int = 128) -> tuple[bytes, bytes]:

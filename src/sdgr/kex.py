@@ -14,9 +14,9 @@ on coefficients; adjunct(gamma) = sigma(G) y.  With u = a G and v = a sigma(G),
     pk = a * h * gamma          = v h_Y + (u h_C) y,
     k  = a * P * adjunct(gamma) = u P_Y + (v P_C) y.
 
-A SecretPair keeps the raw rows [v; u] (SkewRing.cross_rows: one matmul
-of a's raw coefficients with the F_p matrices of products by sigma(G) and
-G, which carry lam and sigma's signs), and each value is one
+A SecretPair keeps the raw rows [v; u] (SkewRing.pair_rows on the values
+the KEX drew: one matmul of a's raw coefficients with the F_p matrices of
+products by sigma(G) and G, with lam and sigma's signs), and each value is one
 SkewRing.cross_mul of those rows, or of [u; v], with the matrices kept on h
 or on the peer's P: no skew product and no adjunct is formed.  pk is linear in
 (u, v), and an honest peer's P has P_Y = u_2 h_C and P_C = v_2 h_Y, so any
@@ -27,7 +27,7 @@ from pk is linear algebra over F_p: the attack of ROADMAP item 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -38,10 +38,12 @@ from .skewring import RingElement, SubspaceTag
 
 @dataclass(frozen=True)
 class SecretPair:
-    """(a, gamma) with a != 0 on C_n and gamma != 0 reversible."""
+    """(a, gamma) with a != 0 on C_n and gamma != 0 reversible, and the
+    values they were drawn as, if kept (see SkewRing.pair_from_values)."""
 
     a: RingElement
     gamma: RingElement
+    values: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ring = self.a.ring
@@ -51,17 +53,18 @@ class SecretPair:
             raise ValueError("secret gamma must be a non-zero reversible element")
 
     @classmethod
-    def unchecked(cls, a: RingElement, gamma: RingElement) -> "SecretPair":
+    def unchecked(cls, a: RingElement, gamma: RingElement, values: np.ndarray | None = None) -> "SecretPair":
         """The pair of an a and a gamma that are valid by construction, built
-        without the check."""
+        without the check, keeping their draw values if the caller has them."""
         pair = object.__new__(cls)
-        vars(pair).update(a=a, gamma=gamma)
+        vars(pair).update(a=a, gamma=gamma, values=values)
         return pair
 
     @cached_property
     def rows(self) -> np.ndarray:
         """The read-only raw rows [v; u] of u = a G, v = a sigma(G) for gamma = G y."""
-        rows = self.a.ring.cross_rows(self.a, self.gamma)
+        ring = self.a.ring
+        rows = ring.pair_rows(ring.pair_values(self.a, self.gamma) if self.values is None else self.values)
         rows.setflags(write=False)
         return rows
 
@@ -80,8 +83,9 @@ class KexMessage:
 
 def sample_secret_pair(params: Params, rng) -> SecretPair:
     """Uniform secret pair, resampling the (negligible) zero draws: one
-    sample_pair draw, valid by construction."""
-    return SecretPair.unchecked(*params.ring.sample_pair(rng, nonzero=True))
+    draw, valid by construction, whose values the pair keeps for its rows."""
+    values = params.ring.sample_pair_values(rng, nonzero=True)[0]
+    return SecretPair.unchecked(*params.ring.pair_from_values(values), values)
 
 
 def public_value(params: Params, sk: SecretPair) -> RingElement:

@@ -11,8 +11,8 @@ In R = F_{q^2}[C_n] (see sdgr.kex), with r2's w = u + v y,
     c1   = v h_Y + (u h_C) y,
     mask = u pk_Y + (v pk_C) y,
 
-so Enc is one batched matmul of the raw rows [u; v] of r2's w
-(SkewRing.cross_rows) with pk's (2n, 2n) F_p product matrices beside h's,
+so Enc is one batched matmul of the raw rows [u; v] of r2's w (SecretPair.rows,
+from SkewRing.pair_rows) with pk's (2n, 2n) F_p product matrices beside h's,
 h's halves swapped (enc_operator, (2, 2n, 4n), which the KEM keeps per
 key): u's row gives [mask_C | c1_Y] and v's row [mask_Y | c1_C].  Dec
 multiplies c1's raw rows by the matrices kept on the secret's own w
@@ -60,7 +60,7 @@ def enc_operator(params: Params, pk: RingElement) -> np.ndarray:
 
 def encrypt(m: np.ndarray, op: np.ndarray, rows: np.ndarray, p: int) -> np.ndarray:
     """Enc(pk, m; r2) on raw coefficients: m's (2n, 2) array, pk's
-    enc_operator and r2's cross_rows [v; u] give [c1; c2], (2, 2n, 2), in
+    enc_operator and r2's pair_rows [v; u] give [c1; c2], (2, 2n, 2), in
     [0, p); the sums, m's added, stay within cross_mul's exact bound."""
     size = m.shape[0]
     c = (rows[::-1] @ op)[:, 0]  # [mask_C | c1_Y] and [mask_Y | c1_C]
@@ -81,8 +81,8 @@ def decrypt(c: np.ndarray, sk: SecretPair) -> np.ndarray:
 
 def pke_enc(m: RingElement, pk: RingElement, r2: SecretPair, params: Params) -> Ciphertext:
     ring = params.ring
-    ring._check(m)
-    c = encrypt(m.coeffs, enc_operator(params, pk), ring.cross_rows(r2.a, r2.gamma), ring.p)
+    ring._check(m, r2.a)
+    c = encrypt(m.coeffs, enc_operator(params, pk), r2.rows, ring.p)
     return Ciphertext(c1=RingElement(ring, c[0]), c2=RingElement(ring, c[1]))
 
 

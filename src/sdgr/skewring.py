@@ -9,10 +9,10 @@ w -> w * z in the commutative F_{q^2}[C_n], gathered once per right operand
 with lam and sigma's signs in their entries and kept on it (circulant).
 Write z = z_C + z_Y y with z_C and z_Y in F_{q^2}[C_n].  The schemes and
 the game challengers need only cross_mul: raw rows [w_C; w_Y], any number
-of w, each one row against x's matrix of x_Y or x_C.  The skew
-product needs y z = rho(z) y, where rho(z)(x) = sigma(z)(x^-1) is an
-involutive automorphism of F_{q^2}[C_n] and, on raw coefficients, a signed
-permutation, so
+of w, each one row against x's matrix of x_Y or x_C, the rows of secret
+pairs straight from their draw values (pair_rows).  The skew product needs
+y z = rho(z) y, where rho(z)(x) = sigma(z)(x^-1) is an involutive
+automorphism of F_{q^2}[C_n] and, on raw coefficients, a signed permutation, so
 
     a*b = (a_C*b_C + rho(rho(a_Y)*b_Y)) + (a_C*b_Y + rho(rho(a_Y)*b_C)) y:
 
@@ -130,9 +130,9 @@ class SkewRing:
         self.p = p
         self.n = n
         self.size = 2 * n
-        # circulant gathers from [1, lam, -1, -lam] (x) coeffs.ravel(), factor f at 4n*f
+        # the gathers' tables: [1, lam, -1, -lam] (x) gamma's free coordinates or coeffs
         self._factors = np.array([[1.0], [self.field.lam], [-1.0], [-self.field.lam]])
-        self._circ = self._circulant_index(n)
+        self._pair_index, self._circ = self._circulant_index(n)
         self._conj = np.array([1, -1])
         self._inv_perm = np.concatenate(((-np.arange(n)) % n, np.arange(n, 2 * n)))  # dihedral.inverse
         # built by mul's first call; assigned here because a cached_property
@@ -237,50 +237,52 @@ class SkewRing:
         c %= self.p
         return c.reshape(rows.shape[:-3] + (self.size, 2))
 
-    def cross_rows(self, a: RingElement, g: RingElement) -> np.ndarray:
-        """The raw (2, 1, 2n) rows [v; u] in [0, p) of u = a_C * G and v =
-        a_C * sigma(G), for a's C_n half a_C and g's C_n y block G: cross_mul's
-        rows for a x g, and reversed for a x sigma(g), when g is reversible
-        (see sdgr.kex).  One matmul with the stacked matrices of sigma(G) and
-        G, in cross_mul's bound; the int64 % maps the signed sums into [0, p)."""
-        self._check(a, g)
-        vu = (a.coeffs[: self.n].reshape(1, self.size) @ self.circulant(g, slice(0, 2))).astype(np.int64)
+    def pair_rows(self, values: np.ndarray) -> np.ndarray:
+        """The raw rows [v; u], (..., 2, 1, 2n) in [0, p), of u = a_C * G and
+        v = a_C * sigma(G) for pairs (a, G y) as values (..., n + n//2 + 1, 2)
+        (see pair_from_values): cross_mul's rows for a x gamma, reversed for
+        a x sigma(gamma) (see sdgr.kex).  One take of the matrices of sigma(G)
+        and G and one broadcast matmul, exact as in cross_mul; % maps into [0, p)."""
+        n, batch = self.n, values.shape[:-2]
+        table = self._factors * values[..., n:, :].reshape(batch + (1, -1))
+        op = table.reshape(batch + (-1,)).take(self._pair_index, axis=-1)
+        vu = (values[..., :n, :].reshape(batch + (1, 1, self.size)) @ op).astype(np.int64)
         vu %= self.p
         return vu
 
-    def circulant(self, b: RingElement, blocks: slice = slice(1, 3)) -> np.ndarray:
-        """The read-only float64 operators of w -> w * z in F_{q^2}[C_n] on
-        w's raw coefficients, for z = sigma(b_Y), b_Y and b_C, the `blocks`
-        slice of them stacked: by default the (2, 2n, 2n) circulants of b's
-        C_n y block and C_n block that RingElement.circulant keeps, and
-        slice(0, 2) for cross_rows.  Row (i, s) and column (k, t),
-        the order of coeffs.ravel(), hold part s^t of z_{k-i}, times lam
-        when (s, t) = (1, 0): one take out of [1, lam, -1, -lam] (x)
-        b.coeffs, 4n^2 entries per block."""
+    def circulant(self, b: RingElement) -> np.ndarray:
+        """The read-only (2, 2n, 2n) float64 operators of w -> w * z in
+        F_{q^2}[C_n] on w's raw coefficients, for z = b_Y and b_C, b's C_n y
+        block and C_n block: the circulants RingElement.circulant keeps.
+        Row (i, s) and column (k, t), the order of coeffs.ravel(), hold part
+        s^t of z_{k-i}, times lam when (s, t) = (1, 0): one take out of
+        [1, lam, -1, -lam] (x) b.coeffs, 4n^2 entries per block."""
         self._check(b)
-        op = (self._factors * b.coeffs.ravel()).take(self._circ[blocks])
+        op = (self._factors * b.coeffs.ravel()).take(self._circ)
         op.setflags(write=False)
         return op
 
     @staticmethod
     def _circulant_index(n: int) -> np.ndarray:
-        """circulant's (3, 2n, 2n) gather index into the (4, 4n) table
-        [1, lam, -1, -lam] (x) coeffs.ravel(), for the blocks sigma(z_Y),
-        z_Y and z_C.  Entry ((i, s), (k, t)) depends on i and k only through
-        j = 2(k-i) + t mod 2n: it is d[s, j], where q = j ^ s is the position
-        of part s^t of z_{k-i} in z's block (q & 1 = s^t), offset by the
-        block (2n for z_Y) and by 4n times the factor f = s, or s + 2 in the
-        signed block, where s^t = 1: lam at (1, 0), and -1 or -lam where
-        sigma negates part 1.  With d spanning j in [0, 4n), row i is d's
-        window at 2n - 2i, so the index is one copy of a strided view of the
-        (3, 2, 4n) array d."""
+        """The (2, 2, 2n, 2n) gather indices of pair_rows' blocks sigma(G)
+        and G into the (4, 2(n//2 + 1)) table of gamma's free coordinates, and
+        of circulant's z_Y and z_C into the (4, 4n) table of coeffs.ravel().
+        Entry ((i, s), (k, t)) depends on i and k only through j = 2(k-i) + t
+        mod 2n: it is d[s, j], where q = j ^ s is the position of part s^t of
+        z_{k-i} in z's block, offset by 2n for z_Y or mapped by G's palindrome
+        i -> min(i, n-i), plus the table's width times the factor f = s, or
+        s + 2 in the signed block, where s^t = 1: lam at (1, 0), and -1 or
+        -lam where sigma negates part 1.  Row i is d's window at 2n - 2i, so
+        the indices are one copy of a strided view of the (4, 2, 4n) d."""
         s = np.arange(2)[:, None]
         q = (np.arange(4 * n) ^ s) % (2 * n)
-        factor = 4 * n * (s + np.array([2, 0, 0])[:, None, None])
-        d = q + (q & 1) * factor + np.array([2 * n, 2 * n, 0])[:, None, None]
+        free = 2 * np.minimum(q >> 1, n - (q >> 1)) + (q & 1)
+        width = np.array([2 * (n // 2 + 1)] * 2 + [4 * n] * 2)[:, None, None]
+        factor = s + np.array([2, 0, 0, 0])[:, None, None]
+        d = np.stack((free, free, q + 2 * n, q)) + (q & 1) * factor * width
         st = d.strides
-        rows = as_strided(d[:, :, 2 * n :], (3, n, 2, 2 * n), (st[0], -2 * st[2], st[1], st[2]))
-        return rows.reshape(3, 2 * n, 2 * n)
+        rows = as_strided(d[:, :, 2 * n :], (4, n, 2, 2 * n), (st[0], -2 * st[2], st[1], st[2]))
+        return rows.reshape(2, 2, 2 * n, 2 * n)
 
     def naive_product(self, a: RingElement, b: RingElement) -> RingElement:
         """Independent oracle: the formal-sum product, with no precomputed index."""
@@ -369,19 +371,22 @@ class SkewRing:
     def gamma_free_count(self) -> int:
         return self.n // 2 + 1
 
-    def sample_pair(self, rng, nonzero: bool = False) -> tuple[RingElement, RingElement]:
-        """(sample_cn(rng), sample_gamma(rng)) from one draw, with the same
-        values and generator state.  With nonzero, a zero a and then zero
-        free coordinates are redrawn, consuming the stream as loops of those
-        two calls until each is non-zero would."""
-        n = self.n
-        values = self._draw(rng, 2 * (n + self.gamma_free_count()))
+    def sample_pair_values(self, rng, m: int = 1, nonzero: bool = False) -> np.ndarray:
+        """The values (m, n + n//2 + 1, 2) of m pairs (see pair_from_values) in
+        one draw, with the values and generator state of m sample_pair calls;
+        nonzero redraws one pair's zero a, then zero gamma, as sample_cn and sample_gamma loops would."""
+        n, k = self.n, self.n + self.gamma_free_count()
+        values = self._draw(rng, 2 * m * k)
         if nonzero:
             while not np.count_nonzero(values[:n]):
                 values = np.concatenate((values[n:], self._draw(rng, 2 * n)))
             while not np.count_nonzero(values[n:]):
-                values[n:] = self._draw(rng, 2 * self.gamma_free_count())
-        return self.pair_from_values(values)
+                values[n:] = self._draw(rng, 2 * (k - n))
+        return values.reshape(m, k, 2)
+
+    def sample_pair(self, rng) -> tuple[RingElement, RingElement]:
+        """(sample_cn(rng), sample_gamma(rng)), with their values and generator state."""
+        return self.pair_from_values(self.sample_pair_values(rng)[0])
 
     def pair_from_values(self, values: np.ndarray) -> tuple[RingElement, RingElement]:
         """(a, gamma) from n + n//2 + 1 coefficients in [0, p): a on C_n
@@ -393,6 +398,11 @@ class SkewRing:
         out[1, n:end] = values[n:]
         out[1, self.size - n // 2 :] = out[1, n + 1 : end][::-1]
         return RingElement(self, out[0]), RingElement(self, out[1])
+
+    def pair_values(self, a: RingElement, gamma: RingElement) -> np.ndarray:
+        """pair_from_values' inverse for a on C_n and a reversible gamma."""
+        self._check(a, gamma)
+        return np.concatenate((a.coeffs[: self.n], gamma.coeffs[self.n : self.n + self.gamma_free_count()]))
 
     def gen_public_element(self, rng) -> RingElement:
         """Public h = h1 + h2 with both halves non-zero, by rejection sampling."""

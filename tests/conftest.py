@@ -28,18 +28,24 @@ def rng() -> random.Random:
 
 @pytest.fixture()
 def operator_builds(monkeypatch) -> list:
-    """("circulant", element) for every operator built, in build order: the
-    (2n, 2n) F_p matrices of products in F_{q^2}[C_n], of both C_n halves
-    for mul, cross_mul and pke.decrypt (a secret's w), or of sigma(G) and G
-    for cross_rows (a secret's gamma)."""
+    """Every operator built, in build order: ("circulant", element) for the
+    (2n, 2n) F_p matrices of products in F_{q^2}[C_n] by both C_n halves of
+    an element, for mul, cross_mul and pke.decrypt (a secret's w), and
+    ("pair_rows", values) for each call that gathers the matrices of sigma(G)
+    and G for every pair (a, G y) of its values."""
     built = []
-    build = SkewRing.circulant
+    build, pair_rows = SkewRing.circulant, SkewRing.pair_rows
 
-    def spy(ring, b, *args):
+    def spy(ring, b):
         built.append(("circulant", b))
-        return build(ring, b, *args)
+        return build(ring, b)
+
+    def pair_spy(ring, values):
+        built.append(("pair_rows", values))
+        return pair_rows(ring, values)
 
     monkeypatch.setattr(SkewRing, "circulant", spy)
+    monkeypatch.setattr(SkewRing, "pair_rows", pair_spy)
     return built
 
 

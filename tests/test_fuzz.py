@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,13 +16,17 @@ from sdgr.kem import (
     kem_encaps,
     kem_keygen,
     pack_bits,
-    rep_ciphertext,
     rep_len,
     rep_ring,
     unpack_bits,
 )
 from sdgr.params import VALID_L1
 from sdgr.skewring import SkewRing
+
+
+def rep_ciphertext(c):
+    """rep(c1) || rep(c2) in one pack: the two rows of raw coefficients."""
+    return pack_bits(np.stack((c.c1.coeffs.ravel(), c.c2.coeffs.ravel())), c.c1.ring.field.coeff_bits)
 
 
 @pytest.fixture(scope="module")

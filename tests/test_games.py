@@ -256,20 +256,24 @@ def oracle_game(request):
 
 
 def _recorded_pairs(monkeypatch) -> list:
-    """Make the challengers draw their pairs as before, but with a = 0 on
-    every third draw and gamma = 0 on every fifth; returns the pairs drawn."""
+    """Make the challengers draw their pairs' values as before, but with
+    a = 0 on every third pair and gamma = 0 on every fifth; returns the pairs
+    drawn."""
     drawn = []
 
-    def sample(ring, rng):
-        a, gamma = ring.sample_cn(rng), ring.sample_gamma(rng)
-        if len(drawn) % 3 == 1:
-            a = ring.zero()
-        if len(drawn) % 5 == 2:
-            gamma = ring.zero()
-        drawn.append((a, gamma))
-        return a, gamma
+    def sample(ring, rng, m=1):
+        values = []
+        for _ in range(m):
+            a, gamma = ring.sample_cn(rng), ring.sample_gamma(rng)
+            if len(drawn) % 3 == 1:
+                a = ring.zero()
+            if len(drawn) % 5 == 2:
+                gamma = ring.zero()
+            drawn.append((a, gamma))
+            values.append(ring.pair_values(a, gamma))
+        return np.stack(values)
 
-    monkeypatch.setattr(SkewRing, "sample_pair", sample)
+    monkeypatch.setattr(SkewRing, "sample_pair_values", sample)
     return drawn
 
 
@@ -372,18 +376,19 @@ def test_challengers_match_pairwise_cross_products(name):
 @pytest.mark.parametrize("name", ["toy", "p19"])
 @pytest.mark.parametrize("kind", ["mixed", "cn", "cny"])
 def test_warm_dsdp_trial_builds_three_circulants(name, kind, operator_builds):
-    # the gamma operators of the pairs it multiplies, and pk1's for the key
-    # at b = 0; at b = 1 the CSDP key is not computed
+    # the gamma operators of the pairs it multiplies, in one pair_rows call,
+    # and pk1's for the key at b = 0; at b = 1 the CSDP key is not computed
     params = _game(name, kind, seed=3)
     rng = random.Random(6)
     dsdp_challenge(params, 0, rng)  # warm-up: h's circulants
     for b in (0, 1, 0, 1):
         operator_builds.clear()
         inst = dsdp_challenge(params, b, rng)
-        built = [elem for _, elem in operator_builds]
-        assert len(built) == 3
-        assert any(elem is inst.pk1 for elem in built) == (b == 0)
-        assert not any(elem is params.h for elem in built)
+        kinds = [kind for kind, _ in operator_builds]
+        assert kinds == ["pair_rows"] + ["circulant"] * (1 - b)
+        assert len(operator_builds[0][1]) + kinds.count("circulant") == 3
+        assert any(elem is inst.pk1 for _, elem in operator_builds[1:]) == (b == 0)
+        assert not any(elem is params.h for _, elem in operator_builds[1:])
 
 
 def _bruteforce_loop(inst):

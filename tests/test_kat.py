@@ -12,15 +12,20 @@ them byte for byte.  To print the vectors of the code at hand:
 import hashlib
 import random
 
+import numpy as np
 import pytest
 
 from sdgr import make_params
-from sdgr.kem import decode_ring, kem_decaps, kem_encaps, kem_keygen, rep_ciphertext, rep_ring
+from sdgr.kem import decode_ring, kem_decaps, kem_encaps, kem_keygen, pack_bits, rep_ring
 from sdgr.kex import kex_keygen, kex_shared
 from sdgr.pke import pke_enc, sample_message, sample_randomness
 
 PARAMS_SEED = 1
 RNG_SEED = 2
+
+def rep_ciphertext(c):
+    """rep(c1) || rep(c2) in one pack: the two rows of raw coefficients."""
+    return pack_bits(np.stack((c.c1.coeffs.ravel(), c.c2.coeffs.ravel())), c.c1.ring.field.coeff_bits)
 
 
 def kat_outputs(name: str) -> dict[str, str]:

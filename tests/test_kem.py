@@ -17,7 +17,6 @@ from sdgr.kem import (
     kem_encaps,
     kem_keygen,
     pack_bits,
-    rep_ciphertext,
     rep_len,
     rep_ring,
     unpack_bits,
@@ -26,6 +25,11 @@ from sdgr.kem import (
 from sdgr.params import PARAM_SETS, Params, make_params
 from sdgr.pke import pke_dec, pke_enc, sample_message
 from sdgr.skewring import SkewRing, SubspaceTag
+
+
+def rep_ciphertext(c):
+    """rep(c1) || rep(c2) in one pack: the two rows of raw coefficients."""
+    return pack_bits(np.stack((c.c1.coeffs.ravel(), c.c2.coeffs.ravel())), c.c1.ring.field.coeff_bits)
 
 
 # -- bit packing ---------------------------------------------------------------
@@ -229,9 +233,10 @@ def test_kem_seeded_reproducibility(p19_params):
 def test_warm_kem_op_builds_two_operators(operator_builds, adjunct_calls):
     # h and pk live in the encaps key's kept operator, and the long-term
     # secret keeps its rows [v; u] and w = u + v y, whose circulants
-    # decryption multiplies c1 by, so a warm op builds the circulants of the
+    # decryption multiplies c1 by, so a warm op builds the operators of the
     # ephemeral gamma2 in encaps and of the re-encryption's gamma2 in decaps,
-    # and none of c1; no full product operator and no adjunct is formed
+    # one pair_rows call each on H1's values, and none of c1; no full product
+    # operator and no adjunct is formed
     params = make_params("p41", seed=1)
     rng = random.Random(2)
     priv, pk_bytes = kem_keygen(params, rng)
@@ -239,7 +244,7 @@ def test_warm_kem_op_builds_two_operators(operator_builds, adjunct_calls):
     assert kem_decaps(priv, ct, params) == key
     # the first decaps built w's circulants, once, and the secret keeps them
     assert sum(b is priv.sk.w for _, b in operator_builds) == 1
-    kept = {id(params.h), id(priv.pk), id(priv.sk.gamma), id(priv.sk.w)}
+    kept = {id(params.h), id(priv.pk), id(priv.sk.values), id(priv.sk.w)}
     for tampered in (False, True):
         operator_builds.clear()
         adjunct_calls.clear()
@@ -247,9 +252,9 @@ def test_warm_kem_op_builds_two_operators(operator_builds, adjunct_calls):
         if tampered:
             ct = bytes([ct[0] ^ 1]) + ct[1:]
         assert (kem_decaps(priv, ct, params) == key) is not tampered
-        assert [kind for kind, _ in operator_builds] == ["circulant"] * 2
+        assert [kind for kind, _ in operator_builds] == ["pair_rows"] * 2
         built = [b for _, b in operator_builds]
-        assert [params.ring.is_reversible(b) for b in built] == [True, True]
+        assert [values.shape for values in built] == [(params.ring.n + params.ring.gamma_free_count(), 2)] * 2
         assert not kept & {id(b) for b in built}
         assert adjunct_calls == []
 

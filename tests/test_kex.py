@@ -138,17 +138,18 @@ def test_deterministic_under_seed(p19_params):
 
 
 def test_warm_kex_session_builds_four_operators(p19_params, operator_builds, adjunct_calls):
-    # h keeps its circulants, so a session builds those of the two gammas at
-    # keygen and of the two peer pks at derivation, and forms no full
-    # product operator and no adjunct
+    # h keeps its circulants, so a session builds the operators of the two
+    # gammas at keygen, from the values each party drew, and those of the
+    # two peer pks at derivation, and forms no full product operator and no
+    # adjunct
     for _ in range(2):
         operator_builds.clear()
         alice = KexSession(p19_params, b"P_i", b"s-1", random.Random(1))
         bob = KexSession(p19_params, b"P_j", b"s-1", random.Random(2))
-        gammas = [id(alice._secret.gamma), id(bob._secret.gamma)]
+        drawn = [id(alice._secret.values), id(bob._secret.values)]
         assert alice.derive(bob.message) == bob.derive(alice.message)
-    assert [kind for kind, _ in operator_builds] == ["circulant"] * 4
-    assert [id(b) for _, b in operator_builds] == gammas + [id(bob.message.pk), id(alice.message.pk)]
+    assert [kind for kind, _ in operator_builds] == ["pair_rows"] * 2 + ["circulant"] * 2
+    assert [id(b) for _, b in operator_builds] == drawn + [id(bob.message.pk), id(alice.message.pk)]
     assert adjunct_calls == []
 
 

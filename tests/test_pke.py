@@ -120,7 +120,7 @@ def test_enc_is_public_value_and_masked_message(any_params, rng):
         op = enc_operator(any_params, pk)
         for _ in range(3):
             m, r = sample_message(any_params, rng), sample_randomness(any_params, rng)
-            c = Ciphertext(*(RingElement(ring, x) for x in encrypt(m.coeffs, op, ring.cross_rows(r.a, r.gamma), ring.p)))
+            c = Ciphertext(*(RingElement(ring, x) for x in encrypt(m.coeffs, op, r.rows, ring.p)))
             assert c == Ciphertext(c1=public_value(any_params, r), c2=m + kex_shared(r, pk))
             assert c == _naive_enc(any_params, m, pk, r)
             assert c == pke_enc(m, pk, r, any_params)
@@ -134,7 +134,7 @@ def test_raw_kernels_match_pke_enc_and_pke_dec(any_params, rng):
     op = enc_operator(any_params, kp.pk)
     for _ in range(3):
         m, r = sample_message(any_params, rng), sample_randomness(any_params, rng)
-        c = encrypt(m.coeffs, op, ring.cross_rows(r.a, r.gamma), ring.p)
+        c = encrypt(m.coeffs, op, r.rows, ring.p)
         assert c.shape == (2, ring.size, 2) and c.dtype == np.int64
         obj = pke_enc(m, kp.pk, r, any_params)
         assert c.tolist() == [obj.c1.coeffs.tolist(), obj.c2.coeffs.tolist()]

@@ -109,20 +109,25 @@ def test_mul_matches_naive_oracle_on_every_basis_pair(p, n, rng):
 @pytest.mark.parametrize("p,n", ORACLE_RINGS)
 def test_circulant_rows_are_basis_products(p, n, rng):
     # row (i, s) of the block of z is the F_p parts of t^s x^i * z in C_n, for
-    # z = sigma(b_Y) and b_Y (cross_rows' blocks) and b_Y and b_C (the kept ones)
+    # z = b_Y and b_C (the kept circulants); pair_rows' rows for a = t^s x^i
+    # are row (i, s) of its gathered blocks of sigma(G) and G
     ring = SkewRing(p, n)
+    units = [ring.basis(i, unit) for i in range(n) for unit in ((1, 0), (0, 1))]
     for b in (ring.sample_ring(rng), ring.sample_gamma(rng)):
         b_y = ring.phi(_cny_part(ring, b))
         sigma_b_y = ring.element([(c0, -c1) for c0, c1 in b_y.coeffs.tolist()])
-        layouts = ((ring.circulant(b, slice(0, 2)), (sigma_b_y, b_y)), (b.circulant, (b_y, _cn_part(ring, b))))
-        for op, zs in layouts:
-            assert op.shape == (2, ring.size, ring.size)
-            assert np.abs(op).max() <= ring.field.lam * (p - 1)
-            for block, z in zip(op, zs):
-                for i in range(n):
-                    for s, unit in enumerate(((1, 0), (0, 1))):
-                        expected = ring.naive_product(ring.basis(i, unit), z).coeffs[:n]
-                        assert (block[2 * i + s] % p).tolist() == expected.ravel().tolist(), (i, s)
+        op = b.circulant
+        assert op.shape == (2, ring.size, ring.size)
+        assert np.abs(op).max() <= ring.field.lam * (p - 1)
+        layouts = [(op, (b_y, _cn_part(ring, b)))]
+        if ring.is_reversible(b):
+            rows = ring.pair_rows(np.stack([ring.pair_values(x, b) for x in units]))
+            layouts.append((rows[:, :, 0].transpose(1, 0, 2), (sigma_b_y, b_y)))
+        for blocks, zs in layouts:
+            for block, z in zip(blocks, zs):
+                for row, x in zip(block, units):
+                    expected = ring.naive_product(x, z).coeffs[:n]
+                    assert (row % p).tolist() == expected.ravel().tolist()
 
 
 @pytest.mark.parametrize("p,n", ORACLE_RINGS)
@@ -140,8 +145,8 @@ def _cross_operands_oracle(ring, a, g):
 
 
 def _cross_operands(ring, a, g):
-    """(u + v y, v + u y) wrapped from cross_rows' rows [v; u]."""
-    rows = ring.cross_rows(a, g)
+    """(u + v y, v + u y) wrapped from pair_rows' rows [v; u]."""
+    rows = ring.pair_rows(ring.pair_values(a, g))
     return tuple(RingElement(ring, r.reshape(ring.size, 2)) for r in (rows[::-1], rows))
 
 
@@ -161,7 +166,7 @@ def test_mul_is_exact_at_the_float64_bound(rng):
     pairs = [(top, top)] + [(ring.sample_ring(rng), ring.sample_ring(rng)) for _ in range(20)]
     for a, b in pairs:
         assert ring.mul(a, b) == ring.naive_product(a, b)
-    # cross_rows' left matrix has negative entries, so its partial sums are signed
+    # pair_rows' gathered matrices have negative entries, so its partial sums are signed
     top_gamma = ring.gamma_from_free([(p - 1, p - 1)] * ring.gamma_free_count())
     cases = [(ring.sample_cn(rng), ring.sample_gamma(rng)) for _ in range(20)]
     cases += [(_cn_part(ring, top), g) for g in (top_gamma, ring.sample_gamma(rng))]
@@ -457,6 +462,20 @@ def test_pair_from_values(name, rng):
     assert a.coeffs[:n].tolist() == values[:n].tolist()
     assert gamma == ring.gamma_from_free(values[n:].tolist())
     assert ring.is_reversible(gamma)
+    assert ring.pair_values(a, gamma).tolist() == values.tolist()
+
+
+@pytest.mark.parametrize("name", sorted(PARAM_SETS))
+def test_sample_pair_values_is_m_sample_pairs(name):
+    # one draw for m pairs: the values and generator state of m sample_pair calls
+    ring = SkewRing(*PARAM_SETS[name])
+    for seed in range(10):
+        for m in (1, 2, 3, 5):
+            ours, ref = random.Random(seed), random.Random(seed)
+            values = ring.sample_pair_values(ours, m)
+            assert values.shape == (m, ring.n + ring.gamma_free_count(), 2)
+            assert values.tolist() == [ring.pair_values(*ring.sample_pair(ref)).tolist() for _ in range(m)]
+            assert ours.getstate() == ref.getstate()
 
 
 def test_samplers_take_system_random(r19):
@@ -551,7 +570,7 @@ def test_cross_mul_batched_matches_row_by_row(p, rng):
 
 @pytest.mark.parametrize("p", [3, 19, 41])
 def test_cross_operands_are_a_g_and_a_sigma_g(p, rng):
-    # cross_rows' [v; u] as the elements u + v y and v + u y
+    # pair_rows' [v; u] as the elements u + v y and v + u y
     ring = SkewRing(p, p)
     top = (p - 1, p - 1)
     cases = [(ring.sample_cn(rng), ring.sample_gamma(rng)) for _ in range(5)]
@@ -562,11 +581,11 @@ def test_cross_operands_are_a_g_and_a_sigma_g(p, rng):
 
 @pytest.mark.parametrize("p", [3, 19, 41])
 def test_cross_operands_wrap_cross_rows(p, rng):
-    # a secret pair keeps the rows [v; u] of one matmul, read-only, and
-    # builds u + v y, their reverse, on first use
+    # a secret pair keeps the rows [v; u] of one matmul on its values,
+    # read-only, and builds u + v y, their reverse, on first use
     ring = SkewRing(p, p)
     a, g = ring.sample_cn(rng), ring.sample_gamma(rng)
-    rows = ring.cross_rows(a, g)
+    rows = ring.pair_rows(ring.pair_values(a, g))
     assert rows.shape == (2, 1, ring.size) and rows.dtype == np.int64
     assert np.count_nonzero(rows < 0) == np.count_nonzero(rows >= p) == 0
     sk = SecretPair.unchecked(a, g)
@@ -574,6 +593,38 @@ def test_cross_operands_wrap_cross_rows(p, rng):
     assert sk.w == _cross_operands_oracle(ring, a, g)[0]
     assert sk.w.coeffs.ravel().tolist() == rows[::-1].ravel().tolist()
     assert sk.w is sk.w
+
+
+def _pair_cases(ring, rng):
+    """Pair values: random, zero a, zero free coordinates, both zero, all p - 1."""
+    n, k = ring.n, ring.n + ring.gamma_free_count()
+    cases = [ring.sample_pair_values(rng)[0] for _ in range(4)]
+    for lo, hi in ((0, n), (n, k), (0, k)):
+        values = ring.sample_pair_values(rng)[0]
+        values[lo:hi] = 0
+        cases.append(values)
+    cases.append(np.full((k, 2), ring.p - 1, dtype=np.int64))
+    return cases
+
+
+@pytest.mark.parametrize("p", [3, 19, 41])
+def test_pair_rows_match_the_naive_product(p, rng):
+    # one pair and stacks of them, zero a and zero gamma among them, against
+    # u = a G and v = a sigma(G) through the naive product, and pair by pair
+    ring = SkewRing(p, p)
+    cases = _pair_cases(ring, rng)
+    for values in cases:
+        rows = ring.pair_rows(values)
+        assert rows.shape == (2, 1, ring.size) and rows.dtype == np.int64
+        a, g = ring.pair_from_values(values)
+        wrapped = tuple(RingElement(ring, r.reshape(ring.size, 2)) for r in (rows[::-1], rows))
+        assert wrapped == _cross_operands_oracle(ring, a, g)
+    stack = np.stack(cases)
+    batch = ring.pair_rows(stack)
+    assert batch.shape == (len(cases), 2, 1, ring.size) and batch.dtype == np.int64
+    assert batch.tolist() == [ring.pair_rows(values).tolist() for values in cases]
+    nested = ring.pair_rows(stack.reshape(2, len(cases) // 2, *stack.shape[1:]))
+    assert nested.reshape(batch.shape).tolist() == batch.tolist()
 
 
 def test_reused_cross_operand_is_built_once(r19, rng, operator_builds):
@@ -590,7 +641,10 @@ def test_cross_ring_cross_mul_builds_no_circulant(r19, rng, operator_builds):
     mine, other = r19.sample_ring(rng), SkewRing(19, 19).sample_ring(rng)
     with pytest.raises(ValueError, match="different ring"):
         r19.cross_mul(_rows(r19, mine), other)
+    # raw values carry no ring: the check is where elements become values
     for a, g in ((r19.sample_cn(rng), other.ring.sample_gamma(rng)), (other, r19.sample_gamma(rng))):
         with pytest.raises(ValueError, match="different ring"):
-            r19.cross_rows(a, g)
+            r19.pair_values(a, g)
+        with pytest.raises(ValueError, match="different ring"):
+            SecretPair.unchecked(a, g).rows
     assert operator_builds == []
