@@ -122,8 +122,7 @@ def h1_output_bits(p: int, m: int, n: int) -> int:
 
 def h1(data: bytes, params: Params) -> SecretPair:
     """The secret pair of h1_values, valid by construction."""
-    values = h1_values(data, params)
-    return SecretPair.unchecked(*params.ring.pair_from_values(values), values)
+    return SecretPair.from_values(params.ring, h1_values(data, params))
 
 
 def h1_values(data: bytes, params: Params) -> np.ndarray:

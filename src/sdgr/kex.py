@@ -14,64 +14,90 @@ on coefficients; adjunct(gamma) = sigma(G) y.  With u = a G and v = a sigma(G),
     pk = a * h * gamma          = v h_Y + (u h_C) y,
     k  = a * P * adjunct(gamma) = u P_Y + (v P_C) y.
 
-A SecretPair keeps the raw rows [v; u] (SkewRing.pair_rows on the values
-the KEX drew: one matmul of a's raw coefficients with the F_p matrices of
-products by sigma(G) and G, with lam and sigma's signs), and each value is one
-SkewRing.cross_mul of those rows, or of [u; v], with the matrices kept on h
-or on the peer's P: no skew product and no adjunct is formed.  pk is linear in
-(u, v), and an honest peer's P has P_Y = u_2 h_C and P_C = v_2 h_Y, so any
-(u', v') with u' h_C = u h_C and v' h_Y = v h_Y gives the same key with
-every honest peer, whether or not it comes from a secret pair.  Finding one
-from pk is linear algebra over F_p: the attack of ROADMAP item 1.
+A SecretPair is kept as the values it was drawn as (a's n coefficients, then
+gamma's free coordinates) and the raw rows [v; u] that one SkewRing.pair_rows
+call makes of them when the pair is built: one matmul of a's raw coefficients
+with the F_p matrices of products by sigma(G) and G, with lam and sigma's
+signs.  Each value is one SkewRing.cross_mul of those rows, or of [u; v], with
+the matrices kept on h or on the peer's P: no ring element of a or gamma, no
+skew product and no adjunct is formed.  pk is linear in (u, v), and an honest
+peer's P has P_Y = u_2 h_C and P_C = v_2 h_Y, so any (u', v') with
+u' h_C = u h_C and v' h_Y = v h_Y gives the same key with every honest peer,
+whether or not it comes from a secret pair.  Finding one from pk is linear
+algebra over F_p: the attack of ROADMAP item 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
 from .params import Params
-from .skewring import RingElement, SubspaceTag
+from .skewring import RingElement, SkewRing, SubspaceTag
 
 
-@dataclass(frozen=True)
+_set = object.__setattr__  # SecretPair's own writes, past its __setattr__
+
+
 class SecretPair:
-    """(a, gamma) with a != 0 on C_n and gamma != 0 reversible, and the
-    values they were drawn as, if kept (see SkewRing.pair_from_values)."""
+    """A secret pair (a, gamma), a != 0 on C_n and gamma != 0 reversible, kept
+    as its ring, its read-only values (n + n//2 + 1, 2) (see
+    SkewRing.pair_from_values) and its read-only raw rows [v; u], (2, 1, 2n),
+    of u = a G and v = a sigma(G) for gamma = G y (SkewRing.pair_rows), in
+    declared slots as RingElement keeps its own.  The schemes read only the
+    rows and w; a and gamma are built from the values on each read."""
 
-    a: RingElement
-    gamma: RingElement
-    values: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("ring", "values", "rows", "_w")
 
-    def __post_init__(self) -> None:
-        ring = self.a.ring
-        if ring.classify(self.a) not in (SubspaceTag.CN_ONLY,):
+    def __init__(self, a: RingElement, gamma: RingElement) -> None:
+        ring = a.ring
+        if ring.classify(a) not in (SubspaceTag.CN_ONLY,):
             raise ValueError("secret a must be non-zero and supported on C_n")
-        if not ring.is_reversible(self.gamma) or self.gamma.is_zero():
+        if not ring.is_reversible(gamma) or gamma.is_zero():
             raise ValueError("secret gamma must be a non-zero reversible element")
+        self._keep(ring, ring.pair_values(a, gamma))
 
     @classmethod
-    def unchecked(cls, a: RingElement, gamma: RingElement, values: np.ndarray | None = None) -> "SecretPair":
-        """The pair of an a and a gamma that are valid by construction, built
-        without the check, keeping their draw values if the caller has them."""
+    def from_values(cls, ring: SkewRing, values: np.ndarray) -> "SecretPair":
+        """The pair of values in [0, p) whose a and gamma are non-zero by
+        construction, built without the check; values becomes read-only."""
         pair = object.__new__(cls)
-        vars(pair).update(a=a, gamma=gamma, values=values)
+        pair._keep(ring, values)
         return pair
 
-    @cached_property
-    def rows(self) -> np.ndarray:
-        """The read-only raw rows [v; u] of u = a G, v = a sigma(G) for gamma = G y."""
-        ring = self.a.ring
-        rows = ring.pair_rows(ring.pair_values(self.a, self.gamma) if self.values is None else self.values)
+    def _keep(self, ring: SkewRing, values: np.ndarray) -> None:
+        values.setflags(write=False)
+        rows = ring.pair_rows(values)
         rows.setflags(write=False)
-        return rows
+        _set(self, "ring", ring)
+        _set(self, "values", values)
+        _set(self, "rows", rows)
 
-    @cached_property
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"SecretPair is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"SecretPair is immutable: cannot delete {name!r}")
+
+    @property
+    def a(self) -> RingElement:
+        return self.ring.pair_from_values(self.values)[0]
+
+    @property
+    def gamma(self) -> RingElement:
+        return self.ring.pair_from_values(self.values)[1]
+
+    @property
     def w(self) -> RingElement:
-        """u + v y, whose kept circulants pke.decrypt multiplies c1 by."""
-        return RingElement(self.a.ring, self.rows[::-1].reshape(self.a.ring.size, 2))
+        """u + v y, whose kept circulants pke.decrypt multiplies c1 by, built
+        on first use and kept in a slot."""
+        try:
+            return self._w
+        except AttributeError:  # the slot is unset until the first use
+            w = RingElement(self.ring, self.rows[::-1].reshape(self.ring.size, 2))
+            _set(self, "_w", w)
+            return w
 
 
 @dataclass(frozen=True)
@@ -83,15 +109,15 @@ class KexMessage:
 
 def sample_secret_pair(params: Params, rng) -> SecretPair:
     """Uniform secret pair, resampling the (negligible) zero draws: one
-    draw, valid by construction, whose values the pair keeps for its rows."""
-    values = params.ring.sample_pair_values(rng, nonzero=True)[0]
-    return SecretPair.unchecked(*params.ring.pair_from_values(values), values)
+    draw, valid by construction, which the pair keeps as its values."""
+    return SecretPair.from_values(params.ring, params.ring.sample_pair_values(rng, nonzero=True)[0])
 
 
 def public_value(params: Params, sk: SecretPair) -> RingElement:
     """pk = a * h * gamma = v h_Y + (u h_C) y, on h's kept circulants."""
     ring = params.ring
-    ring._check(sk.a)
+    if sk.ring is not ring:
+        raise ValueError("secret pair belongs to a different ring")
     return RingElement(ring, ring.cross_mul(sk.rows, params.h))
 
 
@@ -102,7 +128,7 @@ def kex_keygen(params: Params, rng) -> tuple[SecretPair, RingElement]:
 
 def kex_shared(sk: SecretPair, peer_pk: RingElement) -> RingElement:
     """k = a * peer_pk * adjunct(gamma) = u P_Y + (v P_C) y for P = peer_pk."""
-    ring = sk.a.ring
+    ring = sk.ring
     return RingElement(ring, ring.cross_mul(sk.rows[::-1], peer_pk))
 
 

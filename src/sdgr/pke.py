@@ -72,7 +72,7 @@ def encrypt(m: np.ndarray, op: np.ndarray, rows: np.ndarray, p: int) -> np.ndarr
 def decrypt(c: np.ndarray, sk: SecretPair) -> np.ndarray:
     """Dec(sk, c) = c2 - kex_shared(sk, c1) on raw [c1; c2], (2, 2n, 2) in
     [0, p), and the circulants sk keeps, as m's (2n, 2) array."""
-    ring = sk.a.ring
+    ring = sk.ring
     k = c[0].reshape(2, 1, ring.size) @ sk.w.circulant
     m = (c[1].reshape(2, ring.size) - k[::-1, 0]).astype(np.int64)
     m %= ring.p
@@ -81,13 +81,15 @@ def decrypt(c: np.ndarray, sk: SecretPair) -> np.ndarray:
 
 def pke_enc(m: RingElement, pk: RingElement, r2: SecretPair, params: Params) -> Ciphertext:
     ring = params.ring
-    ring._check(m, r2.a)
+    ring._check(m)
+    if r2.ring is not ring:
+        raise ValueError("secret pair belongs to a different ring")
     c = encrypt(m.coeffs, enc_operator(params, pk), r2.rows, ring.p)
     return Ciphertext(c1=RingElement(ring, c[0]), c2=RingElement(ring, c[1]))
 
 
 def pke_dec(c: Ciphertext, sk: SecretPair) -> RingElement:
-    ring = sk.a.ring
+    ring = sk.ring
     ring._check(c.c1, c.c2)
     return RingElement(ring, decrypt(np.stack((c.c1.coeffs, c.c2.coeffs)), sk))
 

@@ -373,8 +373,11 @@ class SkewRing:
 
     def sample_pair_values(self, rng, m: int = 1, nonzero: bool = False) -> np.ndarray:
         """The values (m, n + n//2 + 1, 2) of m pairs (see pair_from_values) in
-        one draw, with the values and generator state of m sample_pair calls;
-        nonzero redraws one pair's zero a, then zero gamma, as sample_cn and sample_gamma loops would."""
+        one draw, with the values and generator state of m calls of sample_cn
+        then sample_gamma; nonzero, for one pair only, redraws a zero a, then
+        zero free coordinates of gamma, as loops of those two calls would."""
+        if nonzero and m != 1:
+            raise ValueError(f"nonzero redraws one pair's values, got m={m}")
         n, k = self.n, self.n + self.gamma_free_count()
         values = self._draw(rng, 2 * m * k)
         if nonzero:
@@ -383,10 +386,6 @@ class SkewRing:
             while not np.count_nonzero(values[n:]):
                 values[n:] = self._draw(rng, 2 * (k - n))
         return values.reshape(m, k, 2)
-
-    def sample_pair(self, rng) -> tuple[RingElement, RingElement]:
-        """(sample_cn(rng), sample_gamma(rng)), with their values and generator state."""
-        return self.pair_from_values(self.sample_pair_values(rng)[0])
 
     def pair_from_values(self, values: np.ndarray) -> tuple[RingElement, RingElement]:
         """(a, gamma) from n + n//2 + 1 coefficients in [0, p): a on C_n

@@ -50,6 +50,21 @@ def operator_builds(monkeypatch) -> list:
 
 
 @pytest.fixture()
+def pair_from_values_calls(monkeypatch) -> list:
+    """The values each pair's ring elements a and gamma get built from, in
+    call order."""
+    calls = []
+    pair_from_values = SkewRing.pair_from_values
+
+    def spy(ring, values):
+        calls.append(values)
+        return pair_from_values(ring, values)
+
+    monkeypatch.setattr(SkewRing, "pair_from_values", spy)
+    return calls
+
+
+@pytest.fixture()
 def adjunct_calls(monkeypatch) -> list:
     """The elements whose adjunct gets formed, in call order."""
     calls = []

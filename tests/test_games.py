@@ -355,7 +355,8 @@ def test_challengers_match_pairwise_cross_products(name):
         twin = random.Random(seed)
         sks, states = [], []
         for _ in range(3):
-            sks.append(SecretPair.unchecked(*ring.sample_pair(twin)))
+            values = ring.pair_values(ring.sample_cn(twin), ring.sample_gamma(twin))
+            sks.append(SecretPair.from_values(ring, values))
             states.append(twin.getstate())
         pk1, pk2, pk3 = (public_value(params, sk) for sk in sks)
         key = kex_shared(sks[1], pk1)

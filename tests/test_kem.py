@@ -156,6 +156,26 @@ def test_h1_is_deterministic(p19_params):
     assert h1(b"seed", p19_params).gamma == h1(b"seed", p19_params).gamma
 
 
+H1_PAIRS = {
+    "toy": "c0479af3579fd76b7ab45da2463e0929181581dd7108283aace8440f86fa5eeb",
+    "p19": "629ce79fa2838071b73b5f1187059ef53f4b90f6cb27170588f917cde73ced71",
+    "p23": "9f1f6cd27069bf6c689e849c5a51b33c285f08881294181fff19e952a20c0d68",
+    "p31": "633cf511d72c57a52f13cca13c68270517bbb2c40152446d29666bcb24b12cea",
+    "p41": "dc3bdb0069438dcb6672373dd05fe1a0fa2b2269c6e6e8d48b16f5e232a59183",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARAM_SETS))
+def test_h1_pair_known_answers(name):
+    # rep(a) || rep(gamma) of three h1 pairs, frozen as digests the way
+    # tests/test_kat.py freezes scheme outputs: a and gamma are built from
+    # the values the pair keeps, and must be the elements h1 always gave
+    params = make_params(name, seed=1)
+    pairs = [h1(data, params) for data in (b"", b"seed", b"known-answer")]
+    out = b"".join(rep_ring(sk.a) + rep_ring(sk.gamma) for sk in pairs)
+    assert hashlib.shake_256(out).hexdigest(32) == H1_PAIRS[name]
+
+
 def test_h1_matches_shake_stream(p19_params):
     # first coefficient of a equals the leading 5-bit chunks of SHAKE256(data),
     # reduced mod 19
@@ -230,7 +250,7 @@ def test_kem_seeded_reproducibility(p19_params):
     assert c1 == c2 and k1 == k2
 
 
-def test_warm_kem_op_builds_two_operators(operator_builds, adjunct_calls):
+def test_warm_kem_op_builds_two_operators(operator_builds, adjunct_calls, pair_from_values_calls):
     # h and pk live in the encaps key's kept operator, and the long-term
     # secret keeps its rows [v; u] and w = u + v y, whose circulants
     # decryption multiplies c1 by, so a warm op builds the operators of the
@@ -257,6 +277,8 @@ def test_warm_kem_op_builds_two_operators(operator_builds, adjunct_calls):
         assert [values.shape for values in built] == [(params.ring.n + params.ring.gamma_free_count(), 2)] * 2
         assert not kept & {id(b) for b in built}
         assert adjunct_calls == []
+    # no secret pair, the key pair's included, is built as ring elements
+    assert pair_from_values_calls == []
 
 
 def test_warm_kem_op_runs_no_skew_product(monkeypatch):

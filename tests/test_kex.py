@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from sdgr.kex import (
@@ -11,7 +12,7 @@ from sdgr.kex import (
     sample_secret_pair,
 )
 from sdgr.params import PARAM_SETS, Params, make_params
-from sdgr.skewring import SubspaceTag
+from sdgr.skewring import SkewRing, SubspaceTag
 
 
 def test_secret_pair_validation(toy_ring, rng):
@@ -30,6 +31,37 @@ def test_secret_pair_validation(toy_ring, rng):
         SecretPair(a=toy_ring.basis(4), gamma=g)  # a not on C_n
     with pytest.raises(ValueError):
         SecretPair(a=a, gamma=toy_ring.basis(4))  # not palindromic
+
+
+@pytest.mark.parametrize("name", sorted(PARAM_SETS))
+def test_checked_and_from_values_pairs_agree(name, rng):
+    # drawn pairs and the all p - 1 pair, through either constructor
+    ring = SkewRing(*PARAM_SETS[name])
+    cases = [ring.sample_pair_values(rng, nonzero=True)[0] for _ in range(3)]
+    cases.append(np.full((ring.n + ring.gamma_free_count(), 2), ring.p - 1))
+    for values in cases:
+        a, gamma = ring.pair_from_values(values)
+        checked, drawn = SecretPair(a, gamma), SecretPair.from_values(ring, values)
+        assert checked.ring is drawn.ring is ring
+        assert checked.values.tolist() == drawn.values.tolist() == values.tolist()
+        assert checked.rows.tolist() == drawn.rows.tolist() == ring.pair_rows(values).tolist()
+        assert checked.a == drawn.a == a and checked.gamma == drawn.gamma == gamma
+        assert checked.w == drawn.w
+
+
+def test_secret_pair_is_immutable(p19_params, rng):
+    sk = sample_secret_pair(p19_params, rng)
+    sk.w  # fills the w slot
+    for name in ("ring", "values", "rows", "a", "gamma", "w", "_w", "other"):
+        with pytest.raises(AttributeError):
+            setattr(sk, name, None)
+        with pytest.raises(AttributeError):
+            delattr(sk, name)
+    assert not sk.values.flags.writeable and not sk.rows.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        sk.values[0, 0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        sk.rows[0, 0, 0] = 1
 
 
 def test_sample_secret_pair_shape(p19_params, rng):
@@ -137,11 +169,11 @@ def test_deterministic_under_seed(p19_params):
     assert pk1 == pk2 and sk1.a == sk2.a and sk1.gamma == sk2.gamma
 
 
-def test_warm_kex_session_builds_four_operators(p19_params, operator_builds, adjunct_calls):
+def test_warm_kex_session_builds_four_operators(p19_params, operator_builds, adjunct_calls, pair_from_values_calls):
     # h keeps its circulants, so a session builds the operators of the two
     # gammas at keygen, from the values each party drew, and those of the
-    # two peer pks at derivation, and forms no full product operator and no
-    # adjunct
+    # two peer pks at derivation, and forms no full product operator, no
+    # adjunct and no ring element of a secret's a or gamma
     for _ in range(2):
         operator_builds.clear()
         alice = KexSession(p19_params, b"P_i", b"s-1", random.Random(1))
@@ -150,7 +182,7 @@ def test_warm_kex_session_builds_four_operators(p19_params, operator_builds, adj
         assert alice.derive(bob.message) == bob.derive(alice.message)
     assert [kind for kind, _ in operator_builds] == ["pair_rows"] * 2 + ["circulant"] * 2
     assert [id(b) for _, b in operator_builds] == drawn + [id(bob.message.pk), id(alice.message.pk)]
-    assert adjunct_calls == []
+    assert adjunct_calls == [] and pair_from_values_calls == []
 
 
 # -- the products in F_{q^2}[C_n] against the skew products ------------------------

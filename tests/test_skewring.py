@@ -442,12 +442,18 @@ def test_draw_is_the_randrange_loop(name):
             assert ours.getstate() == ref.getstate()
 
 
+def sample_pair(ring, rng) -> np.ndarray:
+    """The reference for sample_pair_values: one pair's values, drawn as
+    sample_cn then sample_gamma."""
+    return ring.pair_values(ring.sample_cn(rng), ring.sample_gamma(rng))
+
+
 @pytest.mark.parametrize("name", sorted(PARAM_SETS))
 def test_sample_pair_is_sample_cn_then_sample_gamma(name):
     ring = SkewRing(*PARAM_SETS[name])
     for seed in range(20):
         ours, ref = random.Random(seed), random.Random(seed)
-        a, gamma = ring.sample_pair(ours)
+        a, gamma = ring.pair_from_values(ring.sample_pair_values(ours)[0])
         assert a == ring.sample_cn(ref) and gamma == ring.sample_gamma(ref)
         assert ours.getstate() == ref.getstate()
 
@@ -467,15 +473,28 @@ def test_pair_from_values(name, rng):
 
 @pytest.mark.parametrize("name", sorted(PARAM_SETS))
 def test_sample_pair_values_is_m_sample_pairs(name):
-    # one draw for m pairs: the values and generator state of m sample_pair calls
+    # one draw for m pairs: the values and generator state of m reference pairs
     ring = SkewRing(*PARAM_SETS[name])
     for seed in range(10):
         for m in (1, 2, 3, 5):
             ours, ref = random.Random(seed), random.Random(seed)
             values = ring.sample_pair_values(ours, m)
             assert values.shape == (m, ring.n + ring.gamma_free_count(), 2)
-            assert values.tolist() == [ring.pair_values(*ring.sample_pair(ref)).tolist() for _ in range(m)]
+            assert values.tolist() == [sample_pair(ring, ref).tolist() for _ in range(m)]
             assert ours.getstate() == ref.getstate()
+
+
+def test_sample_pair_values_redraws_zeros_for_one_pair_only():
+    # with m > 1 a redraw of one pair's zero a or gamma would shift or
+    # overwrite the values of every later pair: refused before any draw
+    ring = SkewRing(3, 3)
+    for m in (0, 2, 3):
+        rng = random.Random(4)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match="one pair"):
+            ring.sample_pair_values(rng, m, nonzero=True)
+        assert rng.getstate() == state
+    assert ring.sample_pair_values(random.Random(4), 2).shape == (2, 5, 2)
 
 
 def test_samplers_take_system_random(r19):
@@ -588,7 +607,7 @@ def test_cross_operands_wrap_cross_rows(p, rng):
     rows = ring.pair_rows(ring.pair_values(a, g))
     assert rows.shape == (2, 1, ring.size) and rows.dtype == np.int64
     assert np.count_nonzero(rows < 0) == np.count_nonzero(rows >= p) == 0
-    sk = SecretPair.unchecked(a, g)
+    sk = SecretPair(a, g)
     assert sk.rows.tolist() == rows.tolist() and not sk.rows.flags.writeable
     assert sk.w == _cross_operands_oracle(ring, a, g)[0]
     assert sk.w.coeffs.ravel().tolist() == rows[::-1].ravel().tolist()
@@ -642,9 +661,9 @@ def test_cross_ring_cross_mul_builds_no_circulant(r19, rng, operator_builds):
     with pytest.raises(ValueError, match="different ring"):
         r19.cross_mul(_rows(r19, mine), other)
     # raw values carry no ring: the check is where elements become values
-    for a, g in ((r19.sample_cn(rng), other.ring.sample_gamma(rng)), (other, r19.sample_gamma(rng))):
+    for a, g in ((r19.sample_cn(rng), other.ring.sample_gamma(rng)), (other.ring.sample_cn(rng), r19.sample_gamma(rng))):
         with pytest.raises(ValueError, match="different ring"):
             r19.pair_values(a, g)
         with pytest.raises(ValueError, match="different ring"):
-            SecretPair.unchecked(a, g).rows
+            SecretPair(a, g)
     assert operator_builds == []
