@@ -135,6 +135,13 @@ class SkewRing:
         self._pair_index, self._circ = self._circulant_index(n)
         self._conj = np.array([1, -1])
         self._inv_perm = np.concatenate(((-np.arange(n)) % n, np.arange(n, 2 * n)))  # dihedral.inverse
+        # _draw's translate tables while a value fits in a byte: each top
+        # byte of a 32-bit output to its top w bits, and the bytes to reject,
+        # those whose top w bits are >= p
+        self._byte_tables = None
+        if p < 256:
+            s = 8 - p.bit_length()
+            self._byte_tables = (np.arange(256, dtype=np.uint8) >> s).tobytes(), bytes(range(p << s, 256))
         # built by mul's first call; assigned here because a cached_property
         # writes through the instance __dict__, which on CPython 3.11 slowed
         # every later attribute read on the ring (a toy DSDP trial by 4%)
@@ -333,16 +340,32 @@ class SkewRing:
     def _draw(self, rng, k: int) -> np.ndarray:
         """k values below p, in draw order, as a (k/2, 2) array of
         coefficients; every sampler draws through here, so a seed fixes them.
-        Each value is rng.getrandbits(p.bit_length()), redrawn while >= p: the
-        loop CPython's rng.randrange(p) runs, so values and generator state
-        match k randrange(p) calls."""
-        p, w, bits = self.p, self.p.bit_length(), rng.getrandbits
-        out = []
+        Each value is rng.getrandbits(w), w = p.bit_length(), redrawn while
+        >= p: the loop CPython's rng.randrange(p) runs, so values and
+        generator state match k randrange(p) calls.
+
+        For p < 256 the draw runs in rounds of C-level bytes operations.  A
+        round asks for the r values still missing as getrandbits(32 r): r
+        successive 32-bit outputs, the first in the least-significant word,
+        where getrandbits(w) is the top w bits of one output.  So the
+        round's little-endian bytes [3::4] are the outputs' top bytes, and
+        one translate drops those whose top w bits are >= p and maps the
+        rest to those bits.  Each output gives at most one value, so no
+        round over-draws.  Wider primes run the loop."""
+        if self._byte_tables is None:
+            p, w, bits = self.p, self.p.bit_length(), rng.getrandbits
+            out = []
+            while len(out) < k:
+                v = bits(w)
+                if v < p:
+                    out.append(v)
+            return np.array(out, dtype=np.int64).reshape(-1, 2)
+        top, reject = self._byte_tables
+        out = b""
         while len(out) < k:
-            v = bits(w)
-            if v < p:
-                out.append(v)
-        return np.array(out, dtype=np.int64).reshape(-1, 2)
+            r = k - len(out)
+            out += rng.getrandbits(32 * r).to_bytes(4 * r, "little")[3::4].translate(top, reject)
+        return np.frombuffer(out, np.uint8).astype(np.int64).reshape(-1, 2)
 
     def sample_ring(self, rng) -> RingElement:
         return RingElement(self, self._draw(rng, 2 * self.size))

@@ -101,14 +101,21 @@ def test_sample_secret_pair_is_the_redraw_loops(toy_params):
 
 
 class _Scripted:
-    """An rng whose getrandbits returns the scripted values in order."""
+    """An rng that serves getrandbits as CPython's Random does, from a
+    stream of 32-bit outputs, each holding one scripted value in its top 2
+    bits (p = 3): getrandbits(k <= 32) is the next output's top k bits, and
+    getrandbits(32 r) the next r outputs, the first in the least-significant
+    word."""
 
     def __init__(self, values):
-        self._values = iter(values)
+        self._outputs = iter([v << 30 for v in values])
 
     def getrandbits(self, k):
-        assert k == 2  # p = 3
-        return next(self._values)
+        if k <= 32:
+            return next(self._outputs) >> (32 - k)
+        assert k % 32 == 0
+        # a list, not a generator, so that a used-up script raises StopIteration
+        return sum([next(self._outputs) << (32 * i) for i in range(k // 32)])
 
 
 def test_sample_secret_pair_redraws_on_a_scripted_stream(toy_params):

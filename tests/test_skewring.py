@@ -442,6 +442,23 @@ def test_draw_is_the_randrange_loop(name):
             assert ours.getstate() == ref.getstate()
 
 
+# the byte path at every width from 2 to 8 bits (251: no shift), then the
+# loop that primes wider than a byte take
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 31, 61, 127, 131, 251, 257, 65537])
+def test_draw_is_the_randrange_loop_at_every_width(p):
+    ring = SkewRing(p, 1)
+    assert (ring._byte_tables is None) == (p > 255)
+    for seed in range(5):
+        ours, ref = random.Random(seed), random.Random(seed)
+        for k in (2, 6, 1000):  # 1000 values take several rounds
+            assert ring._draw(ours, k).ravel().tolist() == [ref.randrange(p) for _ in range(k)]
+            assert ours.getstate() == ref.getstate()
+    values = ring._draw(random.SystemRandom(), 1000)
+    assert values.dtype == np.int64 and values.shape == (500, 2)
+    assert values.min() >= 0 and values.max() < p
+    assert values.flags.writeable  # sample_pair_values' zero redraw writes into it
+
+
 def sample_pair(ring, rng) -> np.ndarray:
     """The reference for sample_pair_values: one pair's values, drawn as
     sample_cn then sample_gamma."""
