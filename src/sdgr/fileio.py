@@ -25,7 +25,7 @@ from __future__ import annotations
 import os
 import stat
 import struct
-from dataclasses import dataclass
+from typing import NamedTuple
 
 MAGIC = b"SDGR"
 VERSION = 1
@@ -68,8 +68,7 @@ class ChecksumError(FileFormatError):
     pass
 
 
-@dataclass(frozen=True)
-class Header:
+class Header(NamedTuple):
     p: int
     m: int
     n: int

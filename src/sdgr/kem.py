@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Sequence
 
@@ -31,6 +30,8 @@ from .pke import Ciphertext, PkeKeypair, decrypt, enc_operator, encrypt, pke_gen
 from .skewring import RingElement, SkewRing
 
 H2_PREFIX = b"\x02"
+
+_set = object.__setattr__  # KemPrivate's own writes, past its __setattr__
 
 
 # -- bit packing --------------------------------------------------------------
@@ -158,13 +159,21 @@ def h2(data: bytes, l1: int) -> bytes:
 # -- KEM ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class KemPrivate:
-    """Decapsulation state: implicit-rejection seed s, PKE secret, and pk."""
+    """Decapsulation state: implicit-rejection seed s, PKE secret, and pk.
+    Immutable and compared by identity; rep_pk and rep_s are kept in the
+    instance __dict__, which cached_property writes directly."""
 
-    s: RingElement
-    sk: SecretPair
-    pk: RingElement
+    def __init__(self, s: RingElement, sk: SecretPair, pk: RingElement) -> None:
+        _set(self, "s", s)
+        _set(self, "sk", sk)
+        _set(self, "pk", pk)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"KemPrivate is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"KemPrivate is immutable: cannot delete {name!r}")
 
     @cached_property
     def rep_pk(self) -> bytes:

@@ -29,7 +29,7 @@ algebra over F_p: the attack of ROADMAP item 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -100,8 +100,7 @@ class SecretPair:
             return w
 
 
-@dataclass(frozen=True)
-class KexMessage:
+class KexMessage(NamedTuple):
     party_id: bytes
     session_id: bytes
     pk: RingElement

@@ -9,7 +9,6 @@ only for the attack-game harness.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from .skewring import RingElement, SkewRing, SubspaceTag
 
@@ -25,12 +24,29 @@ PARAM_SETS: dict[str, tuple[int, int]] = {
 }
 
 
-@dataclass(frozen=True, eq=False)
-class Params:
-    """The ring plus the public ring element h; p, n and lambda belong to the ring."""
+_set = object.__setattr__  # Params' own writes, past its __setattr__
 
-    ring: SkewRing = field(repr=False)
-    h: RingElement = field(repr=False)
+
+class Params:
+    """The ring plus the public ring element h; p, n and lambda belong to the
+    ring.  Immutable, in declared slots; equal and hashed by identity, which
+    kem.encaps_key's cache keys on."""
+
+    __slots__ = ("ring", "h")
+
+    def __init__(self, ring: SkewRing, h: RingElement) -> None:
+        if ring.n % ring.p != 0:
+            raise ValueError(f"p must divide n, got p={ring.p}, n={ring.n}")
+        if ring.classify(h) is not SubspaceTag.MIXED:
+            raise ValueError("public element h must have both C_n and C_n y parts non-zero")
+        _set(self, "ring", ring)
+        _set(self, "h", h)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"Params is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"Params is immutable: cannot delete {name!r}")
 
     @property
     def p(self) -> int:
@@ -43,12 +59,6 @@ class Params:
     @property
     def lam(self) -> int:
         return self.ring.field.lam
-
-    def __post_init__(self) -> None:
-        if self.n % self.p != 0:
-            raise ValueError(f"p must divide n, got p={self.p}, n={self.n}")
-        if self.ring.classify(self.h) is not SubspaceTag.MIXED:
-            raise ValueError("public element h must have both C_n and C_n y parts non-zero")
 
 
 def make_params(

@@ -24,7 +24,7 @@ does; pke_enc and pke_dec check their operands' ring and wrap the arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,14 +33,12 @@ from .params import Params
 from .skewring import RingElement
 
 
-@dataclass(frozen=True)
-class PkeKeypair:
+class PkeKeypair(NamedTuple):
     pk: RingElement
     sk: SecretPair
 
 
-@dataclass(frozen=True)
-class Ciphertext:
+class Ciphertext(NamedTuple):
     c1: RingElement
     c2: RingElement
 

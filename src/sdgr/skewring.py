@@ -35,7 +35,6 @@ from typing import Iterator, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .dihedral import mul_index
 from .field import Fq2, QuadraticField
 
 
@@ -461,6 +460,8 @@ def pair_product(ring: SkewRing, field, a: RingElement, b: RingElement) -> RingE
     oracle, a counting wrapper for the cost model, which is why no pair is
     skipped, zero or not.
     """
+    from .dihedral import mul_index  # imported here: only the oracle and the cost model use it
+
     ring._check(a, b)
     n = ring.n
     a_list, b_list = a.coeffs.tolist(), b.coeffs.tolist()

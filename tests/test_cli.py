@@ -2,7 +2,6 @@ import hashlib
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -151,10 +150,10 @@ HOSTILE_FILES = {
     "priv-a-off-cn": {"priv": lambda h, pl: (h, _swap(pl, 1, P19.basis(19)))},
     # unchecked, decaps would re-encrypt under this pk and print a wrong key
     "priv-pk-foreign": {"priv": lambda h, pl: (h, _swap(pl, 3, P19.one()))},
-    "ct-l1-byte-1": {"ct": lambda h, pl: (replace(h, l1=8), pl)},
+    "ct-l1-byte-1": {"ct": lambda h, pl: (h._replace(l1=8), pl)},
     "priv-l1-byte-2": {
-        "priv": lambda h, pl: (replace(h, l1=16), pl),
-        "ct": lambda h, pl: (replace(h, l1=0), pl),
+        "priv": lambda h, pl: (h._replace(l1=16), pl),
+        "ct": lambda h, pl: (h._replace(l1=0), pl),
     },
 }
 
@@ -380,10 +379,20 @@ def test_malformed_params_payload_exits_3(tmp_path, capsys, p19_h_payload, mangl
 
 
 def test_cli_import_leaves_games_and_costmodel_unloaded():
-    """Only solve-sdpd and bench need games and costmodel, so every other
-    command's process start skips importing them."""
+    """Only solve-sdpd and bench need games and costmodel, and only the
+    pair_product oracle and the cost model need dihedral, so every other
+    command's process start skips importing them; nor does it import
+    dataclasses or build a dataclass (after numpy, which may load the module
+    itself, as the check allows)."""
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
-    code = "import sys, sdgr.cli; print(sorted({'sdgr.games', 'sdgr.costmodel'} & set(sys.modules)))"
+    code = (
+        "import sys, numpy; before = 'dataclasses' in sys.modules; import sdgr.cli; "
+        "sdgr_mods = sorted(m for m in sys.modules if m == 'sdgr' or m.startswith('sdgr.')); "
+        "built = sorted({f'{v.__module__}.{v.__name__}' for m in sdgr_mods for v in vars(sys.modules[m]).values() "
+        "if isinstance(v, type) and '__dataclass_fields__' in vars(v)}); "
+        "print(sdgr_mods, built, before or 'dataclasses' not in sys.modules)"
+    )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[]"
+    modules = ["sdgr"] + [f"sdgr.{m}" for m in ("cli", "field", "fileio", "kem", "kex", "params", "pke", "skewring")]
+    assert out.stdout.strip() == f"{modules} [] True"
