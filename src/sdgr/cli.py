@@ -28,7 +28,7 @@ from typing import List, Optional
 from . import fileio, kem
 from .kex import KexSession, SecretPair, public_value
 from .field import find_lambda
-from .params import PARAM_SETS, VALID_L1, Params, make_params
+from .params import PARAM_SETS, VALID_L1, Params, make_params, make_rng
 from .skewring import RingElement, SkewRing
 
 EXIT_OK = 0
@@ -36,10 +36,6 @@ EXIT_USAGE = 1
 EXIT_CHECKSUM = 2
 EXIT_PARAM_MISMATCH = 3
 EXIT_GUARD = 4
-
-
-def _rng(seed: Optional[int]) -> random.Random:
-    return random.Random(seed) if seed is not None else random.SystemRandom()
 
 
 # -- file helpers --------------------------------------------------------------
@@ -100,7 +96,7 @@ def cmd_params(args) -> int:
 
 def cmd_keygen(args) -> int:
     params = _load_params_file(args.params)
-    priv, pk_bytes = kem.kem_keygen(params, _rng(args.seed))
+    priv, pk_bytes = kem.kem_keygen(params, make_rng(args.seed))
     payload = (
         kem.rep_ring(priv.s)
         + kem.rep_ring(priv.sk.a)
@@ -116,7 +112,7 @@ def cmd_keygen(args) -> int:
 def cmd_encaps(args) -> int:
     params = _load_params_file(args.params)
     _, (pk,) = _read_elements(args.pub, params, 1)
-    ct, key = kem.kem_encaps(kem.rep_ring(pk), params, _rng(args.seed), l1=args.l1)
+    ct, key = kem.kem_encaps(kem.rep_ring(pk), params, make_rng(args.seed), l1=args.l1)
     fileio.write_file(args.out, _params_header(params, args.l1), ct)
     print(key.hex())
     return EXIT_OK
@@ -141,7 +137,7 @@ def cmd_decaps(args) -> int:
 
 
 def cmd_kexdemo(args) -> int:
-    rng = _rng(args.seed)
+    rng = make_rng(args.seed)
     params = make_params(args.set, rng=rng)
     alice = KexSession(params, b"P_i", b"session-0", rng)
     bob = KexSession(params, b"P_j", b"session-0", rng)
@@ -161,20 +157,19 @@ def cmd_kexdemo(args) -> int:
 def cmd_solve_sdpd(args) -> int:
     from . import games  # imported here: no other command needs it at start-up
 
-    rng = _rng(args.seed)
+    rng = make_rng(args.seed)
     params = make_params(args.set, rng=rng)
-    gp = games.GameParams(ring=params.ring, h=params.h)
     if games.sdpd_search_space(params.ring) > games.SEARCH_SPACE_GUARD:
         print("error: search space exceeds the desk-scale guard", file=sys.stderr)
         return EXIT_GUARD
-    inst, witness = games.sdpd_challenge(gp, rng)
+    inst, witness = games.sdpd_challenge(params, rng)
     found = games.sdpd_bruteforce(inst)
     planted_found = any(a == witness[0] and g == witness[1] for a, g in found)
     print(f"witnesses={len(found)}")
     print(f"planted_witness_found={str(planted_found).lower()}")
-    csdp_inst, k = games.csdp_challenge(gp, rng)
+    csdp_inst, k = games.csdp_challenge(params, rng)
     solutions = games.sdpd_bruteforce(
-        games.SdpdInstance(params=gp, pk=csdp_inst.pk1)
+        games.SdpdInstance(params=params, pk=csdp_inst.pk1)
     )
     recovered = all(
         games.csdp_verify(csdp_inst, games.csdp_key_from_witness(csdp_inst, a, g))

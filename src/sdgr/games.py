@@ -27,21 +27,10 @@ from typing import Callable, List
 
 import numpy as np
 
+from .params import GameParams
 from .skewring import RingElement, SkewRing, SubspaceTag
 
 SEARCH_SPACE_GUARD = 10**8
-
-
-@dataclass(frozen=True, eq=False)
-class GameParams:
-    """Ring plus public element for a game instance.
-
-    Unlike scheme parameters, h is allowed to be degenerate (one summand
-    zero) so the trivial-win remark can be exercised.
-    """
-
-    ring: SkewRing
-    h: RingElement
 
 
 @dataclass(frozen=True, eq=False)

@@ -27,11 +27,9 @@ import numpy as np
 from .kex import SecretPair
 from .params import VALID_L1, Params
 from .pke import Ciphertext, PkeKeypair, decrypt, enc_operator, encrypt, pke_gen, sample_message
-from .skewring import RingElement, SkewRing
+from .skewring import Frozen, RingElement, SkewRing, _set
 
 H2_PREFIX = b"\x02"
-
-_set = object.__setattr__  # KemPrivate's own writes, past its __setattr__
 
 
 # -- bit packing --------------------------------------------------------------
@@ -159,21 +157,16 @@ def h2(data: bytes, l1: int) -> bytes:
 # -- KEM ----------------------------------------------------------------------
 
 
-class KemPrivate:
+class KemPrivate(Frozen):
     """Decapsulation state: implicit-rejection seed s, PKE secret, and pk.
-    Immutable and compared by identity; rep_pk and rep_s are kept in the
-    instance __dict__, which cached_property writes directly."""
+    Immutable and compared by identity; it declares no slots, so rep_pk and
+    rep_s are kept in the instance __dict__, which cached_property writes
+    directly."""
 
     def __init__(self, s: RingElement, sk: SecretPair, pk: RingElement) -> None:
         _set(self, "s", s)
         _set(self, "sk", sk)
         _set(self, "pk", pk)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"KemPrivate is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"KemPrivate is immutable: cannot delete {name!r}")
 
     @cached_property
     def rep_pk(self) -> bytes:
@@ -186,8 +179,8 @@ class KemPrivate:
 
 def kem_keygen(params: Params, rng) -> tuple[KemPrivate, bytes]:
     kp: PkeKeypair = pke_gen(params, rng)
-    s = sample_message(params, rng)
-    return KemPrivate(s=s, sk=kp.sk, pk=kp.pk), rep_ring(kp.pk)
+    priv = KemPrivate(s=sample_message(params, rng), sk=kp.sk, pk=kp.pk)
+    return priv, priv.rep_pk
 
 
 @lru_cache(maxsize=1)

@@ -34,13 +34,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .params import Params
-from .skewring import RingElement, SkewRing, SubspaceTag
+from .skewring import Frozen, RingElement, SkewRing, SubspaceTag, _set
 
 
-_set = object.__setattr__  # SecretPair's own writes, past its __setattr__
-
-
-class SecretPair:
+class SecretPair(Frozen):
     """A secret pair (a, gamma), a != 0 on C_n and gamma != 0 reversible, kept
     as its ring, its read-only values (n + n//2 + 1, 2) (see
     SkewRing.pair_from_values) and its read-only raw rows [v; u], (2, 1, 2n),
@@ -73,12 +70,6 @@ class SecretPair:
         _set(self, "ring", ring)
         _set(self, "values", values)
         _set(self, "rows", rows)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"SecretPair is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"SecretPair is immutable: cannot delete {name!r}")
 
     @property
     def a(self) -> RingElement:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 
-from .skewring import RingElement, SkewRing, SubspaceTag
+from .skewring import Frozen, RingElement, SkewRing, SubspaceTag, _set
 
 VALID_L1 = (128, 192, 256)
 
@@ -24,29 +24,31 @@ PARAM_SETS: dict[str, tuple[int, int]] = {
 }
 
 
-_set = object.__setattr__  # Params' own writes, past its __setattr__
-
-
-class Params:
-    """The ring plus the public ring element h; p, n and lambda belong to the
-    ring.  Immutable, in declared slots; equal and hashed by identity, which
-    kem.encaps_key's cache keys on."""
+class GameParams(Frozen):
+    """The ring plus a public ring element h, unchecked: an attack game may
+    take any ring and a degenerate h (one summand zero), so that the
+    trivial-win remark can be exercised.  Immutable, in declared slots;
+    equal and hashed by identity, which kem.encaps_key's cache keys on."""
 
     __slots__ = ("ring", "h")
+
+    def __init__(self, ring: SkewRing, h: RingElement) -> None:
+        _set(self, "ring", ring)
+        _set(self, "h", h)
+
+
+class Params(GameParams):
+    """Scheme parameters: a GameParams whose p divides n and whose h is
+    mixed; p, n and lambda belong to the ring."""
+
+    __slots__ = ()
 
     def __init__(self, ring: SkewRing, h: RingElement) -> None:
         if ring.n % ring.p != 0:
             raise ValueError(f"p must divide n, got p={ring.p}, n={ring.n}")
         if ring.classify(h) is not SubspaceTag.MIXED:
             raise ValueError("public element h must have both C_n and C_n y parts non-zero")
-        _set(self, "ring", ring)
-        _set(self, "h", h)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"Params is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"Params is immutable: cannot delete {name!r}")
+        super().__init__(ring, h)
 
     @property
     def p(self) -> int:
@@ -61,6 +63,11 @@ class Params:
         return self.ring.field.lam
 
 
+def make_rng(seed: int | None) -> random.Random:
+    """The generator of one seed, or of system entropy without one."""
+    return random.Random(seed) if seed is not None else random.SystemRandom()
+
+
 def make_params(
     name: str,
     seed: int | None = None,
@@ -70,7 +77,5 @@ def make_params(
     if name not in PARAM_SETS:
         raise KeyError(f"unknown parameter set {name!r}; choose from {sorted(PARAM_SETS)}")
     ring = SkewRing(*PARAM_SETS[name])
-    if rng is None:
-        rng = random.Random(seed) if seed is not None else random.SystemRandom()
-    h = ring.gen_public_element(rng)
+    h = ring.gen_public_element(rng if rng is not None else make_rng(seed))
     return Params(ring=ring, h=h)

@@ -38,7 +38,21 @@ from numpy.lib.stride_tricks import as_strided
 from .field import Fq2, QuadraticField
 
 
-_set = object.__setattr__  # RingElement's own writes, past its __setattr__
+_set = object.__setattr__  # a Frozen object's own writes, past its __setattr__
+
+
+class Frozen:
+    """Base of the library's immutable objects: setting or deleting any
+    attribute raises AttributeError, and a subclass writes its own
+    attributes with _set.  It adds no slot and no __dict__."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
 
 
 class SubspaceTag(Enum):
@@ -48,7 +62,7 @@ class SubspaceTag(Enum):
     MIXED = "mixed"
 
 
-class RingElement:
+class RingElement(Frozen):
     """Immutable element of F_{q^2}^theta D_2n, in declared slots: a
     cached_property would keep the circulant in an instance __dict__, after
     which every attribute read was slower on CPython 3.11 (four reads of a
@@ -60,12 +74,6 @@ class RingElement:
         coeffs.setflags(write=False)  # shape (2n, 2), int64, entries in [0, p)
         _set(self, "ring", ring)
         _set(self, "coeffs", coeffs)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"RingElement is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"RingElement is immutable: cannot delete {name!r}")
 
     def __add__(self, other: "RingElement") -> "RingElement":
         return self.ring.add(self, other)
@@ -412,13 +420,10 @@ class SkewRing:
     def pair_from_values(self, values: np.ndarray) -> tuple[RingElement, RingElement]:
         """(a, gamma) from n + n//2 + 1 coefficients in [0, p): a on C_n
         holds the first n, gamma the rest as its free coordinates (see
-        gamma_from_free).  Both are views of one zero-filled array."""
-        n, end = self.n, self.n + self.gamma_free_count()
-        out = np.zeros((2, self.size, 2), dtype=np.int64)
-        out[0, :n] = values[:n]
-        out[1, n:end] = values[n:]
-        out[1, self.size - n // 2 :] = out[1, n + 1 : end][::-1]
-        return RingElement(self, out[0]), RingElement(self, out[1])
+        gamma_from_free)."""
+        a = np.zeros((self.size, 2), dtype=np.int64)
+        a[: self.n] = values[: self.n]
+        return RingElement(self, a), self.gamma_from_free(values[self.n :])
 
     def pair_values(self, a: RingElement, gamma: RingElement) -> np.ndarray:
         """pair_from_values' inverse for a on C_n and a reversible gamma."""

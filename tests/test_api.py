@@ -7,10 +7,11 @@ from pathlib import Path
 import pytest
 
 import sdgr
+import sdgr.games
 from sdgr.fileio import Header
 from sdgr.kem import KemPrivate, kem_keygen
 from sdgr.kex import KexMessage, SecretPair, sample_secret_pair
-from sdgr.params import Params
+from sdgr.params import GameParams, Params
 from sdgr.pke import Ciphertext, PkeKeypair, pke_enc, pke_gen, sample_message
 from sdgr.skewring import RingElement, SkewRing, SubspaceTag
 
@@ -74,21 +75,53 @@ def test_value_records_are_immutable_and_compare_by_value(toy_params):
 def test_params_and_kem_private_are_immutable_and_compare_by_identity(toy_params):
     ring, h = toy_params.ring, toy_params.h
     params, same = Params(ring=ring, h=h), Params(ring=ring, h=h)
+    assert isinstance(params, GameParams)
     assert params != same and params == params
     assert hash(params) == object.__hash__(params) and {params: 1}.get(same) is None
+    game, game_same = GameParams(ring=ring, h=h), GameParams(ring=ring, h=h)
+    assert game != game_same and game == game and game != params
+    assert hash(game) == object.__hash__(game) and {game: 1}.get(game_same) is None
+    assert GameParams(ring=ring, h=ring.one()).h == ring.one()  # on C_n only: Params refuses it
     priv, _ = kem_keygen(params, random.Random(6))
     # the secret pair compares by identity, so a twin's differs
     twin = KemPrivate(s=priv.s, sk=SecretPair.from_values(ring, priv.sk.values), pk=priv.pk)
     assert priv != twin and priv == priv
     assert priv.rep_pk == twin.rep_pk and priv.rep_s == twin.rep_s  # cached_property still writes
     rep_pk = priv.rep_pk
-    for obj, names in ((params, ("ring", "h", "p", "extra")), (priv, ("s", "sk", "pk", "rep_pk", "extra"))):
+    for obj, names in (
+        (params, ("ring", "h", "p", "extra")),
+        (game, ("ring", "h", "extra")),
+        (priv, ("s", "sk", "pk", "rep_pk", "extra")),
+    ):
         for name in names:
             with pytest.raises(AttributeError):
                 setattr(obj, name, None)
             with pytest.raises(AttributeError):
                 delattr(obj, name)
     assert params.ring is ring and params.h is h and priv.rep_pk is rep_pk
+    assert game.ring is ring and game.h is h
+    assert not hasattr(params, "__dict__") and not hasattr(game, "__dict__")
+
+
+def test_games_and_params_share_one_game_params():
+    assert sdgr.games.GameParams is GameParams
+
+
+def test_refused_writes_name_the_concrete_class(toy_params):
+    ring = toy_params.ring
+    priv, _ = kem_keygen(toy_params, random.Random(6))
+    objects = {
+        "Params": toy_params,
+        "GameParams": GameParams(ring=ring, h=toy_params.h),
+        "RingElement": toy_params.h,
+        "SecretPair": priv.sk,
+        "KemPrivate": priv,
+    }
+    for name, obj in objects.items():
+        with pytest.raises(AttributeError, match=f"^{name} is immutable: cannot set 'h'$"):
+            obj.h = None
+        with pytest.raises(AttributeError, match=f"^{name} is immutable: cannot delete 'ring'$"):
+            del obj.ring
 
 
 def test_kem_private_hashes_by_identity(toy_params):

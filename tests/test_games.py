@@ -22,7 +22,7 @@ from sdgr.games import (
     wilson_interval,
 )
 from sdgr.kex import SecretPair, kex_shared, public_value
-from sdgr.params import PARAM_SETS
+from sdgr.params import PARAM_SETS, make_params
 from sdgr.skewring import SkewRing, SubspaceTag
 
 
@@ -90,6 +90,20 @@ def test_csdp_break_via_sdpd(toy_game, rng):
     assert witnesses
     for a, gamma in witnesses:
         assert csdp_verify(inst, csdp_key_from_witness(inst, a, gamma))
+
+
+@pytest.mark.parametrize("name", ["toy", "p19"])
+def test_scheme_params_run_the_challengers(name):
+    # a Params is a GameParams: the challengers take it as it is, and give
+    # what a GameParams of the same ring and h gives from the same seed
+    params = make_params(name, seed=4)
+    game = GameParams(ring=params.ring, h=params.h)
+    inst, (a, gamma) = sdpd_challenge(params, random.Random(8))
+    assert inst.params is params and sdpd_verify(inst, a, gamma)
+    assert inst.pk == sdpd_challenge(game, random.Random(8))[0].pk
+    csdp, k = csdp_challenge(params, random.Random(9))
+    assert csdp.params is params and csdp_verify(csdp, k)
+    assert k == csdp_challenge(game, random.Random(9))[1]
 
 
 def test_dsdp_challenge_bits(toy_game, rng):

@@ -208,6 +208,13 @@ def test_kem_round_trip(p19_params, rng):
             assert len(key) == l1 // 8
 
 
+def test_keygen_returns_the_kept_rep_pk(p19_params, rng):
+    # the key bytes are packed once: decaps reads the same object
+    priv, pk_bytes = kem_keygen(p19_params, rng)
+    assert pk_bytes is priv.rep_pk
+    assert pk_bytes == rep_ring(priv.pk)
+
+
 def test_kem_tamper_gives_different_key(p19_params, rng):
     priv, pk_bytes = kem_keygen(p19_params, rng)
     for _ in range(20):
