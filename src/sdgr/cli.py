@@ -48,7 +48,8 @@ class ParameterError(Exception):
 
 
 def _params_header(params: Params, l1: int = 0) -> fileio.Header:
-    return fileio.Header(p=params.p, m=1, n=params.n, lam=params.lam, l1=l1)
+    ring = params.ring
+    return fileio.Header(p=ring.p, m=1, n=ring.n, lam=ring.field.lam, l1=l1)
 
 
 def _load_params_file(path: str) -> Params:
@@ -89,8 +90,9 @@ def cmd_params(args) -> int:
     if args.set == "toy":
         print("warning: toy parameters are desk-scale only", file=sys.stderr)
     params = make_params(args.set, seed=args.seed)
-    fileio.write_file(args.out, _params_header(params), kem.rep_ring(params.h))
-    print(f"wrote {args.out} (p={params.p}, m=1, n={params.n}, lambda={params.lam})")
+    header = _params_header(params)
+    fileio.write_file(args.out, header, kem.rep_ring(params.h))
+    print(f"wrote {args.out} (p={header.p}, m={header.m}, n={header.n}, lambda={header.lam})")
     return EXIT_OK
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -158,23 +158,19 @@ def h2(data: bytes, l1: int) -> bytes:
 
 
 class KemPrivate(Frozen):
-    """Decapsulation state: implicit-rejection seed s, PKE secret, and pk.
-    Immutable and compared by identity; it declares no slots, so rep_pk and
-    rep_s are kept in the instance __dict__, which cached_property writes
-    directly."""
+    """Decapsulation state: implicit-rejection seed s, PKE secret sk, pk,
+    and the encodings rep_pk and rep_s that decaps hashes, built here once,
+    so no decapsulation writes to the key.  Immutable, in declared slots;
+    compared by identity."""
+
+    __slots__ = ("s", "sk", "pk", "rep_pk", "rep_s")
 
     def __init__(self, s: RingElement, sk: SecretPair, pk: RingElement) -> None:
         _set(self, "s", s)
         _set(self, "sk", sk)
         _set(self, "pk", pk)
-
-    @cached_property
-    def rep_pk(self) -> bytes:
-        return rep_ring(self.pk)
-
-    @cached_property
-    def rep_s(self) -> bytes:
-        return rep_ring(self.s)
+        _set(self, "rep_pk", rep_ring(pk))
+        _set(self, "rep_s", rep_ring(s))
 
 
 def kem_keygen(params: Params, rng) -> tuple[KemPrivate, bytes]:
@@ -216,7 +212,7 @@ def kem_decaps(priv: KemPrivate, c_bytes: bytes, params: Params, l1: int = 128) 
         chunks, padded = unpack_elements(ring, c_bytes, 2)
     except ValueError:
         return h2(priv.rep_s + c_bytes, l1)
-    rep_m, c_prime = _encrypt_derandomized(decrypt(chunks % ring.p, priv.sk), priv.rep_pk, params)
+    rep_m, c_prime = _encrypt_derandomized(decrypt(chunks % ring.p, priv.sk.w), priv.rep_pk, params)
     # c_bytes == rep(c'), without packing c': every chunk is the coefficient
     # of c' it encodes, which is below p, and no padding bit is set
     if hmac.compare_digest(chunks.tobytes(), c_prime.tobytes()) and padded:

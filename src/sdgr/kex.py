@@ -98,9 +98,16 @@ class KexMessage(NamedTuple):
 
 
 def sample_secret_pair(params: Params, rng) -> SecretPair:
-    """Uniform secret pair, resampling the (negligible) zero draws: one
-    draw, valid by construction, which the pair keeps as its values."""
-    return SecretPair.from_values(params.ring, params.ring.sample_pair_values(rng, nonzero=True)[0])
+    """Uniform secret pair, kept as one sample_pair_values draw whose
+    (negligible) zero a, then zero free coordinates of gamma, are redrawn
+    from the stream as loops of sample_cn then sample_gamma would."""
+    ring, n = params.ring, params.ring.n
+    values = ring.sample_pair_values(rng)[0]
+    while not np.count_nonzero(values[:n]):
+        values = np.concatenate((values[n:], ring.sample_cn(rng).coeffs[:n]))
+    while not np.count_nonzero(values[n:]):
+        values[n:] = ring.sample_gamma(rng).coeffs[n : len(values)]
+    return SecretPair.from_values(ring, values)
 
 
 def public_value(params: Params, sk: SecretPair) -> RingElement:

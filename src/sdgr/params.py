@@ -50,18 +50,6 @@ class Params(GameParams):
             raise ValueError("public element h must have both C_n and C_n y parts non-zero")
         super().__init__(ring, h)
 
-    @property
-    def p(self) -> int:
-        return self.ring.p
-
-    @property
-    def n(self) -> int:
-        return self.ring.n
-
-    @property
-    def lam(self) -> int:
-        return self.ring.field.lam
-
 
 def make_rng(seed: int | None) -> random.Random:
     """The generator of one seed, or of system entropy without one."""
@@ -73,7 +61,10 @@ def make_params(
     seed: int | None = None,
     rng: random.Random | None = None,
 ) -> Params:
-    """Instantiate a named parameter set, generating a fresh public h."""
+    """Instantiate a named parameter set, generating a fresh public h from
+    rng, or from the generator of seed (make_rng); not from both."""
+    if seed is not None and rng is not None:
+        raise ValueError("make_params takes a seed or an rng, not both")
     if name not in PARAM_SETS:
         raise KeyError(f"unknown parameter set {name!r}; choose from {sorted(PARAM_SETS)}")
     ring = SkewRing(*PARAM_SETS[name])

@@ -67,11 +67,12 @@ def encrypt(m: np.ndarray, op: np.ndarray, rows: np.ndarray, p: int) -> np.ndarr
     return out.reshape(2, size, 2)
 
 
-def decrypt(c: np.ndarray, sk: SecretPair) -> np.ndarray:
+def decrypt(c: np.ndarray, w: RingElement) -> np.ndarray:
     """Dec(sk, c) = c2 - kex_shared(sk, c1) on raw [c1; c2], (2, 2n, 2) in
-    [0, p), and the circulants sk keeps, as m's (2n, 2) array."""
-    ring = sk.ring
-    k = c[0].reshape(2, 1, ring.size) @ sk.w.circulant
+    [0, p), and the circulants kept on the secret's w (SecretPair.w), as m's
+    (2n, 2) array."""
+    ring = w.ring
+    k = c[0].reshape(2, 1, ring.size) @ w.circulant
     m = (c[1].reshape(2, ring.size) - k[::-1, 0]).astype(np.int64)
     m %= ring.p
     return m.reshape(ring.size, 2)
@@ -89,7 +90,7 @@ def pke_enc(m: RingElement, pk: RingElement, r2: SecretPair, params: Params) -> 
 def pke_dec(c: Ciphertext, sk: SecretPair) -> RingElement:
     ring = sk.ring
     ring._check(c.c1, c.c2)
-    return RingElement(ring, decrypt(np.stack((c.c1.coeffs, c.c2.coeffs)), sk))
+    return RingElement(ring, decrypt(np.stack((c.c1.coeffs, c.c2.coeffs)), sk.w))
 
 
 def sample_message(params: Params, rng) -> RingElement:

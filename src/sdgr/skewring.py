@@ -8,9 +8,11 @@ float64 matmul of raw coefficient rows with the (2n, 2n) F_p matrices of
 w -> w * z in the commutative F_{q^2}[C_n], gathered once per right operand
 with lam and sigma's signs in their entries and kept on it (circulant).
 Write z = z_C + z_Y y with z_C and z_Y in F_{q^2}[C_n].  The schemes and
-the game challengers need only cross_mul: raw rows [w_C; w_Y], any number
-of w, each one row against x's matrix of x_Y or x_C, the rows of secret
-pairs straight from their draw values (pair_rows).  The skew product needs
+the game challengers run no skew product: they multiply raw rows [w_C;
+w_Y], any number of w, each one row against x's kept matrix of x_Y or x_C,
+through cross_mul, or, in pke.encrypt and pke.decrypt, through their own
+fused matmuls on the same kept circulants; the rows of secret pairs come
+straight from their draw values (pair_rows).  The skew product needs
 y z = rho(z) y, where rho(z)(x) = sigma(z)(x^-1) is an involutive
 automorphism of F_{q^2}[C_n] and, on raw coefficients, a signed permutation, so
 
@@ -63,10 +65,9 @@ class SubspaceTag(Enum):
 
 
 class RingElement(Frozen):
-    """Immutable element of F_{q^2}^theta D_2n, in declared slots: a
-    cached_property would keep the circulant in an instance __dict__, after
-    which every attribute read was slower on CPython 3.11 (four reads of a
-    p19 element: 96 against 45 ns)."""
+    """Immutable element of F_{q^2}^theta D_2n, in declared slots: with the
+    circulant kept in an instance __dict__ instead, every attribute read was
+    slower on CPython 3.11 (four reads of a p19 element: 96 against 45 ns)."""
 
     __slots__ = ("ring", "coeffs", "_circulant")
 
@@ -149,9 +150,9 @@ class SkewRing:
         if p < 256:
             s = 8 - p.bit_length()
             self._byte_tables = (np.arange(256, dtype=np.uint8) >> s).tobytes(), bytes(range(p << s, 256))
-        # built by mul's first call; assigned here because a cached_property
-        # writes through the instance __dict__, which on CPython 3.11 slowed
-        # every later attribute read on the ring (a toy DSDP trial by 4%)
+        # built by mul's first call; assigned here because an attribute first
+        # written to the instance __dict__ after __init__ slowed every later
+        # attribute read on the ring on CPython 3.11 (a toy DSDP trial by 4%)
         self._mul_index = None
 
     # -- construction ------------------------------------------------------
@@ -401,21 +402,12 @@ class SkewRing:
     def gamma_free_count(self) -> int:
         return self.n // 2 + 1
 
-    def sample_pair_values(self, rng, m: int = 1, nonzero: bool = False) -> np.ndarray:
+    def sample_pair_values(self, rng, m: int = 1) -> np.ndarray:
         """The values (m, n + n//2 + 1, 2) of m pairs (see pair_from_values) in
         one draw, with the values and generator state of m calls of sample_cn
-        then sample_gamma; nonzero, for one pair only, redraws a zero a, then
-        zero free coordinates of gamma, as loops of those two calls would."""
-        if nonzero and m != 1:
-            raise ValueError(f"nonzero redraws one pair's values, got m={m}")
-        n, k = self.n, self.n + self.gamma_free_count()
-        values = self._draw(rng, 2 * m * k)
-        if nonzero:
-            while not np.count_nonzero(values[:n]):
-                values = np.concatenate((values[n:], self._draw(rng, 2 * n)))
-            while not np.count_nonzero(values[n:]):
-                values[n:] = self._draw(rng, 2 * (k - n))
-        return values.reshape(m, k, 2)
+        then sample_gamma, zero a and gamma included."""
+        k = self.n + self.gamma_free_count()
+        return self._draw(rng, 2 * m * k).reshape(m, k, 2)
 
     def pair_from_values(self, values: np.ndarray) -> tuple[RingElement, RingElement]:
         """(a, gamma) from n + n//2 + 1 coefficients in [0, p): a on C_n

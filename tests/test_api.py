@@ -11,7 +11,7 @@ import sdgr.games
 from sdgr.fileio import Header
 from sdgr.kem import KemPrivate, kem_keygen
 from sdgr.kex import KexMessage, SecretPair, sample_secret_pair
-from sdgr.params import GameParams, Params
+from sdgr.params import GameParams, Params, make_params
 from sdgr.pke import Ciphertext, PkeKeypair, pke_enc, pke_gen, sample_message
 from sdgr.skewring import RingElement, SkewRing, SubspaceTag
 
@@ -86,12 +86,12 @@ def test_params_and_kem_private_are_immutable_and_compare_by_identity(toy_params
     # the secret pair compares by identity, so a twin's differs
     twin = KemPrivate(s=priv.s, sk=SecretPair.from_values(ring, priv.sk.values), pk=priv.pk)
     assert priv != twin and priv == priv
-    assert priv.rep_pk == twin.rep_pk and priv.rep_s == twin.rep_s  # cached_property still writes
+    assert priv.rep_pk == twin.rep_pk and priv.rep_s == twin.rep_s  # both encoded at construction
     rep_pk = priv.rep_pk
     for obj, names in (
         (params, ("ring", "h", "p", "extra")),
         (game, ("ring", "h", "extra")),
-        (priv, ("s", "sk", "pk", "rep_pk", "extra")),
+        (priv, ("s", "sk", "pk", "rep_pk", "rep_s", "extra")),
     ):
         for name in names:
             with pytest.raises(AttributeError):
@@ -100,7 +100,7 @@ def test_params_and_kem_private_are_immutable_and_compare_by_identity(toy_params
                 delattr(obj, name)
     assert params.ring is ring and params.h is h and priv.rep_pk is rep_pk
     assert game.ring is ring and game.h is h
-    assert not hasattr(params, "__dict__") and not hasattr(game, "__dict__")
+    assert not any(hasattr(obj, "__dict__") for obj in (params, game, priv))
 
 
 def test_games_and_params_share_one_game_params():
@@ -122,6 +122,14 @@ def test_refused_writes_name_the_concrete_class(toy_params):
             obj.h = None
         with pytest.raises(AttributeError, match=f"^{name} is immutable: cannot delete 'ring'$"):
             del obj.ring
+
+
+def test_make_params_refuses_a_seed_and_an_rng_together():
+    # one of the two would be silently ignored
+    with pytest.raises(ValueError, match="not both"):
+        make_params("toy", seed=1, rng=random.Random(1))
+    seeded, drawn = make_params("toy", seed=1), make_params("toy", rng=random.Random(1))
+    assert seeded.h.coeffs.tolist() == drawn.h.coeffs.tolist()
 
 
 def test_kem_private_hashes_by_identity(toy_params):

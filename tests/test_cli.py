@@ -223,11 +223,17 @@ def test_cli_secrets_do_not_replay_the_draws_of_h(capsys, monkeypatch):
         assert not np.array_equal(a.coeffs[:n], h.coeffs[:n])
 
 
-def test_solve_sdpd_toy(capsys):
-    assert main(["solve-sdpd", "--set", "toy", "--seed", "5"]) == EXIT_OK
-    out = capsys.readouterr().out
-    assert "planted_witness_found=true" in out
-    assert "csdp_key_recovered=true" in out
+# the exhaustive toy solve's witness count at each seed; every run finds
+# the planted witness and recovers the CSDP key from each witness it lists
+SOLVE_SDPD_WITNESSES = {1: 6, 2: 18, 3: 18, 4: 18, 5: 6}
+
+
+@pytest.mark.parametrize("seed", sorted(SOLVE_SDPD_WITNESSES))
+def test_solve_sdpd_toy(seed, capsys):
+    assert main(["solve-sdpd", "--set", "toy", "--seed", str(seed)]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        f"witnesses={SOLVE_SDPD_WITNESSES[seed]}\nplanted_witness_found=true\ncsdp_key_recovered=true\n"
+    )
 
 
 def test_solve_sdpd_guard(capsys):

@@ -306,15 +306,20 @@ def test_warm_kem_op_runs_no_skew_product(monkeypatch):
 
 
 def test_implicit_rejection_encodes_s_once(p19_params, rng, monkeypatch):
-    priv, pk_bytes = kem_keygen(p19_params, rng)
+    # s is encoded once, when the key is built, and never by kem_decaps,
+    # whose rejections leave the key's encodings the objects they were
     encoded = []
     rep = sdgr.kem.rep_ring
     monkeypatch.setattr(sdgr.kem, "rep_ring", lambda a: encoded.append(a) or rep(a))
+    priv, pk_bytes = kem_keygen(p19_params, rng)
+    assert [a for a in encoded if a is priv.s] == [priv.s]
+    rep_pk, rep_s = priv.rep_pk, priv.rep_s
     for _ in range(3):
         ct, key = kem_encaps(pk_bytes, p19_params, rng)
         # a tampered ciphertext fails the re-encryption check, a short one its decoding
         for bad in (bytes([ct[0] ^ 1]) + ct[1:], ct[:-1]):
             assert kem_decaps(priv, bad, p19_params) == h2(rep(priv.s) + bad, 128)
+            assert priv.rep_pk is rep_pk and priv.rep_s is rep_s
     assert [a for a in encoded if a is priv.s] == [priv.s]
 
 
@@ -351,7 +356,7 @@ def test_chunk_plus_p_is_rejected(kem_instance):
     # a chunk c and c + p decode to the same element, so only the check that
     # c is rep(c') tells the two ciphertexts apart
     params, priv, cts = kem_instance
-    ring, p, size = params.ring, params.p, rep_len(params.ring)
+    ring, p, size = params.ring, params.ring.p, rep_len(params.ring)
     w = ring.field.coeff_bits
     forged = 0
     for ct, key in cts:
@@ -373,7 +378,7 @@ def test_padding_bit_is_rejected(kem_instance):
     params, priv, cts = kem_instance
     ring, size = params.ring, rep_len(params.ring)
     pad = 8 * size - 2 * ring.size * ring.field.coeff_bits
-    assert (pad > 0) == (params.p in (19, 23, 31))
+    assert (pad > 0) == (ring.p in (19, 23, 31))
     for ct, key in cts:
         for e in (0, 1):
             last = (e + 1) * size - 1
@@ -456,7 +461,7 @@ def test_cached_encaps_key_is_read_only(p19_params, rng):
     _, pk_bytes = kem_keygen(p19_params, rng)
     rep_pk, op = encaps_key(p19_params, pk_bytes)
     assert rep_pk == pk_bytes
-    assert op.shape == (2, 2 * p19_params.n, 4 * p19_params.n)
+    assert op.shape == (2, 2 * p19_params.ring.n, 4 * p19_params.ring.n)
     assert not op.flags.writeable
     with pytest.raises(ValueError):
         op[0, 0, 0] = 1

@@ -12,7 +12,7 @@ from sdgr.kex import (
     sample_secret_pair,
 )
 from sdgr.params import PARAM_SETS, Params, make_params
-from sdgr.skewring import SkewRing, SubspaceTag
+from sdgr.skewring import SubspaceTag
 
 
 def test_secret_pair_validation(toy_ring, rng):
@@ -36,8 +36,9 @@ def test_secret_pair_validation(toy_ring, rng):
 @pytest.mark.parametrize("name", sorted(PARAM_SETS))
 def test_checked_and_from_values_pairs_agree(name, rng):
     # drawn pairs and the all p - 1 pair, through either constructor
-    ring = SkewRing(*PARAM_SETS[name])
-    cases = [ring.sample_pair_values(rng, nonzero=True)[0] for _ in range(3)]
+    params = make_params(name, rng=rng)
+    ring = params.ring
+    cases = [sample_secret_pair(params, rng).values for _ in range(3)]
     cases.append(np.full((ring.n + ring.gamma_free_count(), 2), ring.p - 1))
     for values in cases:
         a, gamma = ring.pair_from_values(values)

@@ -138,9 +138,9 @@ def test_raw_kernels_match_pke_enc_and_pke_dec(any_params, rng):
         assert c.shape == (2, ring.size, 2) and c.dtype == np.int64
         obj = pke_enc(m, kp.pk, r, any_params)
         assert c.tolist() == [obj.c1.coeffs.tolist(), obj.c2.coeffs.tolist()]
-        assert decrypt(c, kp.sk).tolist() == pke_dec(obj, kp.sk).coeffs.tolist() == m.coeffs.tolist()
+        assert decrypt(c, kp.sk.w).tolist() == pke_dec(obj, kp.sk).coeffs.tolist() == m.coeffs.tolist()
         c1, c2 = ring.sample_ring(rng), ring.sample_ring(rng)
-        raw = decrypt(np.stack((c1.coeffs, c2.coeffs)), kp.sk)
+        raw = decrypt(np.stack((c1.coeffs, c2.coeffs)), kp.sk.w)
         assert raw.shape == (ring.size, 2) and raw.dtype == np.int64
         assert raw.tolist() == pke_dec(Ciphertext(c1=c1, c2=c2), kp.sk).coeffs.tolist()
 

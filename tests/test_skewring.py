@@ -456,7 +456,7 @@ def test_draw_is_the_randrange_loop_at_every_width(p):
     values = ring._draw(random.SystemRandom(), 1000)
     assert values.dtype == np.int64 and values.shape == (500, 2)
     assert values.min() >= 0 and values.max() < p
-    assert values.flags.writeable  # sample_pair_values' zero redraw writes into it
+    assert values.flags.writeable  # kex.sample_secret_pair's zero-gamma redraw writes into it
 
 
 def sample_pair(ring, rng) -> np.ndarray:
@@ -499,19 +499,6 @@ def test_sample_pair_values_is_m_sample_pairs(name):
             assert values.shape == (m, ring.n + ring.gamma_free_count(), 2)
             assert values.tolist() == [sample_pair(ring, ref).tolist() for _ in range(m)]
             assert ours.getstate() == ref.getstate()
-
-
-def test_sample_pair_values_redraws_zeros_for_one_pair_only():
-    # with m > 1 a redraw of one pair's zero a or gamma would shift or
-    # overwrite the values of every later pair: refused before any draw
-    ring = SkewRing(3, 3)
-    for m in (0, 2, 3):
-        rng = random.Random(4)
-        state = rng.getstate()
-        with pytest.raises(ValueError, match="one pair"):
-            ring.sample_pair_values(rng, m, nonzero=True)
-        assert rng.getstate() == state
-    assert ring.sample_pair_values(random.Random(4), 2).shape == (2, 5, 2)
 
 
 def test_samplers_take_system_random(r19):
