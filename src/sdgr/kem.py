@@ -4,7 +4,10 @@ Hash functions are SHAKE256 (FIPS 202).  H1 maps a byte string to a secret
 pair by chunking an o-bit XOF stream, o = ceil(log2 p) * 2m * (n + ceil((n+1)/2)),
 into ceil(log2 p)-bit integers reduced mod p.  H2 prepends the domain byte
 0x02 and truncates to the session-key length.  rep() is the canonical
-fixed-width big-endian MSB-first bit packing of a coefficient vector.
+fixed-width big-endian MSB-first bit packing of a coefficient vector:
+pack_bits reads every value's bits in one take from a kept, read-only
+(256, 8) table of each byte's bits, and unpack_bits weighs the unpacked
+bits with kept, read-only weights per width, returning int64.
 
 Encaps sends c = Enc(pk, m; H1(rep(m) || rep(pk))), and decaps decrypts,
 re-encrypts and compares, on raw coefficient arrays through pke's kernels
@@ -35,6 +38,23 @@ H2_PREFIX = b"\x02"
 # -- bit packing --------------------------------------------------------------
 
 
+@lru_cache(maxsize=1)
+def _byte_bits() -> np.ndarray:
+    """Each byte's bits, MSB first: a read-only (256, 8) uint8 table built on
+    first use, so a process that never packs runs no numpy code for it."""
+    table = (np.arange(256)[:, None] >> np.arange(7, -1, -1) & 1).astype(np.uint8)
+    table.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=None)
+def _bit_weights(width: int) -> np.ndarray:
+    """The read-only int64 weights of a width-bit chunk's bits, MSB first."""
+    weights = 1 << np.arange(width - 1, -1, -1)
+    weights.setflags(write=False)
+    return weights
+
+
 def pack_bits(values: Sequence[int] | np.ndarray, width: int) -> bytes:
     """Pack fixed-width unsigned integers into an MSB-first bitstream,
     zero-padding the final byte; a 2-D input packs and pads each row."""
@@ -43,19 +63,22 @@ def pack_bits(values: Sequence[int] | np.ndarray, width: int) -> bytes:
     # size test keeps an empty input, which asarray makes float64, off the shift
     if v.size and np.count_nonzero(v >> width):
         raise ValueError(f"values must fit in {width} bits, got {v.min()} .. {v.max()}")
-    shifts = np.arange(width - 1, -1, -1)
-    bits = (v.astype(np.int64, copy=False)[..., None] >> shifts).astype(np.uint8) & 1
+    # one take of each byte's bits, of the values' big-endian bytes (of the
+    # values themselves for width <= 8), keeping the low width bits
+    nbytes = 1 if width <= 8 else 2 if width <= 16 else 4
+    index = v.astype(np.int64, copy=False) if width <= 8 else v.astype(f">u{nbytes}").view(np.uint8)
+    bits = _byte_bits().take(index, axis=0).reshape(*v.shape, 8 * nbytes)[..., 8 * nbytes - width :]
     return np.packbits(bits.reshape(*v.shape[:-1], -1), axis=-1).tobytes()
 
 
 def unpack_bits(data: bytes | np.ndarray, width: int, count: int) -> np.ndarray:
-    """Read `count` fixed-width integers from an MSB-first bitstream, or from
-    each row of a 2-D uint8 array of equal-length streams."""
+    """Read `count` fixed-width integers, as int64, from an MSB-first
+    bitstream, or from each row of a 2-D uint8 array of equal-length streams."""
     stream = data if isinstance(data, np.ndarray) else np.frombuffer(data, dtype=np.uint8)
     if stream.shape[-1] * 8 < width * count:
         raise ValueError("bitstream too short")
     bits = np.unpackbits(stream, axis=-1, count=width * count)
-    return bits.reshape(*stream.shape[:-1], count, width) @ (1 << np.arange(width - 1, -1, -1))
+    return bits.reshape(*stream.shape[:-1], count, width) @ _bit_weights(width)
 
 
 # -- canonical serialization ---------------------------------------------------

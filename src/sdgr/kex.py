@@ -24,7 +24,8 @@ skew product and no adjunct is formed.  pk is linear in (u, v), and an honest
 peer's P has P_Y = u_2 h_C and P_C = v_2 h_Y, so any (u', v') with
 u' h_C = u h_C and v' h_Y = v h_Y gives the same key with every honest peer,
 whether or not it comes from a secret pair.  Finding one from pk is linear
-algebra over F_p: the attack of ROADMAP item 1.
+algebra over F_p: the attack of ROADMAP item 1, which
+tests/test_kex.py::test_toy_key_recovery_from_pk_alone runs exhaustively at toy.
 """
 
 from __future__ import annotations

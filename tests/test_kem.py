@@ -1,6 +1,10 @@
 import hashlib
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -83,6 +87,64 @@ def test_two_row_pack_is_two_single_packs(name):
     rows[1, 0] = 1 << w
     with pytest.raises(ValueError, match=f"values must fit in {w} bits"):
         pack_bits(rows, w)
+
+
+def _reference_pack(values, width: int) -> bytes:
+    """pack_bits' oracle for one row: one Python int of the concatenated
+    width-bit values, shifted left by the zero padding."""
+    pad = -len(values) * width % 8
+    acc = 0
+    for x in values:
+        acc = acc << width | int(x)
+    return (acc << pad).to_bytes((len(values) * width + pad) // 8, "big")
+
+
+@pytest.mark.parametrize("width", range(1, 33))
+def test_codec_at_every_width(width):
+    # a 2-D pack is the row packs concatenated, and unpack_bits reads int64
+    # back from one stream and from a 2-D array of streams; 13 values pad
+    # every width but multiples of 8, and the set values reach its top bit
+    rng = random.Random(width)
+    rows = np.array([[rng.randrange(1 << width) for _ in range(13)] for _ in range(3)])
+    rows[0, 0], rows[2, -1] = (1 << width) - 1, 1 << (width - 1)
+    singles = [_reference_pack(row.tolist(), width) for row in rows]
+    assert [pack_bits(row, width) for row in rows] == singles
+    packed = pack_bits(rows, width)
+    assert packed == b"".join(singles)
+    one = unpack_bits(singles[0], width, 13)
+    each = unpack_bits(np.frombuffer(packed, dtype=np.uint8).reshape(3, -1), width, 13)
+    assert one.dtype == each.dtype == np.int64
+    assert one.tolist() == rows[0].tolist() and each.tolist() == rows.tolist()
+
+
+def test_kept_codec_tables_are_read_only():
+    # every later encoding reads them: no caller may write to them
+    table = sdgr.kem._byte_bits()
+    assert table.shape == (256, 8) and table.dtype == np.uint8
+    assert [int("".join(map(str, bits)), 2) for bits in table.tolist()] == list(range(256))
+    for kept in (table, *(sdgr.kem._bit_weights(width) for width in (1, 6, 32))):
+        assert not kept.flags.writeable
+        with pytest.raises(ValueError):
+            kept[0] = 0
+    assert sdgr.kem._bit_weights(6).tolist() == [32, 16, 8, 4, 2, 1]
+
+
+def test_byte_table_is_built_only_by_packing():
+    # kex sessions import the codec but never pack: they build no table
+    script = (
+        "import random, sdgr.kem\n"
+        "from sdgr.kex import kex_keygen, kex_shared\n"
+        "from sdgr.params import make_params\n"
+        "params, rng = make_params('toy', seed=1), random.Random(1)\n"
+        "(sk, _), (_, pk) = kex_keygen(params, rng), kex_keygen(params, rng)\n"
+        "kex_shared(sk, pk)\n"
+        "assert sdgr.kem._byte_bits.cache_info().currsize == 0\n"
+        "sdgr.kem.pack_bits([1], 5)\n"
+        "assert sdgr.kem._byte_bits.cache_info().currsize == 1\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(sdgr.kem.__file__).resolve().parent.parent))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
 
 
 # -- canonical serialization ---------------------------------------------------

@@ -254,3 +254,34 @@ def test_kex_shared_refuses_a_foreign_peer_pk(p19_params, rng, operator_builds):
         with pytest.raises(ValueError, match="different ring"):
             kex_shared(sk, peer_pk)
         assert operator_builds == []
+
+
+# -- key recovery from pk alone (ROADMAP item 1) ------------------------------------
+
+
+def test_toy_key_recovery_from_pk_alone():
+    """pk is linear in (u, v): every u' with u' h_C = pk_Y and v' with
+    v' h_Y = pk_C, found here among all p^(2n) raw rows of a C_n half with
+    one matmul per half (sdpd_bruteforce's trick), gives the honest key with
+    every honest peer, whether or not it is the secret's own (u, v)."""
+    several = 0
+    for seed in range(20):
+        params = make_params("toy", seed=seed)
+        ring, h = params.ring, params.h
+        rng = random.Random(seed)
+        sk, pk = kex_keygen(params, rng)
+        raw = np.indices((ring.p,) * ring.size).reshape(ring.size, -1).T
+        pk_c, pk_y = pk.coeffs.reshape(2, ring.size)
+        us = raw[(((raw @ h.circulant[1]).astype(np.int64) % ring.p) == pk_y).all(axis=1)]
+        vs = raw[(((raw @ h.circulant[0]).astype(np.int64) % ring.p) == pk_c).all(axis=1)]
+        v, u = sk.rows[:, 0]
+        assert (us == u).all(axis=1).any() and (vs == v).all(axis=1).any()
+        # every pair's rows [u'; v'], (len(us) * len(vs), 2, 1, 2n)
+        pairs = np.stack(np.broadcast_arrays(us[:, None], vs[None]), axis=2).reshape(-1, 2, 1, ring.size)
+        for _ in range(20):
+            peer_sk, peer_pk = kex_keygen(params, rng)
+            k = kex_shared(sk, peer_pk)
+            assert k == kex_shared(peer_sk, pk)
+            assert (ring.cross_mul(pairs, peer_pk) == k.coeffs).all()
+        several += len(pairs) > 1  # a non-unit h_C or h_Y leaves more than one
+    assert several
