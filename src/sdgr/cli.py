@@ -3,19 +3,21 @@
 Commands: params, keygen, encaps, decaps, kexdemo, solve-sdpd, bench.
 Every command but bench draws all its randomness from one generator, seeded
 by --seed or, without one, by system entropy; bench checks the cost model on
-fixed inputs and times nothing (perfbench/ is the benchmark).  Exit codes:
-0 success, 1 missing or unreadable file, 2 checksum failure, bad file format,
-or a file longer than 1024 bytes (sdgr writes none that long), 3 a file that
-passes its checksum but does not fit the parameters, 4 solver guard
-violation.  Exit 3 covers: a params file that names no supported parameter
-set or holds a malformed h; a key or ciphertext header that differs from
-the params file's or whose l1 is not 0, 128, 192 or 256; a params or key
-payload that is not the canonical encoding of its elements (wrong length, a
-coefficient chunk >= p, or a padding bit set); a private key whose a is not
-a non-zero element of C_n or whose gamma is not a non-zero reversible
-element, or whose pk is not the public value a * h * gamma of that secret.
-A ciphertext payload of any length under the file-size cap gets a key by
-implicit rejection.
+fixed inputs and times nothing (perfbench/ is the benchmark).  keygen --l1
+sets the session-key length; encaps and decaps read it from the key files.
+Exit codes: 0 success, 1 missing or unreadable file, 2 checksum failure, bad
+file format, or a file longer than 1024 bytes (sdgr writes none that long),
+3 a file that passes its checksum but does not fit the parameters, 4 solver
+guard violation.  Exit 3 covers: a params file that names no supported
+parameter set, has a header l1 other than 0, or holds a malformed h; a key
+or ciphertext header that differs from the params file's or whose l1 is not
+128, 192 or 256, or a ciphertext's l1 other than the private key's; a params
+or key payload that is not the canonical encoding of its elements (wrong
+length, a coefficient chunk >= p, or a padding bit set); a private key whose
+a is not a non-zero element of C_n or whose gamma is not a non-zero
+reversible element, or whose pk is not the public value a * h * gamma of
+that secret.  A ciphertext payload of any length under the file-size cap
+gets a key by implicit rejection.
 """
 
 from __future__ import annotations
@@ -56,8 +58,8 @@ def _load_params_file(path: str) -> Params:
     header, payload = fileio.read_file(path)
     p, n, lam = header.p, header.n, header.lam
     # checked before any ring is built: ring construction costs O(n^2) memory
-    if header.m != 1 or (p, n) not in PARAM_SETS.values() or lam != find_lambda(p):
-        raise ParameterError(f"unsupported parameters p={p}, m={header.m}, n={n}, lambda={lam}")
+    if header.m != 1 or header.l1 or (p, n) not in PARAM_SETS.values() or lam != find_lambda(p):
+        raise ParameterError(f"unsupported parameters p={p}, m={header.m}, n={n}, lambda={lam}, l1={header.l1}")
     ring = SkewRing(p, n)
     try:
         return Params(ring=ring, h=kem.decode_elements(ring, payload, 1)[0])
@@ -65,11 +67,11 @@ def _load_params_file(path: str) -> Params:
         raise ParameterError(f"malformed params file: {exc}") from exc
 
 
-def _read_checked(path: str, params: Params) -> tuple[int, bytes]:
+def _read_checked(path: str, params: Params, l1: int = 0) -> tuple[int, bytes]:
     """The l1 and payload of a key or ciphertext file whose header is exactly
-    the one written for `params`."""
+    the one written for `params` and an l1 in VALID_L1, `l1` if given."""
     header, payload = fileio.read_file(path)
-    if header.l1 not in (0,) + VALID_L1 or header != _params_header(params, header.l1):
+    if header.l1 not in VALID_L1 or header != _params_header(params, l1 or header.l1):
         raise ParameterError(f"{path}: header {header} does not match the parameters")
     return header.l1, payload
 
@@ -113,16 +115,16 @@ def cmd_keygen(args) -> int:
 
 def cmd_encaps(args) -> int:
     params = _load_params_file(args.params)
-    _, (pk,) = _read_elements(args.pub, params, 1)
-    ct, key = kem.kem_encaps(kem.rep_ring(pk), params, make_rng(args.seed), l1=args.l1)
-    fileio.write_file(args.out, _params_header(params, args.l1), ct)
+    l1, (pk,) = _read_elements(args.pub, params, 1)
+    ct, key = kem.kem_encaps(kem.rep_ring(pk), params, make_rng(args.seed), l1=l1)
+    fileio.write_file(args.out, _params_header(params, l1), ct)
     print(key.hex())
     return EXIT_OK
 
 
 def cmd_decaps(args) -> int:
     params = _load_params_file(args.params)
-    priv_l1, (s, a, gamma, pk) = _read_elements(args.priv, params, 4)
+    l1, (s, a, gamma, pk) = _read_elements(args.priv, params, 4)
     try:
         sk = SecretPair(a=a, gamma=gamma)
     except ValueError as exc:
@@ -131,8 +133,7 @@ def cmd_decaps(args) -> int:
         raise ParameterError(f"{args.priv}: pk is not the public value of the secret pair")
     # the ciphertext payload goes to kem_decaps unchecked: a wrong length is
     # rejected implicitly like any other bad ciphertext
-    ct_l1, ct = _read_checked(args.infile, params)
-    l1 = args.l1 or ct_l1 or priv_l1 or 128
+    _, ct = _read_checked(args.infile, params, l1)
     key = kem.kem_decaps(kem.KemPrivate(s=s, sk=sk, pk=pk), ct, params, l1=l1)
     print(key.hex())
     return EXIT_OK
@@ -238,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", required=True)
     p.add_argument("--pub", required=True)
     p.add_argument("--out", required=True, help="ciphertext file")
-    p.add_argument("--l1", type=int, default=128, choices=VALID_L1)
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_encaps)
 
@@ -246,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", required=True)
     p.add_argument("--priv", required=True)
     p.add_argument("--in", dest="infile", required=True, help="ciphertext file")
-    p.add_argument("--l1", type=int, default=0, choices=(0,) + VALID_L1)
     p.set_defaults(func=cmd_decaps)
 
     p = sub.add_parser("kexdemo", help="run both sides of the key exchange in-process")

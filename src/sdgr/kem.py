@@ -11,8 +11,8 @@ bits with kept, read-only weights per width, returning int64.
 
 Encaps sends c = Enc(pk, m; H1(rep(m) || rep(pk))), and decaps decrypts,
 re-encrypts and compares, on raw coefficient arrays through pke's kernels
-and pk's enc_operator, kept by encaps_key per params and key bytes and
-found again through rep(pk).  Decaps unpacks c once: it decrypts the
+and pk's enc_operator, kept by encaps_key per params and key bytes rep(pk)
+(decaps passes its key's).  Decaps unpacks c once: it decrypts the
 chunks reduced mod p, and accepts only if the raw chunks are the
 coefficients of the re-encryption c' and no padding bit is set: rep(c') ==
 c, since a chunk >= p never equals a coefficient and rep pads with zeros.
@@ -55,9 +55,15 @@ def _bit_weights(width: int) -> np.ndarray:
     return weights
 
 
+def _check_width(width: int) -> None:
+    if not 1 <= width <= 32:
+        raise ValueError(f"width must be 1 .. 32 bits, got {width}")
+
+
 def pack_bits(values: Sequence[int] | np.ndarray, width: int) -> bytes:
     """Pack fixed-width unsigned integers into an MSB-first bitstream,
     zero-padding the final byte; a 2-D input packs and pads each row."""
+    _check_width(width)
     v = np.asarray(values)
     # v >> width is non-zero exactly for the values outside [0, 2^width); the
     # size test keeps an empty input, which asarray makes float64, off the shift
@@ -74,6 +80,7 @@ def pack_bits(values: Sequence[int] | np.ndarray, width: int) -> bytes:
 def unpack_bits(data: bytes | np.ndarray, width: int, count: int) -> np.ndarray:
     """Read `count` fixed-width integers, as int64, from an MSB-first
     bitstream, or from each row of a 2-D uint8 array of equal-length streams."""
+    _check_width(width)
     stream = data if isinstance(data, np.ndarray) else np.frombuffer(data, dtype=np.uint8)
     if stream.shape[-1] * 8 < width * count:
         raise ValueError("bitstream too short")
@@ -203,25 +210,24 @@ def kem_keygen(params: Params, rng) -> tuple[KemPrivate, bytes]:
 
 
 @lru_cache(maxsize=1)
-def encaps_key(params: Params, pk_bytes: bytes) -> tuple[bytes, np.ndarray]:
-    """(rep(pk), enc_operator(params, pk)) for the last encaps key that
-    decoded, under the params it was used with, so that no other h meets the
-    operator.  rep(pk), not pk_bytes: decoding reduces chunks mod p."""
-    pk = decode_ring(params.ring, pk_bytes)
-    return rep_ring(pk), enc_operator(params, pk)
+def encaps_key(params: Params, pk_bytes: bytes) -> np.ndarray:
+    """enc_operator(params, pk) for the last encaps key that decoded, under
+    the params it was used with, so that no other h meets the operator.
+    Raises ValueError unless pk_bytes is rep(pk), as FIPS 203 7.2 asks."""
+    return enc_operator(params, decode_elements(params.ring, pk_bytes, 1)[0])
 
 
 def _encrypt_derandomized(m: np.ndarray, pk_bytes: bytes, params: Params) -> tuple[bytes, np.ndarray]:
     """(rep(m), c) for c = Enc(pk, m; H1(rep(m) || rep(pk))), m, c and H1's
     values raw: the encryption encaps sends and decaps recomputes."""
     ring = params.ring
-    rep_pk, op = encaps_key(params, pk_bytes)
+    op = encaps_key(params, pk_bytes)
     rep_m = pack_bits(m.ravel(), ring.field.coeff_bits)
-    return rep_m, encrypt(m, op, ring.pair_rows(h1_values(rep_m + rep_pk, params)), ring.p)
+    return rep_m, encrypt(m, op, ring.pair_rows(h1_values(rep_m + pk_bytes, params)), ring.p)
 
 
 def kem_encaps(pk_bytes: bytes, params: Params, rng, l1: int = 128) -> tuple[bytes, bytes]:
-    """Returns (ciphertext bytes, session key)."""
+    """(ciphertext bytes, session key); ValueError unless pk_bytes is rep(pk)."""
     rep_m, c = _encrypt_derandomized(sample_message(params, rng).coeffs, bytes(pk_bytes), params)
     c_bytes = pack_bits(c.reshape(2, -1), params.ring.field.coeff_bits)
     return c_bytes, h2(rep_m + c_bytes, l1)

@@ -359,15 +359,9 @@ class SkewRing:
         round's little-endian bytes [3::4] are the outputs' top bytes, and
         one translate drops those whose top w bits are >= p and maps the
         rest to those bits.  Each output gives at most one value, so no
-        round over-draws.  Wider primes run the loop."""
+        round over-draws.  Wider primes make the randrange(p) calls."""
         if self._byte_tables is None:
-            p, w, bits = self.p, self.p.bit_length(), rng.getrandbits
-            out = []
-            while len(out) < k:
-                v = bits(w)
-                if v < p:
-                    out.append(v)
-            return np.array(out, dtype=np.int64).reshape(-1, 2)
+            return np.array([rng.randrange(self.p) for _ in range(k)], dtype=np.int64).reshape(-1, 2)
         top, reject = self._byte_tables
         out = b""
         while len(out) < k:

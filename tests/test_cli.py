@@ -102,10 +102,10 @@ def test_every_file_kind_fits_under_the_size_cap(tmp_path, capsys, name):
     assert main(["keygen", "--params", files["params"], "--out", files["priv"], "--pub", files["pub"],
                  "--l1", "256", "--seed", "2"]) == EXIT_OK
     assert main(["encaps", "--params", files["params"], "--pub", files["pub"], "--out", files["ct"],
-                 "--l1", "256", "--seed", "3"]) == EXIT_OK
+                 "--seed", "3"]) == EXIT_OK
     assert main(["decaps", "--params", files["params"], "--priv", files["priv"], "--in", files["ct"]]) == EXIT_OK
     enc_key, dec_key = capsys.readouterr().out.strip().splitlines()[-2:]
-    assert enc_key == dec_key
+    assert enc_key == dec_key and len(enc_key) == 64
     sizes = {k: (tmp_path / f"{k}.bin").stat().st_size for k in files}
     elements = {"params": 1, "pub": 1, "ct": 2, "priv": 4}
     ring = SkewRing(*PARAM_SETS[name])
@@ -151,6 +151,10 @@ HOSTILE_FILES = {
     # unchecked, decaps would re-encrypt under this pk and print a wrong key
     "priv-pk-foreign": {"priv": lambda h, pl: (h, _swap(pl, 3, P19.one()))},
     "ct-l1-byte-1": {"ct": lambda h, pl: (h._replace(l1=8), pl)},
+    # the key pair owns l1, so neither key may leave it unset; a ciphertext's
+    # l1 is checked against the private key's in test_key_pair_fixes_l1
+    "pub-l1-zero": {"pub": lambda h, pl: (h._replace(l1=0), pl)},
+    "priv-l1-zero": {"priv": lambda h, pl: (h._replace(l1=0), pl)},
     "priv-l1-byte-2": {
         "priv": lambda h, pl: (h._replace(l1=16), pl),
         "ct": lambda h, pl: (h._replace(l1=0), pl),
@@ -176,6 +180,40 @@ def test_hostile_key_or_ciphertext_exits_3(tmp_path, capsys, case):
     assert out.err.startswith("error:")
     assert "Traceback" not in out.err
     assert out.out == ""
+
+
+@pytest.mark.parametrize("l1", (128, 192, 256))
+@pytest.mark.parametrize("name", sorted(PARAM_SETS))
+def test_key_pair_fixes_l1(tmp_path, capsys, name, l1):
+    """encaps and decaps take l1 from the key files: the honest round trip
+    prints equal l1-bit keys, and a ciphertext re-sealed with another l1 (a
+    shorter one would give a prefix of the key) exits 3 and prints nothing."""
+    params, priv, pub, ct = (str(tmp_path / f"{k}.bin") for k in ("params", "priv", "pub", "ct"))
+    assert main(["params", "--set", name, "--seed", "1", "--out", params]) == EXIT_OK
+    assert main(["keygen", "--params", params, "--out", priv, "--pub", pub, "--l1", str(l1), "--seed", "2"]) == EXIT_OK
+    assert read_file(pub)[0].l1 == read_file(priv)[0].l1 == l1
+    capsys.readouterr()
+    assert main(["encaps", "--params", params, "--pub", pub, "--out", ct, "--seed", "3"]) == EXIT_OK
+    header, payload = read_file(ct)
+    assert header.l1 == l1
+    decaps = ["decaps", "--params", params, "--priv", priv, "--in", ct]
+    assert main(decaps) == EXIT_OK
+    enc_key, dec_key = capsys.readouterr().out.split()
+    assert enc_key == dec_key and len(enc_key) == l1 // 4
+    for other in (0, 128, 192, 256):
+        if other != l1:
+            write_file(ct, header._replace(l1=other), payload)
+            assert main(decaps) == EXIT_PARAM_MISMATCH
+            out = capsys.readouterr()
+            assert out.out == "" and out.err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["encaps", "decaps"])
+def test_encaps_and_decaps_take_no_l1_option(capsys, command):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    out = capsys.readouterr().out
+    assert "--params" in out and "--l1" not in out
 
 
 def test_param_mismatch_exits_3(tmp_path, capsys):
@@ -283,18 +321,19 @@ def test_unreadable_file_exits_1(tmp_path, capsys):
 def test_rewriting_shorter_files_in_place(tmp_path, capsys):
     """p41 files, then shorter p19 files and a shorter ciphertext, written to
     the same paths: each rewrite is cut to its own length, so every decaps
-    reads the files just written and prints the key of the encaps before it."""
+    reads the files just written and prints the key of the encaps before it.
+    The 128-bit round re-keys, since the key pair fixes l1."""
     params, priv, pub, ct = (str(tmp_path / f"{k}.bin") for k in ("params", "priv", "pub", "ct"))
-    keys = ["keygen", "--params", params, "--out", priv, "--pub", pub, "--l1", "256", "--seed", "2"]
+    keys = ["keygen", "--params", params, "--out", priv, "--pub", pub, "--seed", "2", "--l1"]
     assert main(["params", "--set", "p41", "--seed", "1", "--out", params]) == EXIT_OK
-    assert main(keys) == EXIT_OK
-    assert main(["encaps", "--params", params, "--pub", pub, "--out", ct, "--l1", "256", "--seed", "3"]) == EXIT_OK
+    assert main(keys + ["256"]) == EXIT_OK
+    assert main(["encaps", "--params", params, "--pub", pub, "--out", ct, "--seed", "3"]) == EXIT_OK
     sizes = {path: os.path.getsize(path) for path in (params, priv, pub, ct)}
     assert main(["params", "--set", "p19", "--seed", "1", "--out", params]) == EXIT_OK
-    assert main(keys) == EXIT_OK
     for l1, seed in (("256", "4"), ("128", "5")):
+        assert main(keys + [l1]) == EXIT_OK
         capsys.readouterr()
-        assert main(["encaps", "--params", params, "--pub", pub, "--out", ct, "--l1", l1, "--seed", seed]) == EXIT_OK
+        assert main(["encaps", "--params", params, "--pub", pub, "--out", ct, "--seed", seed]) == EXIT_OK
         enc_key = capsys.readouterr().out.strip()
         assert main(["decaps", "--params", params, "--priv", priv, "--in", ct]) == EXIT_OK
         assert capsys.readouterr().out.strip() == enc_key
@@ -382,6 +421,15 @@ def test_malformed_params_payload_exits_3(tmp_path, capsys, p19_h_payload, mangl
     code, err = _keygen_exit(tmp_path, Header(p=19, m=1, n=19, lam=2, l1=0), payload, capsys)
     assert code == EXIT_PARAM_MISMATCH
     assert "malformed params file" in err
+
+
+@pytest.mark.parametrize("l1", [8, 128, 256, 2040])
+def test_params_header_with_an_l1_exits_3(tmp_path, capsys, p19_h_payload, l1):
+    # a params file names no session-key length: its header l1 is 0
+    code, err = _keygen_exit(tmp_path, Header(p=19, m=1, n=19, lam=2, l1=l1), p19_h_payload, capsys)
+    assert code == EXIT_PARAM_MISMATCH
+    assert "unsupported parameters" in err
+    assert _keygen_exit(tmp_path, Header(p=19, m=1, n=19, lam=2, l1=0), p19_h_payload, capsys)[0] == EXIT_OK
 
 
 def test_cli_import_leaves_games_and_costmodel_unloaded():

@@ -70,6 +70,16 @@ def test_pack_bits_range_check():
         unpack_bits(b"\x00", 5, 10)
 
 
+@pytest.mark.parametrize("width", [-1, 0, 33, 64])
+def test_codec_refuses_widths_outside_1_to_32(width):
+    # the kept tables hold at most 32 bits a value: a wider or non-positive
+    # width would pack or unpack wrong values without an error
+    with pytest.raises(ValueError, match="width must be 1 .. 32"):
+        pack_bits([2**32 + 5, 3], width)
+    with pytest.raises(ValueError, match="width must be 1 .. 32"):
+        unpack_bits(b"\xff" * 16, width, 1)
+
+
 @pytest.mark.parametrize("name", sorted(PARAM_SETS))
 def test_two_row_pack_is_two_single_packs(name):
     # each row is padded on its own: p19, p23 and p31 pad their last byte,
@@ -521,9 +531,26 @@ def test_encaps_key_takes_a_bytearray(p19_params, rng):
 
 def test_cached_encaps_key_is_read_only(p19_params, rng):
     _, pk_bytes = kem_keygen(p19_params, rng)
-    rep_pk, op = encaps_key(p19_params, pk_bytes)
-    assert rep_pk == pk_bytes
+    op = encaps_key(p19_params, pk_bytes)
     assert op.shape == (2, 2 * p19_params.ring.n, 4 * p19_params.ring.n)
     assert not op.flags.writeable
     with pytest.raises(ValueError):
         op[0, 0, 0] = 1
+
+
+def test_encaps_refuses_a_non_canonical_public_key(p19_params, rng):
+    # p added to a chunk, or a padding bit set, would decode leniently to the
+    # same pk; encaps refuses it, as ML-KEM checks its encapsulation key,
+    # instead of encapsulating under the reduced key
+    ring = p19_params.ring
+    _, pk_bytes = kem_keygen(p19_params, rng)
+    w = ring.field.coeff_bits
+    chunks = unpack_bits(pk_bytes, w, 2 * ring.size)
+    chunks[np.argmax(chunks + ring.p < 1 << w)] += ring.p
+    padded = pk_bytes[:-1] + bytes([pk_bytes[-1] | 1])
+    assert padded != pk_bytes  # p19 pads the last byte
+    for bad in (pack_bits(chunks, w), padded):
+        with pytest.raises(ValueError, match="non-canonical"):
+            kem_encaps(bad, p19_params, random.Random(1))
+        with pytest.raises(ValueError, match="non-canonical"):
+            encaps_key(p19_params, bad)
