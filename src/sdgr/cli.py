@@ -31,7 +31,7 @@ from . import fileio, kem
 from .kex import KexSession, SecretPair, public_value
 from .field import find_lambda
 from .params import PARAM_SETS, VALID_L1, Params, make_params, make_rng
-from .skewring import RingElement, SkewRing
+from .skewring import SkewRing
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -76,15 +76,6 @@ def _read_checked(path: str, params: Params, l1: int = 0) -> tuple[int, bytes]:
     return header.l1, payload
 
 
-def _read_elements(path: str, params: Params, count: int) -> tuple[int, list[RingElement]]:
-    """The l1 and the `count` ring elements of a checked key file."""
-    l1, payload = _read_checked(path, params)
-    try:
-        return l1, kem.decode_elements(params.ring, payload, count)
-    except ValueError as exc:
-        raise ParameterError(f"{path}: malformed payload: {exc}") from exc
-
-
 # -- commands ------------------------------------------------------------------
 
 
@@ -115,8 +106,11 @@ def cmd_keygen(args) -> int:
 
 def cmd_encaps(args) -> int:
     params = _load_params_file(args.params)
-    l1, (pk,) = _read_elements(args.pub, params, 1)
-    ct, key = kem.kem_encaps(kem.rep_ring(pk), params, make_rng(args.seed), l1=l1)
+    l1, pk_bytes = _read_checked(args.pub, params)
+    try:  # kem_encaps decodes pk_bytes, and raises ValueError unless they are rep(pk)
+        ct, key = kem.kem_encaps(pk_bytes, params, make_rng(args.seed), l1=l1)
+    except ValueError as exc:
+        raise ParameterError(f"{args.pub}: malformed payload: {exc}") from exc
     fileio.write_file(args.out, _params_header(params, l1), ct)
     print(key.hex())
     return EXIT_OK
@@ -124,8 +118,9 @@ def cmd_encaps(args) -> int:
 
 def cmd_decaps(args) -> int:
     params = _load_params_file(args.params)
-    l1, (s, a, gamma, pk) = _read_elements(args.priv, params, 4)
+    l1, payload = _read_checked(args.priv, params)
     try:
+        s, a, gamma, pk = kem.decode_elements(params.ring, payload, 4)
         sk = SecretPair(a=a, gamma=gamma)
     except ValueError as exc:
         raise ParameterError(f"{args.priv}: malformed private key: {exc}") from exc

@@ -16,16 +16,17 @@ on coefficients; adjunct(gamma) = sigma(G) y.  With u = a G and v = a sigma(G),
 
 A SecretPair is kept as the values it was drawn as (a's n coefficients, then
 gamma's free coordinates) and the raw rows [v; u] that one SkewRing.pair_rows
-call makes of them when the pair is built: one matmul of a's raw coefficients
-with the F_p matrices of products by sigma(G) and G, with lam and sigma's
-signs.  Each value is one SkewRing.cross_mul of those rows, or of [u; v], with
-the matrices kept on h or on the peer's P: no ring element of a or gamma, no
-skew product and no adjunct is formed.  pk is linear in (u, v), and an honest
-peer's P has P_Y = u_2 h_C and P_C = v_2 h_Y, so any (u', v') with
-u' h_C = u h_C and v' h_Y = v h_Y gives the same key with every honest peer,
-whether or not it comes from a secret pair.  Finding one from pk is linear
-algebra over F_p: the attack of ROADMAP item 1, which
-tests/test_kex.py::test_toy_key_recovery_from_pk_alone runs exhaustively at toy.
+call makes of them when the pair is built: R is commutative, so it is one
+matmul of the raw rows [sigma(G); G] with the F_p matrix of products by a,
+with lam in its entries.  Each value is one SkewRing.cross_mul of those
+rows, or of [u; v], with the matrices kept on h or on the peer's P: no ring
+element of a or gamma, no skew product and no adjunct is formed.  pk is
+linear in (u, v), and an honest peer's P has P_Y = u_2 h_C and P_C = v_2
+h_Y, so any (u', v') with u' h_C = u h_C and v' h_Y = v h_Y gives the same
+key with every honest peer, whether or not it comes from a secret pair.
+Finding one from pk is linear algebra over F_p: the attack of ROADMAP item
+1, which tests/test_kex.py::test_toy_key_recovery_from_pk_alone runs
+exhaustively at toy.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ class SecretPair(Frozen):
     """A secret pair (a, gamma), a != 0 on C_n and gamma != 0 reversible, kept
     as its ring, its read-only values (n + n//2 + 1, 2) (see
     SkewRing.pair_from_values) and its read-only raw rows [v; u], (2, 1, 2n),
-    of u = a G and v = a sigma(G) for gamma = G y (SkewRing.pair_rows), in
+    of u = G a and v = sigma(G) a for gamma = G y (SkewRing.pair_rows), in
     declared slots as RingElement keeps its own.  The schemes read only the
     rows and w; a and gamma are built from the values on each read."""
 

@@ -11,8 +11,9 @@ Write z = z_C + z_Y y with z_C and z_Y in F_{q^2}[C_n].  The schemes and
 the game challengers run no skew product: they multiply raw rows [w_C;
 w_Y], any number of w, each one row against x's kept matrix of x_Y or x_C,
 through cross_mul, or, in pke.encrypt and pke.decrypt, through their own
-fused matmuls on the same kept circulants; the rows of secret pairs come
-straight from their draw values (pair_rows).  The skew product needs
+fused matmuls on the same kept circulants; the rows [a sigma(G); a G] of a
+secret pair (a, G y) are [sigma(G); G] times a's one matrix, gathered with
+them from the pair's draw values (pair_rows).  The skew product needs
 y z = rho(z) y, where rho(z)(x) = sigma(z)(x^-1) is an involutive
 automorphism of F_{q^2}[C_n] and, on raw coefficients, a signed permutation, so
 
@@ -138,9 +139,9 @@ class SkewRing:
         self.p = p
         self.n = n
         self.size = 2 * n
-        # the gathers' tables: [1, lam, -1, -lam] (x) gamma's free coordinates or coeffs
-        self._factors = np.array([[1.0], [self.field.lam], [-1.0], [-self.field.lam]])
-        self._pair_index, self._circ = self._circulant_index(n)
+        # the gathers' tables: [1, lam, -1] (x) pair values or coeffs
+        self._factors = np.array([1.0, self.field.lam, -1.0])[:, None, None]
+        self._g_index, self._a_index, self._circ = self._circulant_index(n)
         self._conj = np.array([1, -1])
         self._inv_perm = np.concatenate(((-np.arange(n)) % n, np.arange(n, 2 * n)))  # dihedral.inverse
         # _draw's translate tables while a value fits in a byte: each top
@@ -256,12 +257,11 @@ class SkewRing:
         """The raw rows [v; u], (..., 2, 1, 2n) in [0, p), of u = a_C * G and
         v = a_C * sigma(G) for pairs (a, G y) as values (..., n + n//2 + 1, 2)
         (see pair_from_values): cross_mul's rows for a x gamma, reversed for
-        a x sigma(gamma) (see sdgr.kex).  One take of the matrices of sigma(G)
-        and G and one broadcast matmul, exact as in cross_mul; % maps into [0, p)."""
-        n, batch = self.n, values.shape[:-2]
-        table = self._factors * values[..., n:, :].reshape(batch + (1, -1))
-        op = table.reshape(batch + (-1,)).take(self._pair_index, axis=-1)
-        vu = (values[..., :n, :].reshape(batch + (1, 1, self.size)) @ op).astype(np.int64)
+        a x sigma(gamma) (see sdgr.kex).  R is commutative, so these are the
+        raw rows [sigma(G); G] times a_C's one matrix: two takes out of one
+        table and one broadcast matmul, exact as in cross_mul; % maps into [0, p)."""
+        table = (self._factors * values[..., None, :, :]).reshape(values.shape[:-2] + (-1,))
+        vu = (table.take(self._g_index, axis=-1) @ table.take(self._a_index, axis=-1)).astype(np.int64)
         vu %= self.p
         return vu
 
@@ -271,33 +271,33 @@ class SkewRing:
         block and C_n block: the circulants RingElement.circulant keeps.
         Row (i, s) and column (k, t), the order of coeffs.ravel(), hold part
         s^t of z_{k-i}, times lam when (s, t) = (1, 0): one take out of
-        [1, lam, -1, -lam] (x) b.coeffs, 4n^2 entries per block."""
+        [1, lam, -1] (x) b.coeffs, 4n^2 entries per block."""
         self._check(b)
-        op = (self._factors * b.coeffs.ravel()).take(self._circ)
+        op = (self._factors * b.coeffs).take(self._circ)
         op.setflags(write=False)
         return op
 
     @staticmethod
-    def _circulant_index(n: int) -> np.ndarray:
-        """The (2, 2, 2n, 2n) gather indices of pair_rows' blocks sigma(G)
-        and G into the (4, 2(n//2 + 1)) table of gamma's free coordinates, and
-        of circulant's z_Y and z_C into the (4, 4n) table of coeffs.ravel().
-        Entry ((i, s), (k, t)) depends on i and k only through j = 2(k-i) + t
-        mod 2n: it is d[s, j], where q = j ^ s is the position of part s^t of
-        z_{k-i} in z's block, offset by 2n for z_Y or mapped by G's palindrome
-        i -> min(i, n-i), plus the table's width times the factor f = s, or
-        s + 2 in the signed block, where s^t = 1: lam at (1, 0), and -1 or
-        -lam where sigma negates part 1.  Row i is d's window at 2n - 2i, so
-        the indices are one copy of a strided view of the (4, 2, 4n) d."""
+    def _circulant_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """pair_rows' (2, 1, 2n) index of the rows [sigma(G); G] and (1, 2n,
+        2n) index of a_C's matrix into the (3, 2(n + n//2 + 1)) table of pair
+        values, and circulant's (2, 2n, 2n) index of z_Y and z_C into the (3,
+        4n) table of coeffs.ravel().  G_i is free coordinate min(i, n-i), and
+        sigma negates part 1 through factor -1.  Matrix entry ((i, s), (k,
+        t)) depends on i and k only through j = 2(k-i) + t mod 2n: it is d[s,
+        j], where q = j ^ s is the position of part s^t of z_{k-i} in z's
+        block, offset by 2n for z_Y, plus the table's width times the factor
+        f = s where s^t = 1: lam at (1, 0).  Row i is d's window at 2n - 2i,
+        so the matrices are one copy of a strided view of the (3, 2, 4n) d."""
+        w, j = 2 * (n + n // 2 + 1), np.arange(2 * n)
+        g = 2 * n + 2 * np.minimum(j >> 1, n - (j >> 1)) + (j & 1)
         s = np.arange(2)[:, None]
         q = (np.arange(4 * n) ^ s) % (2 * n)
-        free = 2 * np.minimum(q >> 1, n - (q >> 1)) + (q & 1)
-        width = np.array([2 * (n // 2 + 1)] * 2 + [4 * n] * 2)[:, None, None]
-        factor = s + np.array([2, 0, 0, 0])[:, None, None]
-        d = np.stack((free, free, q + 2 * n, q)) + (q & 1) * factor * width
+        d = np.stack((q, q + 2 * n, q)) + (q & 1) * s * np.array([w, 4 * n, 4 * n])[:, None, None]
         st = d.strides
-        rows = as_strided(d[:, :, 2 * n :], (4, n, 2, 2 * n), (st[0], -2 * st[2], st[1], st[2]))
-        return rows.reshape(2, 2, 2 * n, 2 * n)
+        rows = as_strided(d[:, :, 2 * n :], (3, n, 2, 2 * n), (st[0], -2 * st[2], st[1], st[2]))
+        ops = rows.reshape(3, 2 * n, 2 * n)
+        return np.stack((g + (j & 1) * 2 * w, g))[:, None], ops[:1], ops[1:]
 
     def naive_product(self, a: RingElement, b: RingElement) -> RingElement:
         """Independent oracle: the formal-sum product, with no precomputed index."""

@@ -31,8 +31,8 @@ def operator_builds(monkeypatch) -> list:
     """Every operator built, in build order: ("circulant", element) for the
     (2n, 2n) F_p matrices of products in F_{q^2}[C_n] by both C_n halves of
     an element, for mul, cross_mul and pke.decrypt (a secret's w), and
-    ("pair_rows", values) for each call that gathers the matrices of sigma(G)
-    and G for every pair (a, G y) of its values."""
+    ("pair_rows", values) for each call that gathers, for every pair (a, G y)
+    of its values, the matrix of a and the rows [sigma(G); G] it multiplies."""
     built = []
     build, pair_rows = SkewRing.circulant, SkewRing.pair_rows
 

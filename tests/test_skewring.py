@@ -110,7 +110,8 @@ def test_mul_matches_naive_oracle_on_every_basis_pair(p, n, rng):
 def test_circulant_rows_are_basis_products(p, n, rng):
     # row (i, s) of the block of z is the F_p parts of t^s x^i * z in C_n, for
     # z = b_Y and b_C (the kept circulants); pair_rows' rows for a = t^s x^i
-    # are row (i, s) of its gathered blocks of sigma(G) and G
+    # are row (i, s) of the matrices of sigma(G) and G, though it gathers
+    # neither: it multiplies the rows [sigma(G); G] by a's one matrix
     ring = SkewRing(p, n)
     units = [ring.basis(i, unit) for i in range(n) for unit in ((1, 0), (0, 1))]
     for b in (ring.sample_ring(rng), ring.sample_gamma(rng)):
@@ -166,7 +167,7 @@ def test_mul_is_exact_at_the_float64_bound(rng):
     pairs = [(top, top)] + [(ring.sample_ring(rng), ring.sample_ring(rng)) for _ in range(20)]
     for a, b in pairs:
         assert ring.mul(a, b) == ring.naive_product(a, b)
-    # pair_rows' gathered matrices have negative entries, so its partial sums are signed
+    # pair_rows' rows [sigma(G); G] have negative entries, so its partial sums are signed
     top_gamma = ring.gamma_from_free([(p - 1, p - 1)] * ring.gamma_free_count())
     cases = [(ring.sample_cn(rng), ring.sample_gamma(rng)) for _ in range(20)]
     cases += [(_cn_part(ring, top), g) for g in (top_gamma, ring.sample_gamma(rng))]
@@ -630,11 +631,12 @@ def _pair_cases(ring, rng):
     return cases
 
 
-@pytest.mark.parametrize("p", [3, 19, 41])
-def test_pair_rows_match_the_naive_product(p, rng):
+@pytest.mark.parametrize("p,n", ORACLE_RINGS + [(5, 10), (13, 30), (41, 41)])
+def test_pair_rows_match_the_naive_product(p, n, rng):
     # one pair and stacks of them, zero a and zero gamma among them, against
-    # u = a G and v = a sigma(G) through the naive product, and pair by pair
-    ring = SkewRing(p, p)
+    # u = a G and v = a sigma(G) through the naive product, and pair by pair;
+    # at even n, G's middle coordinate n/2 is its own mirror
+    ring = SkewRing(p, n)
     cases = _pair_cases(ring, rng)
     for values in cases:
         rows = ring.pair_rows(values)
