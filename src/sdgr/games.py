@@ -22,38 +22,46 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List
 
 import numpy as np
 
 from .params import GameParams
-from .skewring import RingElement, SkewRing, SubspaceTag
+from .skewring import Frozen, RingElement, SkewRing, SubspaceTag, _set
 
 SEARCH_SPACE_GUARD = 10**8
 
 
-@dataclass(frozen=True, eq=False)
-class SdpdInstance:
-    params: GameParams
-    pk: RingElement
+class SdpdInstance(Frozen):
+    __slots__ = ("params", "pk")
+
+    def __init__(self, params: GameParams, pk: RingElement) -> None:
+        _set(self, "params", params)
+        _set(self, "pk", pk)
 
 
-@dataclass(frozen=True, eq=False)
-class CsdpInstance:
-    params: GameParams
-    pk1: RingElement
-    pk2: RingElement
-    _k: RingElement = field(repr=False)
+class CsdpInstance(Frozen):
+    __slots__ = ("params", "pk1", "pk2", "_k")
+
+    def __init__(self, params: GameParams, pk1: RingElement, pk2: RingElement, _k: RingElement) -> None:
+        _set(self, "params", params)
+        _set(self, "pk1", pk1)
+        _set(self, "pk2", pk2)
+        _set(self, "_k", _k)
 
 
-@dataclass(frozen=True, eq=False)
-class DsdpInstance:
-    params: GameParams
-    pk1: RingElement
-    pk2: RingElement
-    k: RingElement
-    _hidden_bit: int = field(repr=False)
+class DsdpInstance(Frozen):
+    __slots__ = ("params", "pk1", "pk2", "k", "_hidden_bit")
+
+    def __init__(
+        self, params: GameParams, pk1: RingElement, pk2: RingElement, k: RingElement, _hidden_bit: int
+    ) -> None:
+        _set(self, "params", params)
+        _set(self, "pk1", pk1)
+        _set(self, "pk2", pk2)
+        _set(self, "k", k)
+        _set(self, "_hidden_bit", _hidden_bit)
 
 
 def _publics(params: GameParams, values: np.ndarray) -> tuple[np.ndarray, list[RingElement]]:
@@ -268,7 +276,7 @@ def subspace_distinguisher(inst: DsdpInstance) -> int:
     generically mixed and the output degrades to an unbiased hash bit.
     """
     ring = inst.params.ring
-    h_tag = ring.classify(inst.params.h)
+    h_tag = inst.params.h_tag
     if h_tag is SubspaceTag.CN_ONLY:
         k0_tag, k1_tag = SubspaceTag.CN_ONLY, SubspaceTag.CNY_ONLY
     elif h_tag is SubspaceTag.CNY_ONLY:

@@ -9,13 +9,16 @@ pack_bits reads every value's bits in one take from a kept, read-only
 (256, 8) table of each byte's bits, and unpack_bits weighs the unpacked
 bits with kept, read-only weights per width, returning int64.
 
-Encaps sends c = Enc(pk, m; H1(rep(m) || rep(pk))), and decaps decrypts,
-re-encrypts and compares, on raw coefficient arrays through pke's kernels
-and pk's enc_operator, kept by encaps_key per params and key bytes rep(pk)
-(decaps passes its key's).  Decaps unpacks c once: it decrypts the
-chunks reduced mod p, and accepts only if the raw chunks are the
-coefficients of the re-encryption c' and no padding bit is set: rep(c') ==
-c, since a chunk >= p never equals a coefficient and rep pads with zeros.
+Encaps sends c = Enc(pk, m; H1(rep(m) || rep(pk))) on raw arrays, through
+pke's kernels and the enc_operator encaps_key keeps per params and rep(pk).
+Decaps unpacks c once, decrypts the raw chunks and re-derives only c1' =
+public_value(r') of H1's pair r' = (u', v') for m: it accepts iff the c1
+chunks are c1', every c2 chunk is below p and no padding bit is set.  When
+pk is sk's public value under decaps' params (pk_Y = u h_C, pk_C = v h_Y),
+that is the FO check rep(c') == c of the re-encryption c': R is
+commutative, so c1 = c1' makes the mask u' pk_Y + (v' pk_C) y the k = u
+c1_Y + (v c1_C) y that decrypt took away, and c2' = m + k is c2 mod p; a
+chunk >= p never equals a coefficient, and rep pads with zeros.
 """
 
 from __future__ import annotations
@@ -133,8 +136,8 @@ def decode_ring(ring: SkewRing, data: bytes) -> RingElement:
 
 
 def decode_ciphertext(ring: SkewRing, data: bytes) -> tuple[Ciphertext, np.ndarray, bool]:
-    """(c, chunks, padded): c decoded as decode_elements does, with the raw
-    chunks and the padding flag of unpack_elements."""
+    """(c, chunks, padded): c decoded as decode_ring does, its chunks reduced
+    mod p, with the raw chunks and the padding flag of unpack_elements."""
     chunks, padded = unpack_elements(ring, data, 2)
     c1, c2 = (RingElement(ring, chunk % ring.p) for chunk in chunks)
     return Ciphertext(c1=c1, c2=c2), chunks, padded
@@ -190,8 +193,9 @@ def h2(data: bytes, l1: int) -> bytes:
 class KemPrivate(Frozen):
     """Decapsulation state: implicit-rejection seed s, PKE secret sk, pk,
     and the encodings rep_pk and rep_s that decaps hashes, built here once,
-    so no decapsulation writes to the key.  Immutable, in declared slots;
-    compared by identity."""
+    so no decapsulation writes to the key.  Decaps' check needs pk to be
+    sk's public value under its params, as kem_keygen's is and the CLI
+    checks.  Immutable, in declared slots; compared by identity."""
 
     __slots__ = ("s", "sk", "pk", "rep_pk", "rep_s")
 
@@ -217,33 +221,31 @@ def encaps_key(params: Params, pk_bytes: bytes) -> np.ndarray:
     return enc_operator(params, decode_elements(params.ring, pk_bytes, 1)[0])
 
 
-def _encrypt_derandomized(m: np.ndarray, pk_bytes: bytes, params: Params) -> tuple[bytes, np.ndarray]:
-    """(rep(m), c) for c = Enc(pk, m; H1(rep(m) || rep(pk))), m, c and H1's
-    values raw: the encryption encaps sends and decaps recomputes."""
-    ring = params.ring
-    op = encaps_key(params, pk_bytes)
-    rep_m = pack_bits(m.ravel(), ring.field.coeff_bits)
-    return rep_m, encrypt(m, op, ring.pair_rows(h1_values(rep_m + pk_bytes, params)), ring.p)
-
-
 def kem_encaps(pk_bytes: bytes, params: Params, rng, l1: int = 128) -> tuple[bytes, bytes]:
-    """(ciphertext bytes, session key); ValueError unless pk_bytes is rep(pk)."""
-    rep_m, c = _encrypt_derandomized(sample_message(params, rng).coeffs, bytes(pk_bytes), params)
-    c_bytes = pack_bits(c.reshape(2, -1), params.ring.field.coeff_bits)
+    """(rep(c), H2(rep(m) || rep(c))) for c = Enc(pk, m; H1(rep(m) || rep(pk)))
+    and a fresh m; ValueError unless pk_bytes is rep(pk)."""
+    ring, w = params.ring, params.ring.field.coeff_bits
+    m, pk_bytes = sample_message(params, rng).coeffs, bytes(pk_bytes)
+    rep_m = pack_bits(m.ravel(), w)
+    c = encrypt(m, encaps_key(params, pk_bytes), ring.pair_rows(h1_values(rep_m + pk_bytes, params)), ring.p)
+    c_bytes = pack_bits(c.reshape(2, -1), w)
     return c_bytes, h2(rep_m + c_bytes, l1)
 
 
 def kem_decaps(priv: KemPrivate, c_bytes: bytes, params: Params, l1: int = 128) -> bytes:
-    """Implicit rejection: a failed re-encryption check yields the key
-    H2(rep(s) || c) instead of an error."""
+    """Implicit rejection: a failed check yields the key H2(rep(s) || c)
+    instead of an error.  The check re-derives only c1' of H1's pair for the
+    decrypted m, which equals the full re-encryption check when priv.pk is
+    priv.sk's public value under params (see the module docstring)."""
     ring = params.ring
     try:
         chunks, padded = unpack_elements(ring, c_bytes, 2)
     except ValueError:
         return h2(priv.rep_s + c_bytes, l1)
-    rep_m, c_prime = _encrypt_derandomized(decrypt(chunks % ring.p, priv.sk.w), priv.rep_pk, params)
-    # c_bytes == rep(c'), without packing c': every chunk is the coefficient
-    # of c' it encodes, which is below p, and no padding bit is set
-    if hmac.compare_digest(chunks.tobytes(), c_prime.tobytes()) and padded:
+    m = decrypt(chunks, priv.sk.w)
+    rep_m = pack_bits(m.ravel(), ring.field.coeff_bits)
+    c1 = ring.cross_mul(ring.pair_rows(h1_values(rep_m + priv.rep_pk, params)), params.h)
+    canonical = padded and not np.count_nonzero(chunks[1] >= ring.p)
+    if hmac.compare_digest(chunks[0].tobytes(), c1.tobytes()) and canonical:
         return h2(rep_m + c_bytes, l1)
     return h2(priv.rep_s + c_bytes, l1)

@@ -27,14 +27,16 @@ PARAM_SETS: dict[str, tuple[int, int]] = {
 class GameParams(Frozen):
     """The ring plus a public ring element h, unchecked: an attack game may
     take any ring and a degenerate h (one summand zero), so that the
-    trivial-win remark can be exercised.  Immutable, in declared slots;
+    trivial-win remark can be exercised; h_tag, h's SubspaceTag, is found
+    here, a ValueError unless h is ring's.  Immutable, in declared slots;
     equal and hashed by identity, which kem.encaps_key's cache keys on."""
 
-    __slots__ = ("ring", "h")
+    __slots__ = ("ring", "h", "h_tag")
 
     def __init__(self, ring: SkewRing, h: RingElement) -> None:
         _set(self, "ring", ring)
         _set(self, "h", h)
+        _set(self, "h_tag", ring.classify(h))
 
 
 class Params(GameParams):
@@ -46,9 +48,9 @@ class Params(GameParams):
     def __init__(self, ring: SkewRing, h: RingElement) -> None:
         if ring.n % ring.p != 0:
             raise ValueError(f"p must divide n, got p={ring.p}, n={ring.n}")
-        if ring.classify(h) is not SubspaceTag.MIXED:
-            raise ValueError("public element h must have both C_n and C_n y parts non-zero")
         super().__init__(ring, h)
+        if self.h_tag is not SubspaceTag.MIXED:
+            raise ValueError("public element h must have both C_n and C_n y parts non-zero")
 
 
 def make_rng(seed: int | None) -> random.Random:

@@ -68,9 +68,10 @@ def encrypt(m: np.ndarray, op: np.ndarray, rows: np.ndarray, p: int) -> np.ndarr
 
 
 def decrypt(c: np.ndarray, w: RingElement) -> np.ndarray:
-    """Dec(sk, c) = c2 - kex_shared(sk, c1) on raw [c1; c2], (2, 2n, 2) in
-    [0, p), and the circulants kept on the secret's w (SecretPair.w), as m's
-    (2n, 2) array."""
+    """Dec(sk, c) = c2 - kex_shared(sk, c1) on raw [c1; c2], (2, 2n, 2), and
+    the circulants kept on the secret's w (SecretPair.w), as m's (2n, 2)
+    array.  Raw chunks < 2^coeff_bits <= 2(p-1) may stand in c: every sum
+    stays within mul's bound 2n(p-1)^2(1+lam) < 2^53, so m is exact."""
     ring = w.ring
     k = c[0].reshape(2, 1, ring.size) @ w.circulant
     m = (c[1].reshape(2, ring.size) - k[::-1, 0]).astype(np.int64)

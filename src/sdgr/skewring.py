@@ -76,6 +76,7 @@ class RingElement(Frozen):
         coeffs.setflags(write=False)  # shape (2n, 2), int64, entries in [0, p)
         _set(self, "ring", ring)
         _set(self, "coeffs", coeffs)
+        _set(self, "_circulant", None)  # until the first product by this element
 
     def __add__(self, other: "RingElement") -> "RingElement":
         return self.ring.add(self, other)
@@ -95,12 +96,11 @@ class RingElement(Frozen):
         y block and C_n block z, built on first use and kept in a slot: the
         operator every product by this element multiplies by, cross_mul(rows,
         self) and w * self."""
-        try:
-            return self._circulant
-        except AttributeError:  # the slot is unset until the first use
+        op = self._circulant
+        if op is None:
             op = self.ring.circulant(self)
             _set(self, "_circulant", op)
-            return op
+        return op
 
     def classify(self) -> SubspaceTag:
         return self.ring.classify(self)

@@ -182,6 +182,25 @@ def test_hostile_key_or_ciphertext_exits_3(tmp_path, capsys, case):
     assert out.out == ""
 
 
+def test_ciphertext_chunk_plus_p_gives_another_key(tmp_path, capsys):
+    # p added to a chunk of either element passes the CRC and decodes to the
+    # same ciphertext mod p, but is not its encoding: implicit rejection
+    params, priv, pub, ct = _make_files(tmp_path)
+    assert main(["encaps", "--params", str(params), "--pub", str(pub), "--out", str(ct), "--seed", "7"]) == EXIT_OK
+    decaps = ["decaps", "--params", str(params), "--priv", str(priv), "--in", str(ct)]
+    assert main(decaps) == EXIT_OK
+    enc_key, dec_key = capsys.readouterr().out.split()[-2:]
+    assert enc_key == dec_key
+    header, payload = read_file(ct)
+    for index in (0, 1):
+        bad = _chunk_plus_p(payload, index)
+        assert bad != payload
+        write_file(ct, header, bad)
+        assert main(decaps) == EXIT_OK
+        dec_key = capsys.readouterr().out.strip()
+        assert len(dec_key) == len(enc_key) and dec_key != enc_key
+
+
 @pytest.mark.parametrize("l1", (128, 192, 256))
 @pytest.mark.parametrize("name", sorted(PARAM_SETS))
 def test_key_pair_fixes_l1(tmp_path, capsys, name, l1):

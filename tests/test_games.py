@@ -6,6 +6,8 @@ import pytest
 from sdgr.games import (
     SEARCH_SPACE_GUARD,
     AdvantageEstimate,
+    CsdpInstance,
+    DsdpInstance,
     GameParams,
     SdpdInstance,
     csdp_challenge,
@@ -23,7 +25,7 @@ from sdgr.games import (
 )
 from sdgr.kex import SecretPair, kex_shared, public_value
 from sdgr.params import PARAM_SETS, make_params
-from sdgr.skewring import SkewRing, SubspaceTag
+from sdgr.skewring import Frozen, SkewRing, SubspaceTag
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +77,63 @@ def test_sdpd_guard():
     assert sdpd_search_space(ring) > SEARCH_SPACE_GUARD
     with pytest.raises(ValueError):
         sdpd_bruteforce(inst)
+
+
+def test_game_instances_are_frozen_in_slots_and_compare_by_identity(toy_game):
+    ring = toy_game.ring
+    pk1, pk2, k = (ring.basis(i) for i in range(3))
+    kinds = {
+        "SdpdInstance": lambda: SdpdInstance(params=toy_game, pk=pk1),
+        "CsdpInstance": lambda: CsdpInstance(params=toy_game, pk1=pk1, pk2=pk2, _k=k),
+        "DsdpInstance": lambda: DsdpInstance(params=toy_game, pk1=pk1, pk2=pk2, k=k, _hidden_bit=1),
+    }
+    for name, build in kinds.items():
+        inst, twin = build(), build()
+        assert isinstance(inst, Frozen) and not hasattr(inst, "__dict__")
+        assert inst == inst and inst != twin and hash(inst) == object.__hash__(inst)
+        for attr in ("params", "pk", "_k", "other"):
+            with pytest.raises(AttributeError, match=f"^{name} is immutable: cannot set {attr!r}$"):
+                setattr(inst, attr, None)
+            with pytest.raises(AttributeError, match=f"^{name} is immutable: cannot delete {attr!r}$"):
+                delattr(inst, attr)
+        assert inst.params is toy_game
+    csdp, dsdp = kinds["CsdpInstance"](), kinds["DsdpInstance"]()
+    assert (csdp.pk1, csdp.pk2, csdp._k) == (pk1, pk2, k)
+    assert (dsdp.pk1, dsdp.pk2, dsdp.k, dsdp._hidden_bit) == (pk1, pk2, k, 1)
+
+
+def test_game_params_keep_h_tag(toy_game):
+    ring = toy_game.ring
+    cases = {
+        SubspaceTag.MIXED: toy_game.h,
+        SubspaceTag.CN_ONLY: ring.one(),
+        SubspaceTag.CNY_ONLY: ring.basis(ring.n),
+        SubspaceTag.ZERO: ring.zero(),
+    }
+    for tag, h in cases.items():
+        assert GameParams(ring=ring, h=h).h_tag is tag
+    with pytest.raises(ValueError, match="different ring"):
+        GameParams(ring=ring, h=SkewRing(3, 3).one())
+
+
+@pytest.mark.parametrize("game", ["toy_game", "degenerate_game"])
+def test_dsdp_trial_classifies_only_k(game, request, monkeypatch):
+    params = request.getfixturevalue(game)
+    rng = random.Random(3)
+    calls = []
+    classify = SkewRing.classify
+    monkeypatch.setattr(SkewRing, "classify", lambda ring, a: calls.append(a) or classify(ring, a))
+    checked = 0
+    for trial in range(40):
+        calls.clear()
+        inst = dsdp_challenge(params, trial % 2, rng)
+        subspace_distinguisher(inst)
+        if inst.k.is_zero():
+            continue  # a zero key is decided by the valuations of pk1, pk2 and h
+        expected = [inst.k] if params.h_tag is SubspaceTag.CN_ONLY else []  # a mixed h reads a hash bit
+        assert [id(a) for a in calls] == [id(a) for a in expected]
+        checked += 1
+    assert checked > 30
 
 
 def test_csdp_challenge_consistency(toy_game, rng):

@@ -27,7 +27,8 @@ from sdgr.kem import (
     unpack_elements,
 )
 from sdgr.params import PARAM_SETS, Params, make_params
-from sdgr.pke import pke_dec, pke_enc, sample_message
+import sdgr.pke
+from sdgr.pke import decrypt, enc_operator, encrypt, pke_dec, pke_enc, sample_message
 from sdgr.skewring import SkewRing, SubspaceTag
 
 
@@ -420,8 +421,28 @@ def test_encaps_sends_the_pke_ciphertext(kem_instance):
         assert pke_dec(c, priv.sk) == m
 
 
+def _decaps_by_re_encryption(priv, c_bytes, params, l1=128):
+    """kem_decaps as the FO transform states it, the oracle of its c1-only
+    check: decrypt the chunks reduced mod p, re-encrypt m under
+    enc_operator(params, pk) with H1's pair, and accept iff every chunk is
+    the re-encryption's coefficient and no padding bit is set."""
+    ring = params.ring
+    try:
+        chunks, padded = unpack_elements(ring, c_bytes, 2)
+    except ValueError:
+        return h2(priv.rep_s + c_bytes, l1)
+    m = decrypt(chunks % ring.p, priv.sk.w)
+    rep_m = pack_bits(m.ravel(), ring.field.coeff_bits)
+    c = encrypt(m, enc_operator(params, priv.pk), h1(rep_m + priv.rep_pk, params).rows, ring.p)
+    if np.array_equal(chunks, c) and padded:
+        return h2(rep_m + c_bytes, l1)
+    return h2(priv.rep_s + c_bytes, l1)
+
+
 def _assert_rejected(priv, ct, params):
-    assert kem_decaps(priv, ct, params) == h2(rep_ring(priv.s) + ct, 128)
+    key = kem_decaps(priv, ct, params)
+    assert key == h2(rep_ring(priv.s) + ct, 128)
+    assert key == _decaps_by_re_encryption(priv, ct, params)
 
 
 def test_chunk_plus_p_is_rejected(kem_instance):
@@ -468,6 +489,63 @@ def test_every_one_bit_flip_is_rejected(kem_instance):
         bad = bytearray(ct)
         bad[bit // 8] ^= 0x80 >> (bit % 8)
         _assert_rejected(priv, bytes(bad), params)
+
+
+@pytest.mark.parametrize("kem_instance, count", [("toy", 200), ("p41", 20)], indirect=["kem_instance"])
+def test_decaps_matches_re_encryption_on_random_payloads(kem_instance, count):
+    params, priv, cts = kem_instance
+    rng = random.Random(13)
+    for _ in range(count):
+        bad = rng.randbytes(len(cts[0][0]))
+        assert kem_decaps(priv, bad, params) == _decaps_by_re_encryption(priv, bad, params)
+
+
+def test_honest_c1_with_another_c2_is_rejected(kem_instance):
+    # c1 is the c1' decaps re-derives, so only the c2 part of the check
+    # rejects: a different canonical c2, or the honest c2 with a chunk + p
+    params, priv, cts = kem_instance
+    ring, size = params.ring, rep_len(params.ring)
+    p, w = ring.p, ring.field.coeff_bits
+    for ct, key in cts:
+        assert kem_decaps(priv, ct, params) == key == _decaps_by_re_encryption(priv, ct, params)
+        c2 = unpack_bits(ct[size:], w, 2 * ring.size)
+        other, plus_p = c2.copy(), c2.copy()
+        other[0] = (c2[0] + 1) % p
+        plus_p[np.argmax(c2 + p < 1 << w)] += p
+        for bad in (other, plus_p):
+            _assert_rejected(priv, ct[:size] + pack_bits(bad, w), params)
+
+
+def test_warm_decaps_neither_encrypts_nor_reads_the_encaps_key(p19_params, rng, monkeypatch):
+    priv, pk_bytes = kem_keygen(p19_params, rng)
+    ct, key = kem_encaps(pk_bytes, p19_params, rng)
+    assert kem_decaps(priv, ct, p19_params) == key
+    calls = []
+    for module, name in ((sdgr.kem, "encaps_key"), (sdgr.kem, "encrypt"), (sdgr.pke, "encrypt")):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
+    for tampered in (False, True):
+        ct, key = kem_encaps(pk_bytes, p19_params, rng)
+        assert calls == ["encaps_key", "encrypt"]  # the spies see encaps' calls
+        calls.clear()
+        if tampered:
+            ct = bytes([ct[0] ^ 1]) + ct[1:]
+        assert (kem_decaps(priv, ct, p19_params) == key) is not tampered
+        assert calls == []
+
+
+def test_decaps_under_another_key_keeps_the_encaps_operator(p19_params):
+    # encaps under key a and decaps under key b, alternating: decaps does
+    # not touch encaps_key's one entry, so a's operator is built once
+    (priv_a, pk_a), (priv_b, pk_b) = (kem_keygen(p19_params, random.Random(seed)) for seed in (5, 6))
+    rng = random.Random(7)
+    ct_b, key_b = kem_encaps(pk_b, p19_params, rng)
+    encaps_key.cache_clear()
+    for _ in range(4):
+        ct_a, key_a = kem_encaps(pk_a, p19_params, rng)
+        assert kem_decaps(priv_b, ct_b, p19_params) == key_b
+        assert kem_decaps(priv_a, ct_a, p19_params) == key_a
+    assert encaps_key.cache_info().misses == 1
 
 
 # -- encaps key cache ----------------------------------------------------------

@@ -398,8 +398,9 @@ def test_elements_are_immutable(toy_ring):
     a = toy_ring.one()
     with pytest.raises(ValueError):
         a.coeffs[0, 0] = 2
+    assert a._circulant is None  # set by __init__, so the first read raises nothing
     op = a.circulant
-    assert a.circulant is op  # kept in its slot by the first use
+    assert a.circulant is op and a._circulant is op  # kept in its slot by the first use
     for name in ("ring", "coeffs", "circulant", "_circulant", "other"):
         with pytest.raises(AttributeError):
             setattr(a, name, None)
