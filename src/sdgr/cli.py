@@ -5,19 +5,19 @@ Every command but bench draws all its randomness from one generator, seeded
 by --seed or, without one, by system entropy; bench checks the cost model on
 fixed inputs and times nothing (perfbench/ is the benchmark).  keygen --l1
 sets the session-key length; encaps and decaps read it from the key files.
-Exit codes: 0 success, 1 missing or unreadable file, 2 checksum failure, bad
-file format, or a file longer than 1024 bytes (sdgr writes none that long),
-3 a file that passes its checksum but does not fit the parameters, 4 solver
-guard violation.  Exit 3 covers: a params file that names no supported
-parameter set, has a header l1 other than 0, or holds a malformed h; a key
-or ciphertext header that differs from the params file's or whose l1 is not
-128, 192 or 256, or a ciphertext's l1 other than the private key's; a params
-or key payload that is not the canonical encoding of its elements (wrong
-length, a coefficient chunk >= p, or a padding bit set); a private key whose
-a is not a non-zero element of C_n or whose gamma is not a non-zero
-reversible element, or whose pk is not the public value a * h * gamma of
-that secret.  A ciphertext payload of any length under the file-size cap
-gets a key by implicit rejection.
+Exit codes: 0 success, 1 missing or unreadable file or a failed self-check
+(bench's counts miss the cost model, or kexdemo's keys differ), 2 checksum
+failure, bad file format, or a file longer than 1024 bytes (sdgr writes none
+that long), 3 a file that passes its checksum but does not fit the parameters,
+4 solver guard violation.  Exit 3 covers: a params file that names no supported
+parameter set, has a header l1 other than 0, or holds a malformed h; a key or
+ciphertext header that differs from the params file's or whose l1 is not 128,
+192 or 256, or a ciphertext's l1 other than the private key's; a params or key
+payload that is not the canonical encoding of its elements (wrong length, a
+coefficient chunk >= p, or a padding bit set); a private key whose a is not a
+non-zero element of C_n or whose gamma is not a non-zero reversible element, or
+whose pk is not the public value a * h * gamma of that secret.  A ciphertext
+payload of any length under the file-size cap gets a key by implicit rejection.
 """
 
 from __future__ import annotations

@@ -208,8 +208,8 @@ def dsdp_experiment(
     trials: int,
     rng,
 ) -> AdvantageEstimate:
-    """Estimate |Pr[out=1 | b=0] - Pr[out=1 | b=1]| with `trials` split evenly
-    across the two experiments."""
+    """Estimate |Pr[out=1 | b=0] - Pr[out=1 | b=1]| from max(1, trials // 2)
+    trials per experiment: trials=1 runs two, and an odd count drops one."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     per_arm = max(1, trials // 2)

@@ -72,6 +72,7 @@ class SecretPair(Frozen):
         _set(self, "ring", ring)
         _set(self, "values", values)
         _set(self, "rows", rows)
+        _set(self, "_w", None)  # until the first use of w
 
     @property
     def a(self) -> RingElement:
@@ -85,12 +86,11 @@ class SecretPair(Frozen):
     def w(self) -> RingElement:
         """u + v y, whose kept circulants pke.decrypt multiplies c1 by, built
         on first use and kept in a slot."""
-        try:
-            return self._w
-        except AttributeError:  # the slot is unset until the first use
+        w = self._w
+        if w is None:
             w = RingElement(self.ring, self.rows[::-1].reshape(self.ring.size, 2))
             _set(self, "_w", w)
-            return w
+        return w
 
 
 class KexMessage(NamedTuple):

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +28,18 @@ def toy_params():
 @pytest.fixture()
 def rng() -> random.Random:
     return random.Random(424242)
+
+
+@pytest.fixture(scope="session")
+def run_python():
+    """Run `python *args` in a child process that imports sdgr from this
+    checkout's src, and return the CompletedProcess with text output."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+    def run(*args: str) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=60)
+
+    return run
 
 
 @pytest.fixture()

@@ -1,13 +1,10 @@
 import hashlib
 import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sdgr import cli, fileio, games
+from sdgr import cli, costmodel, fileio, games
 from sdgr.cli import EXIT_CHECKSUM, EXIT_GUARD, EXIT_OK, EXIT_PARAM_MISMATCH, main
 from sdgr.fileio import HEADER_LEN, MAX_FILE_LEN, Header, crc64, read_file, write_file
 from sdgr.kem import pack_bits, rep_len, rep_ring, unpack_bits
@@ -227,12 +224,16 @@ def test_key_pair_fixes_l1(tmp_path, capsys, name, l1):
             assert out.out == "" and out.err.startswith("error:")
 
 
-@pytest.mark.parametrize("command", ["encaps", "decaps"])
+@pytest.mark.parametrize("command", ["params", "keygen", "encaps", "decaps", "kexdemo", "solve-sdpd", "bench"])
 def test_encaps_and_decaps_take_no_l1_option(capsys, command):
-    with pytest.raises(SystemExit):
+    """Every command's --help exits 0, and only keygen takes --l1: the key
+    pair fixes it, so neither encaps nor decaps can override it."""
+    with pytest.raises(SystemExit) as exit_info:
         main([command, "--help"])
+    assert exit_info.value.code == EXIT_OK
     out = capsys.readouterr().out
-    assert "--params" in out and "--l1" not in out
+    assert out.startswith(f"usage: sdgr {command} ")
+    assert ("--l1" in out) == (command == "keygen")
 
 
 def test_param_mismatch_exits_3(tmp_path, capsys):
@@ -247,6 +248,11 @@ def test_param_mismatch_exits_3(tmp_path, capsys):
 
 
 def test_kexdemo(capsys):
+    # the parties agree at every set, seeded and from random.SystemRandom
+    for name in sorted(PARAM_SETS):
+        for seed in (["--seed", "1"], []):
+            assert main(["kexdemo", "--set", name, *seed]) == EXIT_OK
+            assert capsys.readouterr().out.endswith("\nkeys match\n")
     assert main(["kexdemo", "--set", "p19", "--seed", "13"]) == EXIT_OK
     out1 = capsys.readouterr().out
     assert "keys match" in out1
@@ -299,13 +305,27 @@ def test_solve_sdpd_guard(capsys):
 
 
 def test_bench(capsys):
-    assert main(["bench", "--set", "p19"]) == EXIT_OK
+    # at every set: 4n^2 field additions and multiplications per product (the
+    # twist costs f = 0), none per adjunct, and 2n additions per addition
+    for name, (p, n) in sorted(PARAM_SETS.items()):
+        assert main(["bench", "--set", name]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            f"set={name} p={p} n={n} frobenius_mul_cost=0\n"
+            f"product_field_adds={4 * n * n} model={4 * n * n}\n"
+            f"product_field_muls={4 * n * n} model={4 * n * n}\n"
+            "adjunct_field_muls=0 model=0\n"
+            f"addition_field_adds={2 * n} model={2 * n}\n"
+            "cost_model_ok=true\n"
+        )
+
+
+def test_bench_exits_1_when_a_count_misses_the_model(capsys, monkeypatch):
+    model = costmodel.product_cost_model
+    monkeypatch.setattr(costmodel, "product_cost_model", lambda n, f: (model(n, f)[0] + 1, model(n, f)[1]))
+    assert main(["bench", "--set", "p19"]) == 1
     out = capsys.readouterr().out
-    assert "product_field_adds=1444 model=1444" in out
-    assert "product_field_muls=1444 model=1444" in out
-    assert "adjunct_field_muls=0 model=0" in out
-    assert "addition_field_adds=38 model=38" in out
-    assert "cost_model_ok=true" in out
+    assert "product_field_adds=1444 model=1445\n" in out
+    assert out.endswith("\ncost_model_ok=false\n")
 
 
 # SHAKE256 of each file the CLI writes for p19 (params and keygen at seed 42,
@@ -378,7 +398,7 @@ def test_rekeying_makes_a_readable_private_key_owner_only(tmp_path, capsys):
     priv.chmod(0o644)
     pub.chmod(0o644)
     _make_files(tmp_path, seed="43")
-    assert priv.stat().st_mode & 0o077 == 0
+    assert priv.stat().st_mode & 0o777 == 0o600
     assert pub.stat().st_mode & 0o777 == 0o644
 
 
@@ -451,13 +471,12 @@ def test_params_header_with_an_l1_exits_3(tmp_path, capsys, p19_h_payload, l1):
     assert _keygen_exit(tmp_path, Header(p=19, m=1, n=19, lam=2, l1=0), p19_h_payload, capsys)[0] == EXIT_OK
 
 
-def test_cli_import_leaves_games_and_costmodel_unloaded():
+def test_cli_import_leaves_games_and_costmodel_unloaded(run_python):
     """Only solve-sdpd and bench need games and costmodel, and only the
     pair_product oracle and the cost model need dihedral, so every other
     command's process start skips importing them; nor does it import
     dataclasses or build a dataclass (after numpy, which may load the module
     itself, as the check allows)."""
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
     code = (
         "import sys, numpy; before = 'dataclasses' in sys.modules; import sdgr.cli; "
         "sdgr_mods = sorted(m for m in sys.modules if m == 'sdgr' or m.startswith('sdgr.')); "
@@ -465,7 +484,7 @@ def test_cli_import_leaves_games_and_costmodel_unloaded():
         "if isinstance(v, type) and '__dataclass_fields__' in vars(v)}); "
         "print(sdgr_mods, built, before or 'dataclasses' not in sys.modules)"
     )
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    out = run_python("-c", code)
     assert out.returncode == 0, out.stderr
     modules = ["sdgr"] + [f"sdgr.{m}" for m in ("cli", "field", "fileio", "kem", "kex", "params", "pke", "skewring")]
     assert out.stdout.strip() == f"{modules} [] True"

@@ -204,6 +204,12 @@ def test_advantage_estimate_reports():
     assert lo < 0.80 < hi
 
 
+@pytest.mark.parametrize("trials", [1, 2, 3])
+def test_dsdp_experiment_runs_half_the_trials_per_arm_and_at_least_one(toy_game, rng, trials):
+    est = dsdp_experiment(toy_game, lambda inst: 1, trials, rng)
+    assert est.trials_per_arm == est.ones_b0 == est.ones_b1 == 1
+
+
 def test_unipotent_valuation(degenerate_game):
     ring = degenerate_game.ring
     one = ring.one()

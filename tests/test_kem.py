@@ -1,10 +1,6 @@
 import hashlib
-import os
 import random
 import re
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -140,7 +136,7 @@ def test_kept_codec_tables_are_read_only():
     assert sdgr.kem._bit_weights(6).tolist() == [32, 16, 8, 4, 2, 1]
 
 
-def test_byte_table_is_built_only_by_packing():
+def test_byte_table_is_built_only_by_packing(run_python):
     # kex sessions import the codec but never pack: they build no table
     script = (
         "import random, sdgr.kem\n"
@@ -153,8 +149,7 @@ def test_byte_table_is_built_only_by_packing():
         "sdgr.kem.pack_bits([1], 5)\n"
         "assert sdgr.kem._byte_bits.cache_info().currsize == 1\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(sdgr.kem.__file__).resolve().parent.parent))
-    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    out = run_python("-c", script)
     assert out.returncode == 0, out.stderr
 
 
