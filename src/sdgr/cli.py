@@ -5,7 +5,7 @@ Every command but bench draws all its randomness from one generator, seeded
 by --seed or, without one, by system entropy; bench checks the cost model on
 fixed inputs and times nothing (perfbench/ is the benchmark).  keygen --l1
 sets the session-key length; encaps and decaps read it from the key files.
-Exit codes: 0 success, 1 missing or unreadable file or a failed self-check
+Exit codes: 0 success, 1 usage error, unreadable file or failed self-check
 (bench's counts miss the cost model, or kexdemo's keys differ), 2 checksum
 failure, bad file format, or a file longer than 1024 bytes (sdgr writes none
 that long), 3 a file that passes its checksum but does not fit the parameters,
@@ -211,8 +211,15 @@ def cmd_bench(args) -> int:
     return EXIT_OK if ok else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        """Exit EXIT_USAGE, not argparse's 2 (EXIT_CHECKSUM); subcommand parsers are of this class too."""
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="sdgr", description=__doc__)
+    parser = _Parser(prog="sdgr", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     sets = sorted(PARAM_SETS)
 

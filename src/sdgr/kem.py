@@ -10,7 +10,7 @@ pack_bits reads every value's bits in one take from a kept, read-only
 bits with kept, read-only weights per width, returning int64.
 
 Encaps sends c = Enc(pk, m; H1(rep(m) || rep(pk))) on raw arrays, through
-pke's kernels and the enc_operator encaps_key keeps per params and rep(pk).
+pke's kernels and the pk element encaps_key keeps per params and rep(pk).
 Decaps unpacks c once, decrypts the raw chunks and re-derives only c1' =
 public_value(r') of H1's pair r' = (u', v') for m: it accepts iff the c1
 chunks are c1', every c2 chunk is below p and no padding bit is set.  When
@@ -32,7 +32,7 @@ import numpy as np
 
 from .kex import SecretPair
 from .params import VALID_L1, Params
-from .pke import Ciphertext, PkeKeypair, decrypt, enc_operator, encrypt, pke_gen, sample_message
+from .pke import Ciphertext, PkeKeypair, decrypt, encrypt, pke_gen, sample_message
 from .skewring import Frozen, RingElement, SkewRing, _set
 
 H2_PREFIX = b"\x02"
@@ -214,11 +214,11 @@ def kem_keygen(params: Params, rng) -> tuple[KemPrivate, bytes]:
 
 
 @lru_cache(maxsize=1)
-def encaps_key(params: Params, pk_bytes: bytes) -> np.ndarray:
-    """enc_operator(params, pk) for the last encaps key that decoded, under
-    the params it was used with, so that no other h meets the operator.
+def encaps_key(params: Params, pk_bytes: bytes) -> RingElement:
+    """The pk element, which keeps pk's circulants, of the last encaps key that
+    decoded, under the params it was used with, so it is of their ring.
     Raises ValueError unless pk_bytes is rep(pk), as FIPS 203 7.2 asks."""
-    return enc_operator(params, decode_elements(params.ring, pk_bytes, 1)[0])
+    return decode_elements(params.ring, pk_bytes, 1)[0]
 
 
 def kem_encaps(pk_bytes: bytes, params: Params, rng, l1: int = 128) -> tuple[bytes, bytes]:
@@ -227,7 +227,7 @@ def kem_encaps(pk_bytes: bytes, params: Params, rng, l1: int = 128) -> tuple[byt
     ring, w = params.ring, params.ring.field.coeff_bits
     m, pk_bytes = sample_message(params, rng).coeffs, bytes(pk_bytes)
     rep_m = pack_bits(m.ravel(), w)
-    c = encrypt(m, encaps_key(params, pk_bytes), ring.pair_rows(h1_values(rep_m + pk_bytes, params)), ring.p)
+    c = encrypt(m, encaps_key(params, pk_bytes), ring.pair_rows(h1_values(rep_m + pk_bytes, params)), params)
     c_bytes = pack_bits(c.reshape(2, -1), w)
     return c_bytes, h2(rep_m + c_bytes, l1)
 

@@ -1,9 +1,8 @@
 """Probabilistic public-key encryption built from the key exchange.
 
 Gen:  the KEX key pair, sk = (a1, gamma1) and pk = a1 h gamma1.
-Enc:  c1 = public_value(r2) = a2 h gamma2, c2 = m + kex_shared(r2, pk), with
-      the randomness r2 = (a2, gamma2) passed in explicitly (the KEM
-      re-encryption check needs Enc to be a deterministic function of (m, pk, r2)).
+Enc:  c1 = public_value(r2) = a2 h gamma2, c2 = m + kex_shared(r2, pk), for
+      randomness r2 = (a2, gamma2) passed in: the KEM derives it from (m, pk).
 Dec:  m = c2 - kex_shared(sk, c1) = c2 - a1 c1 adjunct(gamma1).
 
 In R = F_{q^2}[C_n] (see sdgr.kex), with r2's w = u + v y,
@@ -11,15 +10,13 @@ In R = F_{q^2}[C_n] (see sdgr.kex), with r2's w = u + v y,
     c1   = v h_Y + (u h_C) y,
     mask = u pk_Y + (v pk_C) y,
 
-so Enc is one batched matmul of the raw rows [u; v] of r2's w (SecretPair.rows,
-from SkewRing.pair_rows) with pk's (2n, 2n) F_p product matrices beside h's,
-h's halves swapped (enc_operator, (2, 2n, 4n), which the KEM keeps per
-key): u's row gives [mask_C | c1_Y] and v's row [mask_Y | c1_C].  Dec
-multiplies c1's raw rows by the matrices kept on the secret's own w
+so Enc multiplies r2's raw rows [v; u] (SecretPair.rows, from
+SkewRing.pair_rows) by h's kept circulants and [u; v] by pk's, as kex does.
+Dec multiplies c1's raw rows by the circulants kept on the secret's own w
 (SecretPair.w): c1_C meets v and c1_Y meets u, so kex_shared(sk, c1) is the
 result, halves swapped.  Each reduces once, m added or taken away, so not
-through SkewRing.cross_mul, and runs on raw (2n, 2) arrays, as the KEM
-does; pke_enc and pke_dec check their operands' ring and wrap the arrays.
+through SkewRing.cross_mul, and runs on raw (2n, 2) arrays, as the KEM does;
+pke_enc and pke_dec check their operands' ring and wrap the arrays.
 """
 
 from __future__ import annotations
@@ -48,23 +45,17 @@ def pke_gen(params: Params, rng) -> PkeKeypair:
     return PkeKeypair(pk=pk, sk=sk)
 
 
-def enc_operator(params: Params, pk: RingElement) -> np.ndarray:
-    """The read-only (2, 2n, 4n) operator of Enc under pk: pk's (2, 2n, 2n)
-    product matrices (see SkewRing.circulant) beside h's, h's halves swapped."""
-    op = np.concatenate([params.ring.circulant(pk), params.h.circulant[::-1]], axis=2)
-    op.setflags(write=False)
-    return op
-
-
-def encrypt(m: np.ndarray, op: np.ndarray, rows: np.ndarray, p: int) -> np.ndarray:
-    """Enc(pk, m; r2) on raw coefficients: m's (2n, 2) array, pk's
-    enc_operator and r2's pair_rows [v; u] give [c1; c2], (2, 2n, 2), in
-    [0, p); the sums, m's added, stay within cross_mul's exact bound."""
-    size = m.shape[0]
-    c = (rows[::-1] @ op)[:, 0]  # [mask_C | c1_Y] and [mask_Y | c1_C]
-    out = np.concatenate((c[::-1, size:], c[:, :size] + m.reshape(2, size))).astype(np.int64)
-    out %= p
-    return out.reshape(2, size, 2)
+def encrypt(m: np.ndarray, pk: RingElement, rows: np.ndarray, params: Params) -> np.ndarray:
+    """Enc(pk, m; r2) on raw coefficients: m's (2n, 2) array, pk and r2's
+    pair_rows [v; u] give [c1; c2], (2, 2n, 2), in [0, p); every sum stays
+    within cross_mul's exact bound, and m is added to the exact int64 mask."""
+    c = np.empty((2, 2, 1, m.shape[0]))
+    np.matmul(rows, params.h.circulant, out=c[0])  # c1 = [v h_Y; u h_C]
+    np.matmul(rows[::-1], pk.circulant, out=c[1])  # mask = [u pk_Y; v pk_C]
+    out = c.astype(np.int64).reshape(2, -1, 2)
+    out[1] += m
+    out %= params.ring.p
+    return out
 
 
 def decrypt(c: np.ndarray, w: RingElement) -> np.ndarray:
@@ -81,10 +72,10 @@ def decrypt(c: np.ndarray, w: RingElement) -> np.ndarray:
 
 def pke_enc(m: RingElement, pk: RingElement, r2: SecretPair, params: Params) -> Ciphertext:
     ring = params.ring
-    ring._check(m)
+    ring._check(m, pk)
     if r2.ring is not ring:
         raise ValueError("secret pair belongs to a different ring")
-    c = encrypt(m.coeffs, enc_operator(params, pk), r2.rows, ring.p)
+    c = encrypt(m.coeffs, pk, r2.rows, params)
     return Ciphertext(c1=RingElement(ring, c[0]), c2=RingElement(ring, c[1]))
 
 

@@ -11,7 +11,7 @@ Write z = z_C + z_Y y with z_C and z_Y in F_{q^2}[C_n].  The schemes and
 the game challengers run no skew product: they multiply raw rows [w_C;
 w_Y], any number of w, each one row against x's kept matrix of x_Y or x_C,
 through cross_mul, or, in pke.encrypt and pke.decrypt, through their own
-fused matmuls on the same kept circulants; the rows [a sigma(G); a G] of a
+matmuls on the same kept circulants; the rows [a sigma(G); a G] of a
 secret pair (a, G y) are [sigma(G); G] times a's one matrix, gathered with
 them from the pair's draw values (pair_rows).  The skew product needs
 y z = rho(z) y, where rho(z)(x) = sigma(z)(x^-1) is an involutive
@@ -174,9 +174,9 @@ class SkewRing:
         return RingElement(self, c)
 
     def element(self, coeffs: Sequence[Fq2]) -> RingElement:
-        if len(coeffs) != self.size:
-            raise ValueError(f"expected {self.size} coefficients, got {len(coeffs)}")
         arr = np.array(coeffs, dtype=np.int64) % self.p
+        if arr.shape != (self.size, 2):
+            raise ValueError(f"coefficients must have shape ({self.size}, 2), got {arr.shape}")
         return RingElement(self, arr)
 
     def _check(self, *elems: RingElement) -> None:
@@ -386,10 +386,11 @@ class SkewRing:
         (index n first, then n+1 .. n+floor(n/2))."""
         n = self.n
         expected = self.gamma_free_count()
-        if len(free) != expected:
-            raise ValueError(f"expected {expected} free coefficients, got {len(free)}")
+        free = np.asarray(free, dtype=np.int64)
+        if free.shape != (expected, 2):
+            raise ValueError(f"free coefficients must have shape ({expected}, 2), got {free.shape}")
         out = np.zeros((self.size, 2), dtype=np.int64)
-        out[n : n + expected] = np.asarray(free, dtype=np.int64) % self.p
+        out[n : n + expected] = free % self.p
         out[self.size - n // 2 :] = out[n + 1 : n + expected][::-1]
         return RingElement(self, out)
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from sdgr import make_params
+from sdgr.params import Params
 from sdgr.skewring import SkewRing
 
 
@@ -23,6 +24,14 @@ def p19_params():
 @pytest.fixture(scope="session")
 def toy_params():
     return make_params("toy", seed=1002)
+
+
+@pytest.fixture(scope="session")
+def p257_params():
+    """A prime wider than a byte: 9-bit chunks in pack_bits, unpack_bits and
+    h1_values, and randrange calls in SkewRing._draw."""
+    ring = SkewRing(257, 257)
+    return Params(ring=ring, h=ring.gen_public_element(random.Random(1003)))
 
 
 @pytest.fixture()

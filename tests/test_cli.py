@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sdgr import cli, costmodel, fileio, games
-from sdgr.cli import EXIT_CHECKSUM, EXIT_GUARD, EXIT_OK, EXIT_PARAM_MISMATCH, main
+from sdgr.cli import EXIT_CHECKSUM, EXIT_GUARD, EXIT_OK, EXIT_PARAM_MISMATCH, EXIT_USAGE, main
 from sdgr.fileio import HEADER_LEN, MAX_FILE_LEN, Header, crc64, read_file, write_file
 from sdgr.kem import pack_bits, rep_len, rep_ring, unpack_bits
 from sdgr.params import PARAM_SETS, make_params
@@ -234,6 +234,26 @@ def test_encaps_and_decaps_take_no_l1_option(capsys, command):
     out = capsys.readouterr().out
     assert out.startswith(f"usage: sdgr {command} ")
     assert ("--l1" in out) == (command == "keygen")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["encaps", "--params", "x", "--pub", "y", "--out", "z", "--l1", "128"], "unrecognized arguments: --l1 128"),
+        (["nosuchcmd"], "invalid choice: 'nosuchcmd'"),
+        (["keygen", "--params", "x"], "the following arguments are required: --out, --pub"),
+        (["params", "--set", "p19", "--seed", "abc", "--out", "x"], "invalid int value: 'abc'"),
+    ],
+)
+def test_usage_errors_exit_1(capsys, argv, message):
+    """An unknown command or option, or a missing or malformed argument,
+    exits EXIT_USAGE with the usage line, not argparse's 2, which is
+    EXIT_CHECKSUM here: a mistyped flag is not a corrupted file."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage: sdgr") and message in captured.err
 
 
 def test_param_mismatch_exits_3(tmp_path, capsys):

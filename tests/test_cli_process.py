@@ -11,7 +11,7 @@ import re
 
 import pytest
 
-from sdgr.cli import EXIT_OK, EXIT_PARAM_MISMATCH
+from sdgr.cli import EXIT_OK, EXIT_PARAM_MISMATCH, EXIT_USAGE
 from sdgr.fileio import read_file, write_file
 from sdgr.params import PARAM_SETS
 
@@ -46,6 +46,12 @@ def kem_files(request, sdgr, tmp_path_factory):
 def test_help(sdgr):
     out = _ok(sdgr("--help"))
     assert out.startswith("usage: sdgr ") and "{params,keygen,encaps,decaps,kexdemo,solve-sdpd,bench}" in out
+
+
+def test_usage_error_exits_1(sdgr):
+    out = sdgr("encaps", "--params", "x", "--pub", "y", "--out", "z", "--l1", "128")
+    assert out.returncode == EXIT_USAGE and out.stdout == ""
+    assert "unrecognized arguments: --l1 128" in out.stderr
 
 
 def test_decaps_prints_the_key_encaps_printed(kem_files, sdgr):

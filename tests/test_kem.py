@@ -24,8 +24,8 @@ from sdgr.kem import (
 )
 from sdgr.params import PARAM_SETS, Params, make_params
 import sdgr.pke
-from sdgr.pke import decrypt, enc_operator, encrypt, pke_dec, pke_enc, sample_message
-from sdgr.skewring import SkewRing, SubspaceTag
+from sdgr.pke import decrypt, encrypt, pke_dec, pke_enc, sample_message
+from sdgr.skewring import RingElement, SkewRing, SubspaceTag
 
 
 def rep_ciphertext(c):
@@ -418,9 +418,9 @@ def test_encaps_sends_the_pke_ciphertext(kem_instance):
 
 def _decaps_by_re_encryption(priv, c_bytes, params, l1=128):
     """kem_decaps as the FO transform states it, the oracle of its c1-only
-    check: decrypt the chunks reduced mod p, re-encrypt m under
-    enc_operator(params, pk) with H1's pair, and accept iff every chunk is
-    the re-encryption's coefficient and no padding bit is set."""
+    check: decrypt the chunks reduced mod p, re-encrypt m under pk with
+    H1's pair, and accept iff every chunk is the re-encryption's
+    coefficient and no padding bit is set."""
     ring = params.ring
     try:
         chunks, padded = unpack_elements(ring, c_bytes, 2)
@@ -428,7 +428,7 @@ def _decaps_by_re_encryption(priv, c_bytes, params, l1=128):
         return h2(priv.rep_s + c_bytes, l1)
     m = decrypt(chunks % ring.p, priv.sk.w)
     rep_m = pack_bits(m.ravel(), ring.field.coeff_bits)
-    c = encrypt(m, enc_operator(params, priv.pk), h1(rep_m + priv.rep_pk, params).rows, ring.p)
+    c = encrypt(m, priv.pk, h1(rep_m + priv.rep_pk, params).rows, params)
     if np.array_equal(chunks, c) and padded:
         return h2(rep_m + c_bytes, l1)
     return h2(priv.rep_s + c_bytes, l1)
@@ -438,6 +438,20 @@ def _assert_rejected(priv, ct, params):
     key = kem_decaps(priv, ct, params)
     assert key == h2(rep_ring(priv.s) + ct, 128)
     assert key == _decaps_by_re_encryption(priv, ct, params)
+
+
+def test_round_trip_and_tamper_at_a_prime_wider_than_a_byte(p257_params, rng):
+    # 9-bit chunks: 2n * 2 * 9 = 9252 bits of each element, padded by 4 bits
+    priv, pk_bytes = kem_keygen(p257_params, rng)
+    assert len(pk_bytes) == rep_len(p257_params.ring) == 1157
+    for _ in range(2):
+        ct, key = kem_encaps(pk_bytes, p257_params, rng)
+        assert len(ct) == 2 * 1157
+        assert kem_decaps(priv, ct, p257_params) == key == _decaps_by_re_encryption(priv, ct, p257_params)
+        for bit in (0, 8 * 1157 + 3, 8 * len(ct) - 5, 8 * len(ct) - 1):
+            bad = bytearray(ct)
+            bad[bit // 8] ^= 0x80 >> (bit % 8)
+            _assert_rejected(priv, bytes(bad), p257_params)
 
 
 def test_chunk_plus_p_is_rejected(kem_instance):
@@ -603,12 +617,21 @@ def test_encaps_key_takes_a_bytearray(p19_params, rng):
 
 
 def test_cached_encaps_key_is_read_only(p19_params, rng):
-    _, pk_bytes = kem_keygen(p19_params, rng)
-    op = encaps_key(p19_params, pk_bytes)
-    assert op.shape == (2, 2 * p19_params.ring.n, 4 * p19_params.ring.n)
-    assert not op.flags.writeable
-    with pytest.raises(ValueError):
-        op[0, 0, 0] = 1
+    # the cache keeps the pk element, whose one (2, 2n, 2n) circulant is the
+    # only operator the KEM keeps per key, kept on it after the first encaps
+    priv, pk_bytes = kem_keygen(p19_params, rng)
+    encaps_key.cache_clear()
+    pk = encaps_key(p19_params, pk_bytes)
+    assert isinstance(pk, RingElement) and pk == priv.pk and pk.ring is p19_params.ring
+    assert pk._circulant is None
+    kem_encaps(pk_bytes, p19_params, rng)
+    assert encaps_key(p19_params, pk_bytes) is pk
+    op = pk._circulant
+    assert op.shape == (2, p19_params.ring.size, p19_params.ring.size)
+    for array in (pk.coeffs, op):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0, 0] = 1
 
 
 def test_encaps_refuses_a_non_canonical_public_key(p19_params, rng):

@@ -151,6 +151,14 @@ def test_agreement_toy(toy_params, rng):
         assert kex_shared(sk1, pk2) == kex_shared(sk2, pk1)
 
 
+def test_agreement_at_a_prime_wider_than_a_byte(p257_params, rng):
+    ring = p257_params.ring
+    assert ring.field.coeff_bits == 9 and ring._byte_tables is None
+    for _ in range(3):
+        (sk_i, pk_i), (sk_j, pk_j) = kex_keygen(p257_params, rng), kex_keygen(p257_params, rng)
+        assert kex_shared(sk_i, pk_j) == kex_shared(sk_j, pk_i)
+
+
 def test_session_lifecycle(p19_params, rng):
     alice = KexSession(p19_params, b"P_i", b"s-1", rng)
     bob = KexSession(p19_params, b"P_j", b"s-1", rng)

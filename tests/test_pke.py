@@ -8,7 +8,6 @@ from sdgr.params import PARAM_SETS, Params, make_params
 from sdgr.pke import (
     Ciphertext,
     decrypt,
-    enc_operator,
     encrypt,
     pke_dec,
     pke_enc,
@@ -32,6 +31,14 @@ def test_round_trip_toy(toy_params, rng):
     for _ in range(50):
         m = sample_message(toy_params, rng)
         c = pke_enc(m, kp.pk, sample_randomness(toy_params, rng), toy_params)
+        assert pke_dec(c, kp.sk) == m
+
+
+def test_round_trip_at_a_prime_wider_than_a_byte(p257_params, rng):
+    kp = pke_gen(p257_params, rng)
+    for _ in range(3):
+        m = sample_message(p257_params, rng)
+        c = pke_enc(m, kp.pk, sample_randomness(p257_params, rng), p257_params)
         assert pke_dec(c, kp.sk) == m
 
 
@@ -117,10 +124,9 @@ def _naive_enc(params, m, pk, r):
 def test_enc_is_public_value_and_masked_message(any_params, rng):
     ring = any_params.ring
     for pk in (pke_gen(any_params, rng).pk, ring.sample_ring(rng), ring.gen_public_element(rng)):
-        op = enc_operator(any_params, pk)
         for _ in range(3):
             m, r = sample_message(any_params, rng), sample_randomness(any_params, rng)
-            c = Ciphertext(*(RingElement(ring, x) for x in encrypt(m.coeffs, op, r.rows, ring.p)))
+            c = Ciphertext(*(RingElement(ring, x) for x in encrypt(m.coeffs, pk, r.rows, any_params)))
             assert c == Ciphertext(c1=public_value(any_params, r), c2=m + kex_shared(r, pk))
             assert c == _naive_enc(any_params, m, pk, r)
             assert c == pke_enc(m, pk, r, any_params)
@@ -131,10 +137,9 @@ def test_raw_kernels_match_pke_enc_and_pke_dec(any_params, rng):
     # object API; decrypt also on a c that is no encryption
     ring = any_params.ring
     kp = pke_gen(any_params, rng)
-    op = enc_operator(any_params, kp.pk)
     for _ in range(3):
         m, r = sample_message(any_params, rng), sample_randomness(any_params, rng)
-        c = encrypt(m.coeffs, op, r.rows, ring.p)
+        c = encrypt(m.coeffs, kp.pk, r.rows, any_params)
         assert c.shape == (2, ring.size, 2) and c.dtype == np.int64
         obj = pke_enc(m, kp.pk, r, any_params)
         assert c.tolist() == [obj.c1.coeffs.tolist(), obj.c2.coeffs.tolist()]

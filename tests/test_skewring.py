@@ -9,7 +9,7 @@ from sdgr.dihedral import inverse
 from sdgr.field import find_lambda, is_prime
 from sdgr.kex import SecretPair
 from sdgr.params import PARAM_SETS
-from sdgr.pke import enc_operator, encrypt
+from sdgr.pke import encrypt
 from sdgr.skewring import RingElement, SkewRing, SubspaceTag
 
 # odd and even n: for even n the reflection x^(n/2) y mirrors onto itself
@@ -175,7 +175,7 @@ def test_mul_is_exact_at_the_float64_bound(rng):
     for a, g in cases:
         assert _cross_operands(ring, a, g) == _cross_operands_oracle(ring, a, g)
     # cross_mul on an element's kept circulants, batched and row by row, and
-    # pke.encrypt on enc_operator (Params insists on p | n, so it gets a
+    # pke.encrypt with h = pk = top (Params insists on p | n, so it gets a
     # stand-in); with all entries p - 1, every partial sum reaches
     # n*(p-1)^2*(1+lam)
     ws = [top, ring.sample_ring(rng)]
@@ -183,7 +183,7 @@ def test_mul_is_exact_at_the_float64_bound(rng):
     for w, c in zip(ws, batch):
         assert _cross(ring, w, top) == RingElement(ring, c) == _cross_oracle(ring, w, top)
     rows = top.coeffs.reshape(2, 1, ring.size)  # [v; u], both all p - 1
-    c1, c2 = encrypt(top.coeffs, enc_operator(SimpleNamespace(ring=ring, h=top), top), rows, p)
+    c1, c2 = encrypt(top.coeffs, top, rows, SimpleNamespace(ring=ring, h=top))
     assert RingElement(ring, c1) == _cross_oracle(ring, top, top)
     assert RingElement(ring, c2) == top + _cross_oracle(ring, top, top)
 
@@ -340,6 +340,18 @@ def test_gamma_free_count():
     assert SkewRing(3, 3).gamma_free_count() == 2
     assert SkewRing(19, 19).gamma_free_count() == 10
     assert SkewRing(41, 41).gamma_free_count() == 21
+
+
+def test_construction_refuses_a_wrong_shape(toy_ring):
+    # a flat list of gamma_free_count values used to broadcast into every
+    # free coordinate, and a flat element to fail only in a later _check
+    count = toy_ring.gamma_free_count()
+    for free in ([1] * count, [(1, 2)] * (count + 1), [(1, 2, 0)] * count, [[(1, 2)]] * count):
+        with pytest.raises(ValueError, match="shape"):
+            toy_ring.gamma_from_free(free)
+    for coeffs in ([1] * toy_ring.size, [(1, 2)] * (toy_ring.size - 1), [(1, 2, 0)] * toy_ring.size):
+        with pytest.raises(ValueError, match="shape"):
+            toy_ring.element(coeffs)
 
 
 def test_gamma_from_free_roundtrip(toy_ring):
