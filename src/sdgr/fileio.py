@@ -11,7 +11,7 @@ A file is written in place: opened without O_TRUNC, overwritten from its
 first byte, and cut to length only when the old file was longer.  Opening
 with O_TRUNC ("wb") would truncate a non-empty file to zero, and on ext4
 (default auto_da_alloc) closing a file truncated that way and rewritten
-forces a flush to disk: about 50 ms per file, most of an `sdgr encaps`
+forces a flush to disk, which costs more than the rest of an `sdgr encaps`
 process.  The write is not atomic; a torn write (new bytes over part of the
 old file, or the old tail not yet cut) fails the checksum and reads as a
 FileFormatError.  Symlinks and hard links are written through.  `mode` is

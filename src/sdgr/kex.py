@@ -18,15 +18,19 @@ A SecretPair is kept as the values it was drawn as (a's n coefficients, then
 gamma's free coordinates) and the raw rows [v; u] that one SkewRing.pair_rows
 call makes of them when the pair is built: R is commutative, so it is one
 matmul of the raw rows [sigma(G); G] with the F_p matrix of products by a,
-with lam in its entries.  Each value is one SkewRing.cross_mul of those
-rows, or of [u; v], with the matrices kept on h or on the peer's P: no ring
-element of a or gamma, no skew product and no adjunct is formed.  pk is
-linear in (u, v), and an honest peer's P has P_Y = u_2 h_C and P_C = v_2
-h_Y, so any (u', v') with u' h_C = u h_C and v' h_Y = v h_Y gives the same
-key with every honest peer, whether or not it comes from a secret pair.
-Finding one from pk is linear algebra over F_p: the attack of ROADMAP item
-1, which tests/test_kex.py::test_toy_key_recovery_from_pk_alone runs
-exhaustively at toy.
+with lam in its entries.  The rows are left unreduced, exact float64
+integers congruent to [v; u] with |entry| <= n(p-1)^2(1+lam), so a product
+by them stays within n^2(p-1)^3(1+lam)^2, the chain bound SkewRing's
+constructor keeps below 2^53, and reduces once at its end.  Each value is
+one SkewRing.cross_mul of those rows, or of [u; v], with the matrices kept
+on h or on the peer's P: no ring element of a or gamma, no skew product and
+no adjunct is formed.  pk is linear in (u, v), and an honest peer's P has
+P_Y = u_2 h_C and P_C = v_2 h_Y, so any (u', v') with u' h_C = u h_C and
+v' h_Y = v h_Y gives the same key with every honest peer, whether or not it
+comes from a secret pair.  Finding one from pk is linear algebra over F_p:
+the attack of ROADMAP item 1, which
+tests/test_kex.py::test_toy_key_recovery_from_pk_alone runs exhaustively at
+toy.
 """
 
 from __future__ import annotations
@@ -42,10 +46,12 @@ from .skewring import Frozen, RingElement, SkewRing, SubspaceTag, _set
 class SecretPair(Frozen):
     """A secret pair (a, gamma), a != 0 on C_n and gamma != 0 reversible, kept
     as its ring, its read-only values (n + n//2 + 1, 2) (see
-    SkewRing.pair_from_values) and its read-only raw rows [v; u], (2, 1, 2n),
-    of u = G a and v = sigma(G) a for gamma = G y (SkewRing.pair_rows), in
-    declared slots as RingElement keeps its own.  The schemes read only the
-    rows and w; a and gamma are built from the values on each read."""
+    SkewRing.pair_from_values) and its read-only rows, (2, 1, 2n): exact
+    float64 integers congruent to the raw rows [v; u] of u = G a and v =
+    sigma(G) a for gamma = G y, |entry| <= n(p-1)^2(1+lam), unreduced
+    (SkewRing.pair_rows), in declared slots as RingElement keeps its own.
+    The schemes read only the rows and w; a and gamma are built from the
+    values on each read."""
 
     __slots__ = ("ring", "values", "rows", "_w")
 
@@ -85,10 +91,12 @@ class SecretPair(Frozen):
     @property
     def w(self) -> RingElement:
         """u + v y, whose kept circulants pke.decrypt multiplies c1 by, built
-        on first use and kept in a slot."""
+        on first use from the reversed rows, reduced once, and kept in a slot."""
         w = self._w
         if w is None:
-            w = RingElement(self.ring, self.rows[::-1].reshape(self.ring.size, 2))
+            c = self.rows[::-1].astype(np.int64)
+            c %= self.ring.p
+            w = RingElement(self.ring, c.reshape(self.ring.size, 2))
             _set(self, "_w", w)
         return w
 

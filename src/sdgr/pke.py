@@ -10,8 +10,10 @@ In R = F_{q^2}[C_n] (see sdgr.kex), with r2's w = u + v y,
     c1   = v h_Y + (u h_C) y,
     mask = u pk_Y + (v pk_C) y,
 
-so Enc multiplies r2's raw rows [v; u] (SecretPair.rows, from
-SkewRing.pair_rows) by h's kept circulants and [u; v] by pk's, as kex does.
+so Enc multiplies r2's rows [v; u] (SecretPair.rows, from
+SkewRing.pair_rows: unreduced exact float64 integers, |entry| <=
+n(p-1)^2(1+lam)) by h's kept circulants and [u; v] by pk's, as kex does,
+within the chain bound n^2(p-1)^3(1+lam)^2 < 2^53 SkewRing checks.
 Dec multiplies c1's raw rows by the circulants kept on the secret's own w
 (SecretPair.w): c1_C meets v and c1_Y meets u, so kex_shared(sk, c1) is the
 result, halves swapped.  Each reduces once, m added or taken away, so not
@@ -47,8 +49,11 @@ def pke_gen(params: Params, rng) -> PkeKeypair:
 
 def encrypt(m: np.ndarray, pk: RingElement, rows: np.ndarray, params: Params) -> np.ndarray:
     """Enc(pk, m; r2) on raw coefficients: m's (2n, 2) array, pk and r2's
-    pair_rows [v; u] give [c1; c2], (2, 2n, 2), in [0, p); every sum stays
-    within cross_mul's exact bound, and m is added to the exact int64 mask."""
+    rows [v; u] give [c1; c2], (2, 2n, 2), in [0, p).  The rows are
+    pair_rows' unreduced float64 integers (or coefficients in [0, p)), so
+    every sum stays within the chain bound n^2(p-1)^3(1+lam)^2 < 2^53: the
+    matmuls and the cast are exact, m is added to the int64 mask, and one %
+    reduces both."""
     c = np.empty((2, 2, 1, m.shape[0]))
     np.matmul(rows, params.h.circulant, out=c[0])  # c1 = [v h_Y; u h_C]
     np.matmul(rows[::-1], pk.circulant, out=c[1])  # mask = [u pk_Y; v pk_C]

@@ -13,7 +13,10 @@ w_Y], any number of w, each one row against x's kept matrix of x_Y or x_C,
 through cross_mul, or, in pke.encrypt and pke.decrypt, through their own
 matmuls on the same kept circulants; the rows [a sigma(G); a G] of a
 secret pair (a, G y) are [sigma(G); G] times a's one matrix, gathered with
-them from the pair's draw values (pair_rows).  The skew product needs
+them from the pair's draw values (pair_rows), and stay unreduced: exact
+float64 integers congruent to them, |entry| <= n(p-1)^2(1+lam).  A product
+by them then reaches n^2(p-1)^3(1+lam)^2, the chain bound the constructor
+keeps below 2^53, which implies mul's.  The skew product needs
 y z = rho(z) y, where rho(z)(x) = sigma(z)(x^-1) is an involutive
 automorphism of F_{q^2}[C_n] and, on raw coefficients, a signed permutation, so
 
@@ -134,8 +137,8 @@ class SkewRing:
         self.field = QuadraticField(p)
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
-        if 2 * n * (p - 1) ** 2 * (1 + self.field.lam) >= 2**53:
-            raise ValueError(f"p={p}, n={n} is too large for exact float64 products")
+        if n * n * (p - 1) ** 3 * (1 + self.field.lam) ** 2 >= 2**53:
+            raise ValueError(f"p={p}, n={n} is too large for exact float64 products: n^2 (p-1)^3 (1+lam)^2 >= 2^53")
         self.p = p
         self.n = n
         self.size = 2 * n
@@ -205,9 +208,9 @@ class SkewRing:
         the raw rows [a_C; rho(a_Y); -rho(a_Y)] with b's kept circulants
         gives every product summed; the outer rho is one take, which reads
         the negated row where sigma negates.  Each sum is at most
-        2n*(p-1)^2*(1+lam), twice cross_mul's bound, which the constructor
-        keeps below 2^53: the matmul, the sum and the cast are exact, and
-        the int64 % maps the signed sums into [0, p).
+        2n*(p-1)^2*(1+lam), twice cross_mul's bound on rows in [0, p), below
+        the constructor's chain bound and so below 2^53: the matmul, the sum
+        and the cast are exact, and the int64 % maps the signed sums into [0, p).
         """
         self._check(a, b)
         take_rows, sign, plain, twisted = self._mul_index or self._build_mul_index()
@@ -238,15 +241,17 @@ class SkewRing:
     def cross_mul(self, rows: np.ndarray, x: RingElement) -> np.ndarray:
         """The raw coefficients, (..., 2n, 2) in [0, p), of the elements with
         C_n half w_C * x_Y and C_n y half w_Y * x_C, for the raw rows
-        [w_C; w_Y], (..., 2, 1, 2n) in [0, p), of any number of w.
+        [w_C; w_Y], (..., 2, 1, 2n), of any number of w: coefficients in
+        [0, p), or pair_rows' exact float64 integers congruent to them.
 
         z_C and z_Y are the C_n coefficient blocks of z's two halves, z =
         z_C + z_Y y, and the products are in the commutative F_{q^2}[C_n].
         This is one broadcast float64 matmul of the rows with x's kept
         (2, 2n, 2n) circulants, which carry the F_{q^2} arithmetic (see
         circulant).  Their entries have |entry| <= lam*(p-1), so every
-        partial sum is at most n*(p-1)^2*(1+lam), inside mul's bound: the
-        matmul and the cast are exact.
+        partial sum is at most n*(p-1)^2*(1+lam) on rows in [0, p), and
+        n^2*(p-1)^3*(1+lam)^2 on pair_rows' rows, the constructor's chain
+        bound: the matmul and the cast are exact, and % reduces once.
         """
         self._check(x)
         c = (rows @ x.circulant).astype(np.int64)
@@ -254,16 +259,16 @@ class SkewRing:
         return c.reshape(rows.shape[:-3] + (self.size, 2))
 
     def pair_rows(self, values: np.ndarray) -> np.ndarray:
-        """The raw rows [v; u], (..., 2, 1, 2n) in [0, p), of u = a_C * G and
-        v = a_C * sigma(G) for pairs (a, G y) as values (..., n + n//2 + 1, 2)
-        (see pair_from_values): cross_mul's rows for a x gamma, reversed for
-        a x sigma(gamma) (see sdgr.kex).  R is commutative, so these are the
-        raw rows [sigma(G); G] times a_C's one matrix: two takes out of one
-        table and one broadcast matmul, exact as in cross_mul; % maps into [0, p)."""
+        """The raw rows [v; u], (..., 2, 1, 2n), of u = a_C * G and v = a_C *
+        sigma(G) for pairs (a, G y) as values (..., n + n//2 + 1, 2) (see
+        pair_from_values): cross_mul's rows for a x gamma, reversed for a x
+        sigma(gamma) (see sdgr.kex).  R is commutative, so these are the raw
+        rows [sigma(G); G] times a_C's one matrix: two takes out of one table
+        and one broadcast matmul.  The result is left unreduced: exact float64
+        integers congruent to [v; u] mod p, |entry| <= n(p-1)^2(1+lam), which
+        every product by them reduces once at its end (see cross_mul)."""
         table = (self._factors * values[..., None, :, :]).reshape(values.shape[:-2] + (-1,))
-        vu = (table.take(self._g_index, axis=-1) @ table.take(self._a_index, axis=-1)).astype(np.int64)
-        vu %= self.p
-        return vu
+        return table.take(self._g_index, axis=-1) @ table.take(self._a_index, axis=-1)
 
     def circulant(self, b: RingElement) -> np.ndarray:
         """The read-only (2, 2n, 2n) float64 operators of w -> w * z in

@@ -282,7 +282,10 @@ def test_toy_key_recovery_from_pk_alone():
         pk_c, pk_y = pk.coeffs.reshape(2, ring.size)
         us = raw[(((raw @ h.circulant[1]).astype(np.int64) % ring.p) == pk_y).all(axis=1)]
         vs = raw[(((raw @ h.circulant[0]).astype(np.int64) % ring.p) == pk_c).all(axis=1)]
-        v, u = sk.rows[:, 0]
+        # the pair's unreduced rows [v; u]: float64 integers within n(p-1)^2(1+lam)
+        assert np.abs(sk.rows).max() <= ring.n * (ring.p - 1) ** 2 * (1 + ring.field.lam)
+        assert not np.count_nonzero(sk.rows != np.rint(sk.rows))
+        v, u = sk.rows[:, 0].astype(np.int64) % ring.p
         assert (us == u).all(axis=1).any() and (vs == v).all(axis=1).any()
         # every pair's rows [u'; v'], (len(us) * len(vs), 2, 1, 2n)
         pairs = np.stack(np.broadcast_arrays(us[:, None], vs[None]), axis=2).reshape(-1, 2, 1, ring.size)

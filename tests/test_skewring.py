@@ -1,4 +1,3 @@
-import math
 import random
 from types import SimpleNamespace
 
@@ -145,10 +144,34 @@ def _cross_operands_oracle(ring, a, g):
     return u + _shift_to_cny(ring, v), v + _shift_to_cny(ring, u)
 
 
+def _reduced(ring, rows):
+    """pair_rows' unreduced rows, checked to be float64 integers within
+    n(p-1)^2(1+lam), as canonical int64 coefficients in [0, p)."""
+    assert rows.dtype == np.float64
+    assert np.abs(rows).max() <= ring.n * (ring.p - 1) ** 2 * (1 + ring.field.lam)
+    assert not np.count_nonzero(rows != np.rint(rows))
+    return rows.astype(np.int64) % ring.p
+
+
 def _cross_operands(ring, a, g):
-    """(u + v y, v + u y) wrapped from pair_rows' rows [v; u]."""
-    rows = ring.pair_rows(ring.pair_values(a, g))
+    """(u + v y, v + u y) wrapped from pair_rows' rows [v; u], reduced."""
+    rows = _reduced(ring, ring.pair_rows(ring.pair_values(a, g)))
     return tuple(RingElement(ring, r.reshape(ring.size, 2)) for r in (rows[::-1], rows))
+
+
+def _chain_bound(p, n):
+    """The constructor's bound on a product by pair_rows' rows."""
+    return n * n * (p - 1) ** 3 * (1 + find_lambda(p)) ** 2
+
+
+def _largest_prime(n):
+    """The largest prime p whose SkewRing(p, n) passes the chain bound
+    n^2 (p-1)^3 (1+lam)^2 < 2^53, searched down from where it fails for
+    every lam >= 2."""
+    p = int((2**53 / (9 * n * n)) ** (1 / 3)) + 2
+    while not (is_prime(p) and _chain_bound(p, n) < 2**53):
+        p -= 1
+    return p
 
 
 def test_mul_rejects_rings_beyond_exact_float64():
@@ -156,12 +179,23 @@ def test_mul_rejects_rings_beyond_exact_float64():
         SkewRing(2147483647, 1)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_the_next_prime_past_the_chain_bound_is_refused(n):
+    # the old bound 2n (p-1)^2 (1+lam) < 2^53 accepted it, though a product
+    # by its pair rows can leave the exact float64 integers
+    p = _largest_prime(n) + 1
+    while not is_prime(p):
+        p += 1
+    assert _chain_bound(p, n) >= 2**53 > 2 * n * (p - 1) ** 2 * (1 + find_lambda(p))
+    with pytest.raises(ValueError, match=r"n\^2 \(p-1\)\^3 \(1\+lam\)\^2 >= 2\^53"):
+        SkewRing(p, n)
+
+
 def test_mul_is_exact_at_the_float64_bound(rng):
-    # the largest prime p whose n = 2 ring passes the 2n (p-1)^2 (1+lam) < 2^53 check
+    # the largest prime p whose n = 2 ring passes the chain bound, which
+    # implies mul's own 2n (p-1)^2 (1+lam) < 2^53
     n = 2
-    p = math.isqrt(2**53 // (2 * n * 3)) + 1
-    while not (is_prime(p) and 2 * n * (p - 1) ** 2 * (1 + find_lambda(p)) < 2**53):
-        p -= 1
+    p = _largest_prime(n)
     ring = SkewRing(p, n)
     top = ring.element([(p - 1, p - 1)] * ring.size)
     pairs = [(top, top)] + [(ring.sample_ring(rng), ring.sample_ring(rng)) for _ in range(20)]
@@ -176,8 +210,8 @@ def test_mul_is_exact_at_the_float64_bound(rng):
         assert _cross_operands(ring, a, g) == _cross_operands_oracle(ring, a, g)
     # cross_mul on an element's kept circulants, batched and row by row, and
     # pke.encrypt with h = pk = top (Params insists on p | n, so it gets a
-    # stand-in); with all entries p - 1, every partial sum reaches
-    # n*(p-1)^2*(1+lam)
+    # stand-in), on canonical rows; test_pair_products_are_exact_at_the_chain_bound
+    # runs them on pair_rows' unreduced rows
     ws = [top, ring.sample_ring(rng)]
     batch = ring.cross_mul(np.stack([_rows(ring, w) for w in ws]), top)
     for w, c in zip(ws, batch):
@@ -186,6 +220,42 @@ def test_mul_is_exact_at_the_float64_bound(rng):
     c1, c2 = encrypt(top.coeffs, top, rows, SimpleNamespace(ring=ring, h=top))
     assert RingElement(ring, c1) == _cross_oracle(ring, top, top)
     assert RingElement(ring, c2) == top + _cross_oracle(ring, top, top)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_pair_products_are_exact_at_the_chain_bound(n):
+    # at the largest prime the chain bound accepts, the all p - 1 pair's
+    # unreduced rows, reaching n(p-1)^2(1+lam), times the all p - 1 operand:
+    # a h gamma and a h adjunct(gamma) through cross_mul, [c1; c2] through
+    # pke.encrypt (h = pk = top on a stand-in, as above) and the pair's w
+    p = _largest_prime(n)
+    ring = SkewRing(p, n)
+    top = ring.element([(p - 1, p - 1)] * ring.size)
+    values = np.full((n + ring.gamma_free_count(), 2), p - 1, dtype=np.int64)
+    sk = SecretPair.from_values(ring, values)
+    a, g = sk.a, sk.gamma
+    assert np.abs(sk.rows).max() == n * (p - 1) ** 2 * (1 + ring.field.lam)
+    a_top = ring.naive_product(a, top)
+    pk = ring.naive_product(a_top, g)
+    key = ring.naive_product(a_top, g.adjunct())
+    assert RingElement(ring, ring.cross_mul(sk.rows, top)) == pk
+    assert RingElement(ring, ring.cross_mul(sk.rows[::-1], top)) == key
+    c1, c2 = encrypt(top.coeffs, top, sk.rows, SimpleNamespace(ring=ring, h=top))
+    assert RingElement(ring, c1) == pk and RingElement(ring, c2) == top + key
+    assert sk.w == _cross_operands_oracle(ring, a, g)[0]
+
+
+@pytest.mark.parametrize("p,n", [*PARAM_SETS.values(), (257, 257)], ids=[*PARAM_SETS, "p257"])
+def test_secret_pair_rows_are_exact_unreduced_products(p, n, rng):
+    # drawn pairs and the all p - 1 pair keep float64 integer rows within
+    # n(p-1)^2(1+lam), congruent to [v; u] = [a sigma(G); a G]
+    ring = SkewRing(p, n)
+    cases = [ring.sample_pair_values(rng)[0], np.full((n + ring.gamma_free_count(), 2), p - 1, dtype=np.int64)]
+    for values in cases:
+        sk = SecretPair.from_values(ring, values)
+        assert sk.rows.shape == (2, 1, ring.size) and not sk.rows.flags.writeable
+        u, v = _cross_operands_oracle(ring, sk.a, sk.gamma)[0].coeffs.reshape(2, ring.size)
+        assert _reduced(ring, sk.rows).reshape(2, ring.size).tolist() == [v.tolist(), u.tolist()]
 
 
 def test_ring_axioms_random(toy_ring, rng):
@@ -352,6 +422,23 @@ def test_construction_refuses_a_wrong_shape(toy_ring):
     for coeffs in ([1] * toy_ring.size, [(1, 2)] * (toy_ring.size - 1), [(1, 2, 0)] * toy_ring.size):
         with pytest.raises(ValueError, match="shape"):
             toy_ring.element(coeffs)
+
+
+def test_check_refuses_a_wrong_length(toy_ring, rng):
+    # a RingElement built directly, past element's shape check, with one
+    # coefficient too many or one F_p part per coefficient
+    good = toy_ring.sample_ring(rng)
+    rows = good.coeffs.reshape(2, 1, toy_ring.size)
+    for shape in ((toy_ring.size + 1, 2), (toy_ring.size, 1)):
+        bad = RingElement(toy_ring, np.ones(shape, dtype=np.int64))
+        for call in (
+            lambda: toy_ring.add(good, bad),
+            lambda: toy_ring.add(bad, good),
+            lambda: toy_ring.cross_mul(rows, bad),
+            lambda: toy_ring.circulant(bad),
+        ):
+            with pytest.raises(ValueError, match="coefficient vector has the wrong length"):
+                call()
 
 
 def test_gamma_from_free_roundtrip(toy_ring):
@@ -618,17 +705,16 @@ def test_cross_operands_are_a_g_and_a_sigma_g(p, rng):
 
 @pytest.mark.parametrize("p", [3, 19, 41])
 def test_cross_operands_wrap_cross_rows(p, rng):
-    # a secret pair keeps the rows [v; u] of one matmul on its values,
-    # read-only, and builds u + v y, their reverse, on first use
+    # a secret pair keeps the unreduced rows [v; u] of one matmul on its
+    # values, read-only, and builds u + v y, their reverse reduced, on first use
     ring = SkewRing(p, p)
     a, g = ring.sample_cn(rng), ring.sample_gamma(rng)
     rows = ring.pair_rows(ring.pair_values(a, g))
-    assert rows.shape == (2, 1, ring.size) and rows.dtype == np.int64
-    assert np.count_nonzero(rows < 0) == np.count_nonzero(rows >= p) == 0
+    assert rows.shape == (2, 1, ring.size)
     sk = SecretPair(a, g)
     assert sk.rows.tolist() == rows.tolist() and not sk.rows.flags.writeable
     assert sk.w == _cross_operands_oracle(ring, a, g)[0]
-    assert sk.w.coeffs.ravel().tolist() == rows[::-1].ravel().tolist()
+    assert sk.w.coeffs.ravel().tolist() == _reduced(ring, rows)[::-1].ravel().tolist()
     assert sk.w is sk.w
 
 
@@ -652,14 +738,14 @@ def test_pair_rows_match_the_naive_product(p, n, rng):
     ring = SkewRing(p, n)
     cases = _pair_cases(ring, rng)
     for values in cases:
-        rows = ring.pair_rows(values)
-        assert rows.shape == (2, 1, ring.size) and rows.dtype == np.int64
+        rows = _reduced(ring, ring.pair_rows(values))
+        assert rows.shape == (2, 1, ring.size)
         a, g = ring.pair_from_values(values)
         wrapped = tuple(RingElement(ring, r.reshape(ring.size, 2)) for r in (rows[::-1], rows))
         assert wrapped == _cross_operands_oracle(ring, a, g)
     stack = np.stack(cases)
     batch = ring.pair_rows(stack)
-    assert batch.shape == (len(cases), 2, 1, ring.size) and batch.dtype == np.int64
+    assert batch.shape == (len(cases), 2, 1, ring.size) and batch.dtype == np.float64
     assert batch.tolist() == [ring.pair_rows(values).tolist() for values in cases]
     nested = ring.pair_rows(stack.reshape(2, len(cases) // 2, *stack.shape[1:]))
     assert nested.reshape(batch.shape).tolist() == batch.tolist()
