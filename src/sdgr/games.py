@@ -14,8 +14,8 @@ They, and sdpd_verify for its candidate, take the pairs' raw cross rows
 The CSDP key a2 pk1 adjunct(gamma2) = u2 pk1_Y + (v2 pk1_C) y is pair 2's
 rows, reversed, by pk1; a DSDP trial with b = 1 does not compute it.  The
 forms hold for any h, a on C_n and reversible gamma, zero included.  The
-solver fixes the right operand instead: one matmul of every a_C's raw row
-per h gamma.
+solver fixes the right operand instead: one cross_mul of every a_C's raw
+row per h gamma.
 """
 
 from __future__ import annotations
@@ -104,9 +104,9 @@ def sdpd_bruteforce(inst: SdpdInstance) -> List[tuple[RingElement, RingElement]]
     iter_cn order with gamma fastest.
 
     Guarded to desk scale.  An a on C_n has a z = a_C z_C + (a_C z_Y) y, so
-    for each gamma one matmul of every a_C's raw row with the kept
-    circulants of z = h gamma gives every product by it.  Only the hits
-    become elements.
+    for each gamma one cross_mul of every a_C's raw row, as both rows
+    [w_C; w_Y], by z = h gamma gives every a z_Y + (a z_C) y, its halves
+    swapped.  Only the hits become elements.
     """
     ring = inst.params.ring
     space = sdpd_search_space(ring)
@@ -114,12 +114,11 @@ def sdpd_bruteforce(inst: SdpdInstance) -> List[tuple[RingElement, RingElement]]
         raise ValueError(f"search space {space} exceeds guard {SEARCH_SPACE_GUARD}")
     gammas = list(ring.iter_gamma())
     rows = np.indices((ring.p,) * ring.size).reshape(ring.size, -1).T  # every a_C, in iter_cn order
-    target = inst.pk.coeffs.reshape(2, 1, ring.size)[::-1]  # [pk_Y; pk_C], the circulants' order
+    target = np.roll(inst.pk.coeffs, ring.n, axis=0)  # pk_Y + pk_C y
     hits = []
     for j, gamma in enumerate(gammas):
-        out = (rows @ (inst.params.h * gamma).circulant).astype(np.int64)
-        out %= ring.p
-        hits.extend((i, j) for i in np.flatnonzero((out == target).all(axis=(0, 2))))
+        out = ring.cross_mul(rows[:, None, None], inst.params.h * gamma)
+        hits.extend((i, j) for i in np.flatnonzero((out == target).all(axis=(1, 2))))
     hits.sort()
     cns = np.pad(rows[[i for i, _ in hits]], ((0, 0), (0, ring.size))).reshape(-1, ring.size, 2)
     return [(RingElement(ring, a), gammas[j]) for a, (_, j) in zip(cns, hits)]

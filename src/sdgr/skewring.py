@@ -23,7 +23,7 @@ automorphism of F_{q^2}[C_n] and, on raw coefficients, a signed permutation, so
     a*b = (a_C*b_C + rho(rho(a_Y)*b_Y)) + (a_C*b_Y + rho(rho(a_Y)*b_C)) y:
 
 the rows [a_C; rho(a_Y)] times the same two matrices b keeps for
-cross_mul, with one take for each rho.
+cross_mul, each rho one take and a sign the ring builds once.
 Every predicate on coefficients (zero, equal, support, palindrome) is one
 np.count_nonzero, a direct C call: on arrays this small, the Python-level
 wrappers behind ndarray.any and whole-array equality cost several times
@@ -147,6 +147,9 @@ class SkewRing:
         self._g_index, self._a_index, self._circ = self._circulant_index(n)
         self._conj = np.array([1, -1])
         self._inv_perm = np.concatenate(((-np.arange(n)) % n, np.arange(n, 2 * n)))  # dihedral.inverse
+        # rho on a raw C_n row: rho(z)[j] = (-1)^t z[rho[j]] for j = 2i + t, rho[j] = 2(-i mod n) + t
+        j = np.arange(2 * n)
+        self._rho, self._rho_sign = 2 * ((-(j >> 1)) % n) + (j & 1), 1 - 2 * (j & 1)
         # _draw's translate tables while a value fits in a byte: each top
         # byte of a 32-bit output to its top w bits, and the bytes to reject,
         # those whose top w bits are >= p
@@ -154,10 +157,6 @@ class SkewRing:
         if p < 256:
             s = 8 - p.bit_length()
             self._byte_tables = (np.arange(256, dtype=np.uint8) >> s).tobytes(), bytes(range(p << s, 256))
-        # built by mul's first call; assigned here because an attribute first
-        # written to the instance __dict__ after __init__ slowed every later
-        # attribute read on the ring on CPython 3.11 (a toy DSDP trial by 4%)
-        self._mul_index = None
 
     # -- construction ------------------------------------------------------
 
@@ -205,38 +204,19 @@ class SkewRing:
         """Skew product: c_k = sum_i a_i * theta(g_i)(b_j) with g_i g_j = g_k.
 
         By the module docstring's identity, one batched float64 matmul of
-        the raw rows [a_C; rho(a_Y); -rho(a_Y)] with b's kept circulants
-        gives every product summed; the outer rho is one take, which reads
-        the negated row where sigma negates.  Each sum is at most
+        the raw rows [a_C; rho(a_Y)] with b's kept circulants gives out[k,
+        r], row r times b_Y (k = 0) or b_C (k = 1), and a*b is out[::-1, 0]
+        + rho(out[:, 1]), each rho one take and a sign.  Each sum is at most
         2n*(p-1)^2*(1+lam), twice cross_mul's bound on rows in [0, p), below
         the constructor's chain bound and so below 2^53: the matmul, the sum
         and the cast are exact, and the int64 % maps the signed sums into [0, p).
         """
         self._check(a, b)
-        take_rows, sign, plain, twisted = self._mul_index or self._build_mul_index()
-        rows = a.coeffs.take(take_rows)
-        rows *= sign
-        out = rows @ b.circulant
-        c = (out.take(plain) + out.take(twisted)).astype(np.int64)
+        a_c, a_y = a.coeffs.reshape(2, self.size)
+        out = np.array((a_c, a_y.take(self._rho) * self._rho_sign)) @ b.circulant
+        c = (out[::-1, 0] + out[:, 1].take(self._rho, axis=-1) * self._rho_sign).astype(np.int64)
         c %= self.p
         return RingElement(self, c.reshape(self.size, 2))
-
-    def _build_mul_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """mul's indices, kept on the ring: of the rows [a_C; rho(a_Y);
-        -rho(a_Y)] in a.coeffs.ravel(), with their signs, and of a_C*b_C,
-        a_C*b_Y (plain) and rho(rho(a_Y)*b_Y), rho(rho(a_Y)*b_C) (twisted)
-        in the flat (2, 3, 2n) matmul result.  On raw coefficients
-        rho(z)[j] = (-1)^t z[rho[j]] for j = 2i + t, with rho[j] =
-        2(-i mod n) + t from the adjunct's permutation."""
-        n, size = self.n, self.size
-        t = np.arange(size) & 1
-        rho = 2 * self._inv_perm[:n].repeat(2) + t
-        take_rows = np.stack((np.arange(size), size + rho, size + rho))
-        sign = np.stack((np.ones(size, dtype=np.int64), 1 - 2 * t, 2 * t - 1))
-        plain = np.array([[3], [0]]) * size + np.arange(size)
-        twisted = (np.array([[1], [4]]) + t) * size + rho
-        self._mul_index = (take_rows, sign, plain, twisted)
-        return self._mul_index
 
     def cross_mul(self, rows: np.ndarray, x: RingElement) -> np.ndarray:
         """The raw coefficients, (..., 2n, 2) in [0, p), of the elements with

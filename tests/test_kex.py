@@ -14,6 +14,8 @@ from sdgr.kex import (
 from sdgr.params import PARAM_SETS, Params, make_params
 from sdgr.skewring import SubspaceTag
 
+from oracles import naive_key
+
 
 def test_secret_pair_validation(toy_ring, rng):
     a = toy_ring.sample_cn(rng)
@@ -209,11 +211,6 @@ def any_params(request):
     return make_params(request.param, seed=1003)
 
 
-def _naive_shared(sk, peer_pk):
-    ring = sk.a.ring
-    return ring.naive_product(ring.naive_product(sk.a, peer_pk), sk.gamma.adjunct())
-
-
 def test_public_value_is_a_h_gamma(any_params, rng):
     for _ in range(5):
         sk = sample_secret_pair(any_params, rng)
@@ -229,7 +226,7 @@ def test_kex_shared_is_a_p_adjunct_gamma(any_params, rng):
         for peer_pk in peers:
             k = kex_shared(sk, peer_pk)
             assert k == sk.a * peer_pk * sk.gamma.adjunct()
-            assert k == _naive_shared(sk, peer_pk)
+            assert k == naive_key(sk, peer_pk)
 
 
 def test_all_p_minus_one_secret_and_peer_at_p41():
@@ -242,7 +239,7 @@ def test_all_p_minus_one_secret_and_peer_at_p41():
     for h in (params.h, peer_pk):
         assert public_value(Params(ring=ring, h=h), sk) == sk.a * h * sk.gamma
     assert kex_shared(sk, peer_pk) == sk.a * peer_pk * sk.gamma.adjunct()
-    assert kex_shared(sk, peer_pk) == _naive_shared(sk, peer_pk)
+    assert kex_shared(sk, peer_pk) == naive_key(sk, peer_pk)
 
 
 def test_public_value_refuses_a_foreign_ring(p19_params, rng):

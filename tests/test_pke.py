@@ -17,6 +17,8 @@ from sdgr.pke import (
 )
 from sdgr.skewring import RingElement
 
+from oracles import naive_key
+
 
 def test_round_trip(p19_params, rng):
     kp = pke_gen(p19_params, rng)
@@ -110,15 +112,9 @@ def any_params(request):
     return make_params(request.param, seed=1004)
 
 
-def _naive_key(sk, x):
-    """a * x * adjunct(gamma) through the naive product."""
-    ring = sk.a.ring
-    return ring.naive_product(ring.naive_product(sk.a, x), sk.gamma.adjunct())
-
-
 def _naive_enc(params, m, pk, r):
     ring = params.ring
-    return Ciphertext(c1=ring.naive_product(ring.naive_product(r.a, params.h), r.gamma), c2=m + _naive_key(r, pk))
+    return Ciphertext(c1=ring.naive_product(ring.naive_product(r.a, params.h), r.gamma), c2=m + naive_key(r, pk))
 
 
 def test_enc_is_public_value_and_masked_message(any_params, rng):
@@ -160,7 +156,7 @@ def test_dec_is_c2_minus_kex_shared(any_params, rng):
         c2 = ring.sample_ring(rng)
         m = pke_dec(Ciphertext(c1=c1, c2=c2), sk)
         assert m == c2 - kex_shared(sk, c1)
-        assert m == c2 - _naive_key(sk, c1)
+        assert m == c2 - naive_key(sk, c1)
 
 
 def test_all_p_minus_one_at_p41():
@@ -173,4 +169,4 @@ def test_all_p_minus_one_at_p41():
     for h in (params.h, full):
         top_params = Params(ring=ring, h=h)
         assert pke_enc(full, full, r, top_params) == _naive_enc(top_params, full, full, r)
-    assert pke_dec(Ciphertext(c1=full, c2=full), r) == full - _naive_key(r, full)
+    assert pke_dec(Ciphertext(c1=full, c2=full), r) == full - naive_key(r, full)

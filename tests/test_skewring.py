@@ -86,6 +86,34 @@ def test_mul_matches_naive_oracle_p19(r19, rng):
         assert r19.mul(a, b) == r19.naive_product(a, b)
 
 
+@pytest.mark.parametrize("name", ["p41", "p257"])
+def test_mul_matches_naive_oracle_on_full_and_all_p_minus_one_pairs(name, p257_params, rng):
+    # general operands at n > 19; all p - 1 reaches mul's 2n(p-1)^2(1+lam)
+    ring = p257_params.ring if name == "p257" else SkewRing(*PARAM_SETS[name])
+    top = ring.element([(ring.p - 1, ring.p - 1)] * ring.size)
+    pairs = [(ring.sample_ring(rng), ring.sample_ring(rng)) for _ in range(2)] + [(top, top)]
+    for a, b in pairs:
+        assert ring.mul(a, b) == ring.naive_product(a, b)
+
+
+def test_ring_writes_no_attribute_after_init(rng):
+    # an attribute first written to a ring after __init__ slowed every later
+    # attribute read on it on CPython 3.11 (a toy DSDP trial by 4%)
+    ring = SkewRing(19, 19)
+    before = dict(vars(ring))
+    a, b = ring.sample_ring(rng), ring.sample_ring(rng)
+    ring.mul(a, b)
+    ring.cross_mul(a.coeffs.reshape(2, 1, ring.size), b)
+    ring.pair_rows(ring.sample_pair_values(rng, 2))
+    ring.circulant(a)
+    ring.adjunct(a)
+    ring.sample_cn(rng)
+    ring.sample_gamma(rng)
+    after = vars(ring)
+    assert after.keys() == before.keys()
+    assert all(after[k] is v for k, v in before.items())
+
+
 @pytest.mark.parametrize("p,n", ORACLE_RINGS)
 def test_mul_matches_naive_oracle_on_every_basis_pair(p, n, rng):
     ring = SkewRing(p, n)
