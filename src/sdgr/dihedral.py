@@ -41,7 +41,9 @@ def mul_index(n: int, k1: int, k2: int) -> int:
 
 
 def build_table(n: int) -> np.ndarray:
-    """Precompute the 2n x 2n Cayley table of D_2n."""
+    """The 2n x 2n Cayley table of D_2n.  No src/ code calls it; it stays only
+    because perfbench/workloads.py:layer_targets wraps it (ROADMAP items 10
+    and 11)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     size = 2 * n

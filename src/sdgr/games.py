@@ -235,8 +235,8 @@ def unipotent_valuation(ring: SkewRing, a: RingElement) -> int:
 
     In characteristic p with n = p^k the algebra F_{q^2}[x]/(x^n - 1) is
     local with nilpotent x-1, so every element is (x-1)^v times a unit; v is
-    exact and products add valuations (capped at n).  Elements supported on
-    C_n y are transported through phi first.  Returns n for zero.
+    exact and products add valuations (capped at n).  An element on C_n y
+    is read as its C_n y coefficients.  Returns n for zero.
     """
     if not _is_prime_power_of(ring.n, ring.p):
         raise ValueError("valuation requires n to be a power of p")
@@ -245,10 +245,8 @@ def unipotent_valuation(ring: SkewRing, a: RingElement) -> int:
         return ring.n
     if tag is SubspaceTag.MIXED:
         raise ValueError("valuation needs an element supported on one summand")
-    if tag is SubspaceTag.CNY_ONLY:
-        a = ring.phi(a)
     p = ring.p
-    poly = a.coeffs[: ring.n]
+    poly = a.coeffs[ring.n :] if tag is SubspaceTag.CNY_ONLY else a.coeffs[: ring.n]
     for v in range(ring.n):
         if np.count_nonzero(poly.sum(axis=0) % p):  # poly(1) != 0: not divisible by x - 1
             return v

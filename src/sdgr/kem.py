@@ -131,13 +131,16 @@ def decode_elements(ring: SkewRing, data: bytes, count: int) -> list[RingElement
 
 def decode_ring(ring: SkewRing, data: bytes) -> RingElement:
     """Inverse of rep_ring.  Out-of-range chunks are reduced mod p, so decoding
-    never rejects; kem_decaps rejects non-canonical ciphertexts itself."""
+    never rejects.  No src/ code calls it; it stays only because
+    perfbench/workloads.py:layer_targets wraps it (ROADMAP items 10 and 11)."""
     return RingElement(ring, unpack_elements(ring, data, 1)[0][0] % ring.p)
 
 
 def decode_ciphertext(ring: SkewRing, data: bytes) -> tuple[Ciphertext, np.ndarray, bool]:
     """(c, chunks, padded): c decoded as decode_ring does, its chunks reduced
-    mod p, with the raw chunks and the padding flag of unpack_elements."""
+    mod p, with the raw chunks and the padding flag of unpack_elements.  No
+    src/ code calls it; it stays only because
+    perfbench/workloads.py:layer_targets wraps it (ROADMAP items 10 and 11)."""
     chunks, padded = unpack_elements(ring, data, 2)
     c1, c2 = (RingElement(ring, chunk % ring.p) for chunk in chunks)
     return Ciphertext(c1=c1, c2=c2), chunks, padded
@@ -153,7 +156,9 @@ def h1_output_bits(p: int, m: int, n: int) -> int:
 
 
 def h1(data: bytes, params: Params) -> SecretPair:
-    """The secret pair of h1_values, valid by construction."""
+    """The secret pair of h1_values, valid by construction.  No src/ code
+    calls it (the KEM reads h1_values); it stays only because
+    perfbench/workloads.py:layer_targets wraps it (ROADMAP items 10 and 11)."""
     return SecretPair.from_values(params.ring, h1_values(data, params))
 
 

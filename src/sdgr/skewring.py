@@ -311,14 +311,6 @@ class SkewRing:
             return SubspaceTag.CNY_ONLY
         return SubspaceTag.ZERO
 
-    def phi(self, a: RingElement) -> RingElement:
-        """Coefficient transport C_n y -> C_n: sum a_i x^i y -> sum a_i x^i."""
-        if self.classify(a) not in (SubspaceTag.CNY_ONLY, SubspaceTag.ZERO):
-            raise ValueError("phi is defined on elements supported on C_n y")
-        out = np.zeros((self.size, 2), dtype=np.int64)
-        out[: self.n] = a.coeffs[self.n :]
-        return RingElement(self, out)
-
     def is_reversible(self, a: RingElement) -> bool:
         """Membership in Gamma_theta: C_n y support, and the coefficients of
         x^i y for i = 1 .. n-1 read the same backwards."""
@@ -413,7 +405,8 @@ class SkewRing:
 
     def iter_cn(self) -> Iterator[RingElement]:
         """All p^(2n) elements of F_{q^2}^theta C_n, last coefficient fastest.
-        Desk scale only."""
+        Desk scale only.  No src/ code calls it; it stays only because
+        perfbench/workloads.py:layer_targets wraps it (ROADMAP items 10 and 11)."""
         f = self.field
         for coords in product(f.elements(), repeat=self.n):
             yield self.element(list(coords) + [f.zero] * self.n)

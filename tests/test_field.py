@@ -6,6 +6,8 @@ import pytest
 from sdgr.field import QuadraticField, find_lambda, is_prime
 from sdgr.skewring import SkewRing
 
+from oracles import frobenius_ladder
+
 
 def _sample(f, rng):
     """Uniform element of F_{p^2}: two rng.randrange(p) draws."""
@@ -23,17 +25,6 @@ def test_find_lambda_rejects_bad_p():
         find_lambda(2)
     with pytest.raises(ValueError):
         find_lambda(21)
-
-
-def frobenius_ladder(f: QuadraticField, a):
-    """a -> a^p by square-and-multiply over the binary digits of p: the slow
-    generic route that the conjugation fast path is cross-checked against."""
-    r = f.one
-    for bit in bin(f.p)[2:]:
-        r = f.mul(r, r)
-        if bit == "1":
-            r = f.mul(r, a)
-    return r
 
 
 def test_field_params_validation():

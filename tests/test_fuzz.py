@@ -2,7 +2,6 @@
 
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,10 +22,7 @@ from sdgr.kem import (
 from sdgr.params import VALID_L1
 from sdgr.skewring import SkewRing
 
-
-def rep_ciphertext(c):
-    """rep(c1) || rep(c2) in one pack: the two rows of raw coefficients."""
-    return pack_bits(np.stack((c.c1.coeffs.ravel(), c.c2.coeffs.ravel())), c.c1.ring.field.coeff_bits)
+from oracles import rep_ciphertext
 
 
 @pytest.fixture(scope="module")

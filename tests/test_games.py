@@ -27,6 +27,8 @@ from sdgr.kex import SecretPair, kex_shared, public_value
 from sdgr.params import PARAM_SETS, make_params
 from sdgr.skewring import Frozen, SkewRing, SubspaceTag
 
+from oracles import bruteforce_loop, shift_to_cny, synthetic_division_valuation
+
 
 @pytest.fixture(scope="module")
 def toy_game():
@@ -233,35 +235,11 @@ def test_unipotent_valuation(degenerate_game):
         unipotent_valuation(SkewRing(3, 6), SkewRing(3, 6).one())
 
 
-def synthetic_division_valuation(ring, a):
-    """Reference for unipotent_valuation: divide the one non-zero summand by
-    (x - 1) one coefficient at a time until its value at x = 1 is non-zero."""
-    n, p = ring.n, ring.p
-    rows = [a.coefficient(i) for i in range(2 * n)]
-    poly = rows[n:] if any(c != (0, 0) for c in rows[n:]) else rows[:n]
-    v = 0
-    while v < n:
-        s0 = sum(c[0] for c in poly) % p
-        s1 = sum(c[1] for c in poly) % p
-        if (s0, s1) != (0, 0):
-            return v
-        # synthetic division by (x - 1): q_{i-1} = p_i + q_i, descending
-        q = [(0, 0)] * len(poly)
-        acc0 = acc1 = 0
-        for i in range(len(poly) - 1, 0, -1):
-            acc0 = (acc0 + poly[i][0]) % p
-            acc1 = (acc1 + poly[i][1]) % p
-            q[i - 1] = (acc0, acc1)
-        poly = q
-        v += 1
-    return n
-
-
 def _with_cny_images(ring, elems):
     """Each C_n element followed by its image sum a_i x^i y on C_n y."""
     for a in elems:
         yield a
-        yield ring.element(np.roll(a.coeffs, ring.n, axis=0))
+        yield shift_to_cny(ring, a)
 
 
 def test_unipotent_valuation_matches_synthetic_division():
@@ -322,7 +300,7 @@ def _game(name, kind, seed=31):
     if kind == "mixed":
         return GameParams(ring=ring, h=ring.gen_public_element(rng))
     h = ring.sample_cn(rng)
-    return GameParams(ring=ring, h=h if kind == "cn" else ring.element(np.roll(h.coeffs, ring.n, axis=0)))
+    return GameParams(ring=ring, h=h if kind == "cn" else shift_to_cny(ring, h))
 
 
 @pytest.fixture(
@@ -471,19 +449,6 @@ def test_warm_dsdp_trial_builds_three_circulants(name, kind, operator_builds):
         assert not any(elem is params.h for _, elem in operator_builds[1:])
 
 
-def _bruteforce_loop(inst):
-    """Reference for sdpd_bruteforce: every a against every h gamma, one
-    skew product per pair, a outermost."""
-    ring = inst.params.ring
-    h_gammas = [(gamma, inst.params.h * gamma) for gamma in ring.iter_gamma()]
-    found = []
-    for a in ring.iter_cn():
-        for gamma, hg in h_gammas:
-            if a * hg == inst.pk:
-                found.append((a, gamma))
-    return found
-
-
 def test_sdpd_bruteforce_matches_the_pairwise_loop(toy_game, degenerate_game, monkeypatch):
     # the recorded draws plant a = 0 in the second challenge and gamma = 0 in
     # the third, so each game gets two zero secrets and one random one
@@ -494,7 +459,7 @@ def test_sdpd_bruteforce_matches_the_pairwise_loop(toy_game, degenerate_game, mo
         for _ in range(3):
             inst, planted = sdpd_challenge(game, rng)
             found = sdpd_bruteforce(inst)
-            assert found == _bruteforce_loop(inst)
+            assert found == bruteforce_loop(inst)
             assert any(a == planted[0] and gamma == planted[1] for a, gamma in found)
             sizes.append(len(found))
     assert drawn[1][0].is_zero() and drawn[2][1].is_zero()

@@ -24,13 +24,10 @@ from sdgr.kem import (
 )
 from sdgr.params import PARAM_SETS, Params, make_params
 import sdgr.pke
-from sdgr.pke import decrypt, encrypt, pke_dec, pke_enc, sample_message
+from sdgr.pke import encrypt, pke_dec, pke_enc, sample_message
 from sdgr.skewring import RingElement, SkewRing, SubspaceTag
 
-
-def rep_ciphertext(c):
-    """rep(c1) || rep(c2) in one pack: the two rows of raw coefficients."""
-    return pack_bits(np.stack((c.c1.coeffs.ravel(), c.c2.coeffs.ravel())), c.c1.ring.field.coeff_bits)
+from oracles import decaps_by_re_encryption, reference_pack, rep_ciphertext
 
 
 # -- bit packing ---------------------------------------------------------------
@@ -96,16 +93,6 @@ def test_two_row_pack_is_two_single_packs(name):
         pack_bits(rows, w)
 
 
-def _reference_pack(values, width: int) -> bytes:
-    """pack_bits' oracle for one row: one Python int of the concatenated
-    width-bit values, shifted left by the zero padding."""
-    pad = -len(values) * width % 8
-    acc = 0
-    for x in values:
-        acc = acc << width | int(x)
-    return (acc << pad).to_bytes((len(values) * width + pad) // 8, "big")
-
-
 @pytest.mark.parametrize("width", range(1, 33))
 def test_codec_at_every_width(width):
     # a 2-D pack is the row packs concatenated, and unpack_bits reads int64
@@ -114,7 +101,7 @@ def test_codec_at_every_width(width):
     rng = random.Random(width)
     rows = np.array([[rng.randrange(1 << width) for _ in range(13)] for _ in range(3)])
     rows[0, 0], rows[2, -1] = (1 << width) - 1, 1 << (width - 1)
-    singles = [_reference_pack(row.tolist(), width) for row in rows]
+    singles = [reference_pack(row.tolist(), width) for row in rows]
     assert [pack_bits(row, width) for row in rows] == singles
     packed = pack_bits(rows, width)
     assert packed == b"".join(singles)
@@ -416,28 +403,10 @@ def test_encaps_sends_the_pke_ciphertext(kem_instance):
         assert pke_dec(c, priv.sk) == m
 
 
-def _decaps_by_re_encryption(priv, c_bytes, params, l1=128):
-    """kem_decaps as the FO transform states it, the oracle of its c1-only
-    check: decrypt the chunks reduced mod p, re-encrypt m under pk with
-    H1's pair, and accept iff every chunk is the re-encryption's
-    coefficient and no padding bit is set."""
-    ring = params.ring
-    try:
-        chunks, padded = unpack_elements(ring, c_bytes, 2)
-    except ValueError:
-        return h2(priv.rep_s + c_bytes, l1)
-    m = decrypt(chunks % ring.p, priv.sk.w)
-    rep_m = pack_bits(m.ravel(), ring.field.coeff_bits)
-    c = encrypt(m, priv.pk, h1(rep_m + priv.rep_pk, params).rows, params)
-    if np.array_equal(chunks, c) and padded:
-        return h2(rep_m + c_bytes, l1)
-    return h2(priv.rep_s + c_bytes, l1)
-
-
 def _assert_rejected(priv, ct, params):
     key = kem_decaps(priv, ct, params)
     assert key == h2(rep_ring(priv.s) + ct, 128)
-    assert key == _decaps_by_re_encryption(priv, ct, params)
+    assert key == decaps_by_re_encryption(priv, ct, params)
 
 
 def test_round_trip_and_tamper_at_a_prime_wider_than_a_byte(p257_params, rng):
@@ -447,7 +416,7 @@ def test_round_trip_and_tamper_at_a_prime_wider_than_a_byte(p257_params, rng):
     for _ in range(2):
         ct, key = kem_encaps(pk_bytes, p257_params, rng)
         assert len(ct) == 2 * 1157
-        assert kem_decaps(priv, ct, p257_params) == key == _decaps_by_re_encryption(priv, ct, p257_params)
+        assert kem_decaps(priv, ct, p257_params) == key == decaps_by_re_encryption(priv, ct, p257_params)
         for bit in (0, 8 * 1157 + 3, 8 * len(ct) - 5, 8 * len(ct) - 1):
             bad = bytearray(ct)
             bad[bit // 8] ^= 0x80 >> (bit % 8)
@@ -506,7 +475,7 @@ def test_decaps_matches_re_encryption_on_random_payloads(kem_instance, count):
     rng = random.Random(13)
     for _ in range(count):
         bad = rng.randbytes(len(cts[0][0]))
-        assert kem_decaps(priv, bad, params) == _decaps_by_re_encryption(priv, bad, params)
+        assert kem_decaps(priv, bad, params) == decaps_by_re_encryption(priv, bad, params)
 
 
 def test_honest_c1_with_another_c2_is_rejected(kem_instance):
@@ -516,7 +485,7 @@ def test_honest_c1_with_another_c2_is_rejected(kem_instance):
     ring, size = params.ring, rep_len(params.ring)
     p, w = ring.p, ring.field.coeff_bits
     for ct, key in cts:
-        assert kem_decaps(priv, ct, params) == key == _decaps_by_re_encryption(priv, ct, params)
+        assert kem_decaps(priv, ct, params) == key == decaps_by_re_encryption(priv, ct, params)
         c2 = unpack_bits(ct[size:], w, 2 * ring.size)
         other, plus_p = c2.copy(), c2.copy()
         other[0] = (c2[0] + 1) % p

@@ -17,7 +17,7 @@ from sdgr.pke import (
 )
 from sdgr.skewring import RingElement
 
-from oracles import naive_key
+from oracles import naive_enc, naive_key
 
 
 def test_round_trip(p19_params, rng):
@@ -112,11 +112,6 @@ def any_params(request):
     return make_params(request.param, seed=1004)
 
 
-def _naive_enc(params, m, pk, r):
-    ring = params.ring
-    return Ciphertext(c1=ring.naive_product(ring.naive_product(r.a, params.h), r.gamma), c2=m + naive_key(r, pk))
-
-
 def test_enc_is_public_value_and_masked_message(any_params, rng):
     ring = any_params.ring
     for pk in (pke_gen(any_params, rng).pk, ring.sample_ring(rng), ring.gen_public_element(rng)):
@@ -124,7 +119,7 @@ def test_enc_is_public_value_and_masked_message(any_params, rng):
             m, r = sample_message(any_params, rng), sample_randomness(any_params, rng)
             c = Ciphertext(*(RingElement(ring, x) for x in encrypt(m.coeffs, pk, r.rows, any_params)))
             assert c == Ciphertext(c1=public_value(any_params, r), c2=m + kex_shared(r, pk))
-            assert c == _naive_enc(any_params, m, pk, r)
+            assert c == naive_enc(any_params, m, pk, r)
             assert c == pke_enc(m, pk, r, any_params)
 
 
@@ -168,5 +163,5 @@ def test_all_p_minus_one_at_p41():
     r = SecretPair(a=ring.element([top] * ring.n + [(0, 0)] * ring.n), gamma=ring.gamma_from_free([top] * ring.gamma_free_count()))
     for h in (params.h, full):
         top_params = Params(ring=ring, h=h)
-        assert pke_enc(full, full, r, top_params) == _naive_enc(top_params, full, full, r)
+        assert pke_enc(full, full, r, top_params) == naive_enc(top_params, full, full, r)
     assert pke_dec(Ciphertext(c1=full, c2=full), r) == full - naive_key(r, full)
