@@ -563,76 +563,124 @@ def _rows(ring, w):
     return w.coeffs.reshape(2, 1, ring.size)
 
 
-@pytest.mark.parametrize("p,n", KERNEL_CASES)
-def test_mul_matches_naive_oracle_on_every_basis_pair(p, n):
+def _mul_check(ring, rng, small):
     # every basis pair on the small rings, and zero, random and all p - 1
     # operands on every ring: all p - 1 reaches mul's 2n(p-1)^2(1+lam)
-    def check(ring, rng, small):
-        for a, b in _operands(ring, rng, basis=small):
-            assert ring.mul(a, b) == ring.naive_product(a, b)
+    for a, b in _operands(ring, rng, basis=small):
+        assert ring.mul(a, b) == ring.naive_product(a, b)
 
-    _on_case(p, n, check)
+
+def _cross_mul_stacks(ring, rng):
+    # _pair_cases' unreduced pair rows [v; u] by the all p - 1 element, as an
+    # (m, 2, 1, 2n) stack and a (2, m/2, 2, 1, 2n) one, row by row
+    top = _top(ring)
+    rows = ring.pair_rows(np.stack(_pair_cases(ring, rng)))
+    batch = ring.cross_mul(rows, top)
+    assert batch.shape == (len(rows), ring.size, 2)
+    assert batch.tolist() == [ring.cross_mul(r, top).tolist() for r in rows]
+    nested = ring.cross_mul(rows.reshape(2, -1, *rows.shape[1:]), top)
+    assert nested.reshape(batch.shape).tolist() == batch.tolist()
+
+
+def _cross_mul_cases(ring, rng, small):
+    # the rows of elements, every basis pair on the small rings up to n = 6,
+    # _pair_cases' pair rows and the all p - 1 pair's [u; v], which reach the
+    # chain bound, each against the oracle and through pke.encrypt (h = pk = x
+    # on a stand-in, as Params insists on p | n).  On p257 the oracle runs on
+    # the last case only
+    top = _top(ring)
+    rows = ring.pair_rows(np.stack(_pair_cases(ring, rng)))
+    cases = [(_rows(ring, w), w, x) for w, x in _operands(ring, rng, basis=small and ring.n <= 6)]
+    cases += [(r, RingElement(ring, reduced(ring, r).reshape(ring.size, 2)), top) for r in (*rows, rows[-1, ::-1])]
+    m = ring.sample_ring(rng)
+    for r, w, x in cases[-1:] if ring.size > 100 else cases:
+        c = ring.cross_mul(r, x)
+        assert c.shape == (ring.size, 2) and c.dtype == np.int64
+        assert RingElement(ring, c) == cross_oracle(ring, w, x)
+        c1, c2 = encrypt(m.coeffs, x, r, SimpleNamespace(ring=ring, h=x))
+        assert c1.tolist() == c.tolist()
+        assert RingElement(ring, c2) == m + RingElement(ring, ring.cross_mul(r[::-1], x))
+
+
+def _pair_rows_oracle(ring, rng, secret=True):
+    # [v; u] for u = a G and v = a sigma(G), pair by pair, against the oracle,
+    # and, if secret, kept read-only by a secret pair with w = u + v y built
+    # once; at even n, G's middle coordinate n/2 is its own mirror
+    for values in _pair_cases(ring, rng):
+        raw = ring.pair_rows(values)
+        rows = reduced(ring, raw)
+        assert rows.shape == (2, 1, ring.size)
+        a, g = ring.pair_from_values(values)
+        wrapped = tuple(RingElement(ring, r.reshape(ring.size, 2)) for r in (rows[::-1], rows))
+        assert wrapped == cross_operands_oracle(ring, a, g)
+        if secret and not (a.is_zero() or g.is_zero()):
+            sk = SecretPair(a, g)
+            assert sk.rows.tolist() == raw.tolist() and not sk.rows.flags.writeable
+            assert sk.w == wrapped[0] and sk.w is sk.w
+
+
+def _pair_rows_exact(ring, rng):
+    # unreduced exact float64 integers, all p - 1 last, reaching n(p-1)^2(1+lam),
+    # the same in (m, ...) and (2, m/2, ...) stacks as pair by pair
+    cases = _pair_cases(ring, rng)
+    stack = np.stack(cases)
+    batch = ring.pair_rows(stack)
+    assert batch.shape == (len(cases), 2, 1, ring.size) and batch.dtype == np.float64
+    assert batch.tolist() == [ring.pair_rows(values).tolist() for values in cases]
+    assert np.abs(batch[-1]).max() == ring.n * (ring.p - 1) ** 2 * (1 + ring.field.lam)
+    nested = ring.pair_rows(stack.reshape(2, len(cases) // 2, *stack.shape[1:]))
+    assert nested.reshape(batch.shape).tolist() == batch.tolist()
+
+
+@pytest.mark.parametrize("p,n", KERNEL_CASES)
+def test_mul_matches_naive_oracle_on_every_basis_pair(p, n):
+    _on_case(p, n, _mul_check)
 
 
 @pytest.mark.parametrize("p,n", KERNEL_CASES)
 def test_cross_mul_basis_pairs(p, n):
-    # _pair_cases' unreduced pair rows [v; u] by the all p - 1 element, as an
-    # (m, 2, 1, 2n) stack and a (2, m/2, 2, 1, 2n) one, row by row; then the
-    # rows of elements, every basis pair on the small rings up to n = 6, the
-    # pair rows and the all p - 1 pair's [u; v], which reach the chain bound,
-    # each against the oracle and through pke.encrypt (h = pk = x on a
-    # stand-in, as Params insists on p | n).  On p257 the oracle runs on the
-    # last case only
-    def check(ring, rng, small):
-        top = _top(ring)
-        rows = ring.pair_rows(np.stack(_pair_cases(ring, rng)))
-        batch = ring.cross_mul(rows, top)
-        assert batch.shape == (len(rows), ring.size, 2)
-        assert batch.tolist() == [ring.cross_mul(r, top).tolist() for r in rows]
-        nested = ring.cross_mul(rows.reshape(2, -1, *rows.shape[1:]), top)
-        assert nested.reshape(batch.shape).tolist() == batch.tolist()
-        cases = [(_rows(ring, w), w, x) for w, x in _operands(ring, rng, basis=small and ring.n <= 6)]
-        cases += [(r, RingElement(ring, reduced(ring, r).reshape(ring.size, 2)), top) for r in (*rows, rows[-1, ::-1])]
-        m = ring.sample_ring(rng)
-        for r, w, x in cases[-1:] if ring.size > 100 else cases:
-            c = ring.cross_mul(r, x)
-            assert c.shape == (ring.size, 2) and c.dtype == np.int64
-            assert RingElement(ring, c) == cross_oracle(ring, w, x)
-            c1, c2 = encrypt(m.coeffs, x, r, SimpleNamespace(ring=ring, h=x))
-            assert c1.tolist() == c.tolist()
-            assert RingElement(ring, c2) == m + RingElement(ring, ring.cross_mul(r[::-1], x))
-
-    _on_case(p, n, check)
+    _on_case(p, n, lambda ring, rng, small: (_cross_mul_stacks(ring, rng), _cross_mul_cases(ring, rng, small)))
 
 
 @pytest.mark.parametrize("p,n", KERNEL_CASES)
 def test_pair_rows_match_the_naive_product(p, n):
-    # [v; u] for u = a G and v = a sigma(G), pair by pair, as unreduced exact
-    # float64 integers (all p - 1 reaches n(p-1)^2(1+lam)), in stacks, and
-    # kept read-only by a secret pair with w = u + v y built once; at even
-    # n, G's middle coordinate n/2 is its own mirror
-    def check(ring, rng, small):
-        cases = _pair_cases(ring, rng)
-        for values in cases:
-            raw = ring.pair_rows(values)
-            rows = reduced(ring, raw)
-            assert rows.shape == (2, 1, ring.size)
-            a, g = ring.pair_from_values(values)
-            wrapped = tuple(RingElement(ring, r.reshape(ring.size, 2)) for r in (rows[::-1], rows))
-            assert wrapped == cross_operands_oracle(ring, a, g)
-            if not (a.is_zero() or g.is_zero()):
-                sk = SecretPair(a, g)
-                assert sk.rows.tolist() == raw.tolist() and not sk.rows.flags.writeable
-                assert sk.w == wrapped[0] and sk.w is sk.w
-        assert np.abs(raw).max() == ring.n * (ring.p - 1) ** 2 * (1 + ring.field.lam)
-        stack = np.stack(cases)
-        batch = ring.pair_rows(stack)
-        assert batch.shape == (len(cases), 2, 1, ring.size) and batch.dtype == np.float64
-        assert batch.tolist() == [ring.pair_rows(values).tolist() for values in cases]
-        nested = ring.pair_rows(stack.reshape(2, len(cases) // 2, *stack.shape[1:]))
-        assert nested.reshape(batch.shape).tolist() == batch.tolist()
+    _on_case(p, n, lambda ring, rng, small: (_pair_rows_oracle(ring, rng), _pair_rows_exact(ring, rng)))
 
-    _on_case(p, n, check)
+
+# one part of a kernel check above, on its own, on a ring of the table
+
+
+def test_mul_matches_naive_oracle_toy(toy_ring, rng):
+    _mul_check(toy_ring, rng, small=False)
+
+
+def test_mul_matches_naive_oracle_p19(r19, rng):
+    _mul_check(r19, rng, small=False)
+
+
+@pytest.mark.parametrize("p", [3, 19, 41])
+def test_cross_mul_random_and_all_p_minus_one(p):
+    _cross_mul_cases(SkewRing(p, p), random.Random(p), small=False)
+
+
+@pytest.mark.parametrize("p", [3, 19, 41])
+def test_cross_mul_batched_matches_row_by_row(p):
+    _cross_mul_stacks(SkewRing(p, p), random.Random(p))
+
+
+@pytest.mark.parametrize("p", [3, 19, 41])
+def test_cross_operands_are_a_g_and_a_sigma_g(p):
+    _pair_rows_oracle(SkewRing(p, p), random.Random(p), secret=False)
+
+
+@pytest.mark.parametrize("p", [3, 19, 41])
+def test_cross_operands_wrap_cross_rows(p):
+    _pair_rows_oracle(SkewRing(p, p), random.Random(p))
+
+
+@pytest.mark.parametrize("name", ["toy", "p19", "p41"])
+def test_secret_pair_rows_are_exact_unreduced_products(name):
+    _pair_rows_exact(SkewRing(*PARAM_SETS[name]), random.Random(name))
 
 
 def test_reused_cross_operand_is_built_once(r19, rng, operator_builds):
