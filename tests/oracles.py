@@ -87,17 +87,21 @@ def frobenius_ladder(f, a):
 # -- schemes ----------------------------------------------------------------------
 
 
+def naive_public(h, a, gamma):
+    """a * h * gamma through the naive product."""
+    ring = h.ring
+    return ring.naive_product(ring.naive_product(a, h), gamma)
+
+
 def naive_key(sk, x):
     """a * x * adjunct(gamma) for the secret pair sk = (a, gamma y), through
     the naive product."""
-    ring = sk.a.ring
-    return ring.naive_product(ring.naive_product(sk.a, x), sk.gamma.adjunct())
+    return naive_public(x, sk.a, sk.gamma.adjunct())
 
 
 def naive_enc(params, m, pk, r):
     """Enc(pk, m; r) = (a h gamma, m + naive_key(r, pk)) through the naive product."""
-    ring = params.ring
-    return Ciphertext(c1=ring.naive_product(ring.naive_product(r.a, params.h), r.gamma), c2=m + naive_key(r, pk))
+    return Ciphertext(c1=naive_public(params.h, r.a, r.gamma), c2=m + naive_key(r, pk))
 
 
 def reference_pack(values, width: int) -> bytes:

@@ -1,6 +1,5 @@
 import random
 
-import numpy as np
 import pytest
 
 from sdgr.games import (
@@ -27,7 +26,8 @@ from sdgr.kex import SecretPair, kex_shared, public_value
 from sdgr.params import PARAM_SETS, make_params
 from sdgr.skewring import Frozen, SkewRing, SubspaceTag
 
-from oracles import bruteforce_loop, shift_to_cny, synthetic_division_valuation
+from cases import SMALL_CASES, on_case
+from oracles import bruteforce_loop, naive_public, shift_to_cny, synthetic_division_valuation
 
 
 @pytest.fixture(scope="module")
@@ -49,15 +49,7 @@ def degenerate_game():
 
 
 def test_sdpd_challenge_and_verify(toy_game, rng):
-    inst, (a, gamma) = sdpd_challenge(toy_game, rng)
-    assert sdpd_verify(inst, a, gamma)
-    other = toy_game.ring.basis(0, (2, 0))
-    # a different witness only verifies if products collide, never by identity
-    assert sdpd_verify(inst, a, gamma) is True
-    with pytest.raises(ValueError):
-        sdpd_verify(inst, toy_game.ring.basis(4), gamma)  # a off C_n
-    with pytest.raises(ValueError):
-        sdpd_verify(inst, other, toy_game.ring.basis(4))  # gamma not reversible
+    _chains(toy_game, rng, 1)
 
 
 def test_sdpd_search_space(toy_game):
@@ -176,16 +168,8 @@ def test_dsdp_challenge_bits(toy_game, rng):
 
 
 def test_dsdp_real_key_matches_protocol(toy_game):
-    # with b = 0 the key is the two-sided shared key of the CSDP instance drawn
-    # from the same generator state; with b = 1 only k differs, and it is a3 h gamma3
-    for seed in range(5):
-        twin = random.Random(seed)
-        csdp, key = csdp_challenge(toy_game, twin)
-        a3, g3 = toy_game.ring.sample_cn(twin), toy_game.ring.sample_gamma(twin)
-        real = dsdp_challenge(toy_game, 0, random.Random(seed))
-        fake = dsdp_challenge(toy_game, 1, random.Random(seed))
-        assert (real.pk1, real.pk2, real.k) == (csdp.pk1, csdp.pk2, key)
-        assert (fake.pk1, fake.pk2, fake.k) == (real.pk1, real.pk2, a3 * toy_game.h * g3)
+    # b = 0: the CSDP key of the same draws; b = 1: a3 h gamma3
+    _pairwise(toy_game, random.Random(0), 5)
 
 
 def test_wilson_interval():
@@ -290,89 +274,100 @@ def test_distinguisher_oracle_on_nonzero_keys(degenerate_game):
             checked += 1
 
 
-# -- the challengers' closed forms against the naive product --------------------
+# -- the challengers' closed forms against the naive product, on the case table --
 
 
-def _game(name, kind, seed=31):
+KINDS = ("mixed", "cn", "cny")
+
+
+def _game(kind, ring, rng):
     """GameParams with h mixed, on C_n only, or on C_n y only."""
-    ring = SkewRing(*PARAM_SETS[name])
-    rng = random.Random(seed)
     if kind == "mixed":
         return GameParams(ring=ring, h=ring.gen_public_element(rng))
     h = ring.sample_cn(rng)
     return GameParams(ring=ring, h=h if kind == "cn" else shift_to_cny(ring, h))
 
 
-@pytest.fixture(
-    scope="module",
-    params=[(name, kind) for name in ("toy", "p19") for kind in ("mixed", "cn", "cny")],
-    ids=lambda param: "-".join(param),
-)
-def oracle_game(request):
-    return _game(*request.param)
+ORACLE_GAMES = [(name, kind) for name in ("toy", "p19") for kind in KINDS]
 
 
-def _recorded_pairs(monkeypatch) -> list:
-    """Make the challengers draw their pairs' values as before, but with
-    a = 0 on every third pair and gamma = 0 on every fifth; returns the pairs
-    drawn."""
-    drawn = []
-
-    def sample(ring, rng, m=1):
-        values = []
-        for _ in range(m):
-            a, gamma = ring.sample_cn(rng), ring.sample_gamma(rng)
-            if len(drawn) % 3 == 1:
-                a = ring.zero()
-            if len(drawn) % 5 == 2:
-                gamma = ring.zero()
-            drawn.append((a, gamma))
-            values.append(ring.pair_values(a, gamma))
-        return np.stack(values)
-
-    monkeypatch.setattr(SkewRing, "sample_pair_values", sample)
-    return drawn
-
-
-def test_challengers_match_the_naive_product_chains(oracle_game, monkeypatch):
-    ring, h = oracle_game.ring, oracle_game.h
-    naive = ring.naive_product
-
-    def public(a, gamma):
-        return naive(naive(a, h), gamma)
-
-    def key(a2, g2, pk1):
-        return naive(naive(a2, pk1), g2.adjunct())
-
-    drawn = _recorded_pairs(monkeypatch)
-    rng = random.Random(8)
-    for _ in range(25):
-        inst, (a, gamma) = sdpd_challenge(oracle_game, rng)
-        assert inst.pk == public(a, gamma)
-        assert sdpd_verify(inst, a, gamma)
-        # another draw's pair verifies exactly when its product is pk
-        other = drawn[len(drawn) // 2]
-        assert sdpd_verify(inst, *other) == (public(*other) == inst.pk)
-
-        start = len(drawn)
-        csdp, k = csdp_challenge(oracle_game, rng)
-        (a1, g1), (a2, g2) = drawn[start:]
-        assert (csdp.pk1, csdp.pk2) == (public(a1, g1), public(a2, g2))
-        assert k == key(a2, g2, csdp.pk1)
-
-        for b in (0, 1):
-            start = len(drawn)
-            dsdp = dsdp_challenge(oracle_game, b, rng)
-            (a1, g1), (a2, g2), (a3, g3) = drawn[start:]
-            assert (dsdp.pk1, dsdp.pk2) == (public(a1, g1), public(a2, g2))
-            assert dsdp.k == (key(a2, g2, dsdp.pk1) if b == 0 else public(a3, g3))
-    assert len(drawn) >= 200
-    assert any(a.is_zero() for a, _ in drawn) and any(gamma.is_zero() for _, gamma in drawn)
+def _challenges(params, seed):
+    """(pairs, got, sdpd): the pairs (a, gamma) Random(seed) gives as
+    sample_cn then sample_gamma, and the outputs of SDPD, CSDP and DSDP at
+    b = 0, 1 from Random(seed), each leaving it where its pairs' draws do."""
+    ring = params.ring
+    twin, pairs, states = random.Random(seed), [], []
+    for _ in range(3):
+        pairs.append((ring.sample_cn(twin), ring.sample_gamma(twin)))
+        states.append(twin.getstate())
+    rng = random.Random(seed)
+    sdpd, planted = sdpd_challenge(params, rng)
+    assert planted == pairs[0] and rng.getstate() == states[0]
+    rng = random.Random(seed)
+    csdp, k = csdp_challenge(params, rng)
+    assert rng.getstate() == states[1]
+    got = [(sdpd.pk,), (csdp.pk1, csdp.pk2, k)]
+    for b in (0, 1):
+        rng = random.Random(seed)
+        dsdp = dsdp_challenge(params, b, rng)
+        assert rng.getstate() == states[2]
+        got.append((dsdp.pk1, dsdp.pk2, dsdp.k))
+    return pairs, got, sdpd
 
 
-def test_sdpd_verify_rejects_candidates_off_their_subspaces(oracle_game, rng):
-    ring = oracle_game.ring
-    inst, (a, gamma) = sdpd_challenge(oracle_game, rng)
+def _chains(params, rng, count=3):
+    # the naive chains a h gamma and a2 pk1 adjunct(gamma2); sdpd_verify on
+    # the planted pair, and on another, also with a zero a or gamma, exactly
+    # when its chain is pk
+    h, zero = params.h, params.ring.zero()
+    for _ in range(count):
+        pairs, got, sdpd = _challenges(params, rng.getrandbits(32))
+        pk1, pk2, pk3 = (naive_public(h, a, gamma) for a, gamma in pairs)
+        (a2, g2) = pairs[1]
+        k = naive_public(pk1, a2, g2.adjunct())
+        assert got == [(pk1,), (pk1, pk2, k), (pk1, pk2, k), (pk1, pk2, pk3)]
+        assert sdpd_verify(sdpd, *pairs[0])
+        for a, gamma in ((a2, g2), (zero, g2), (a2, zero)):
+            assert sdpd_verify(sdpd, a, gamma) == (naive_public(h, a, gamma) == pk1)
+
+
+def _pairwise(params, rng, count=3):
+    # sdgr.kex's public_value and kex_shared on each pair's own rows
+    ring = params.ring
+    for _ in range(count):
+        pairs, got, _ = _challenges(params, rng.getrandbits(32))
+        sks = [SecretPair.from_values(ring, ring.pair_values(a, gamma)) for a, gamma in pairs]
+        pk1, pk2, pk3 = (public_value(params, sk) for sk in sks)
+        k = kex_shared(sks[1], pk1)
+        assert got == [(pk1,), (pk1, pk2, k), (pk1, pk2, k), (pk1, pk2, pk3)]
+
+
+def _games(ring, rng, small):
+    for kind in KINDS:
+        params = _game(kind, ring, rng)
+        _chains(params, rng)
+        _pairwise(params, rng)
+
+
+@pytest.mark.parametrize("p,n", SMALL_CASES)
+def test_challengers_match_the_naive_product_on_every_small_ring(p, n):
+    on_case(p, n, _games)
+
+
+@pytest.mark.parametrize("name, kind", ORACLE_GAMES)
+def test_challengers_match_the_naive_product_chains(name, kind):
+    _chains(_game(kind, SkewRing(*PARAM_SETS[name]), random.Random(31)), random.Random(8), 25)
+
+
+@pytest.mark.parametrize("name", ["toy", "p19"])
+def test_challengers_match_pairwise_cross_products(name):
+    _pairwise(_game("mixed", SkewRing(*PARAM_SETS[name]), random.Random(31)), random.Random(0), 50)
+
+
+@pytest.mark.parametrize("name, kind", ORACLE_GAMES)
+def test_sdpd_verify_rejects_candidates_off_their_subspaces(name, kind, rng):
+    ring = SkewRing(*PARAM_SETS[name])
+    inst, (a, gamma) = sdpd_challenge(_game(kind, ring, random.Random(31)), rng)
     broken = gamma.coeffs.copy()
     broken[ring.n + 1, 1] += 1  # the palindrome broken at x y
     for bad_a in (ring.basis(ring.n), ring.gen_public_element(rng)):
@@ -385,9 +380,9 @@ def test_sdpd_verify_rejects_candidates_off_their_subspaces(oracle_game, rng):
 
 
 @pytest.mark.parametrize("name", ["toy", "p19"])
-@pytest.mark.parametrize("kind", ["mixed", "cn", "cny"])
+@pytest.mark.parametrize("kind", KINDS)
 def test_warm_dsdp_trial_runs_no_skew_product(name, kind, monkeypatch, operator_builds):
-    params = _game(name, kind, seed=3)
+    params = _game(kind, SkewRing(*PARAM_SETS[name]), random.Random(3))
     rng = random.Random(4)
     dsdp_challenge(params, 0, rng)  # warm-up
     calls = []
@@ -403,40 +398,11 @@ def test_warm_dsdp_trial_runs_no_skew_product(name, kind, monkeypatch, operator_
 
 
 @pytest.mark.parametrize("name", ["toy", "p19"])
-def test_challengers_match_pairwise_cross_products(name):
-    # pair by pair, with sdgr.kex's public_value and kex_shared on each
-    # pair's own rows; the generator must end where the pairs' draws leave it
-    params = _game(name, "mixed")
-    ring = params.ring
-    for seed in range(50):
-        twin = random.Random(seed)
-        sks, states = [], []
-        for _ in range(3):
-            values = ring.pair_values(ring.sample_cn(twin), ring.sample_gamma(twin))
-            sks.append(SecretPair.from_values(ring, values))
-            states.append(twin.getstate())
-        pk1, pk2, pk3 = (public_value(params, sk) for sk in sks)
-        key = kex_shared(sks[1], pk1)
-
-        rng = random.Random(seed)
-        sdpd, _ = sdpd_challenge(params, rng)
-        assert sdpd.pk == pk1 and rng.getstate() == states[0]
-        rng = random.Random(seed)
-        csdp, k = csdp_challenge(params, rng)
-        assert (csdp.pk1, csdp.pk2, k) == (pk1, pk2, key) and rng.getstate() == states[1]
-        for b, want in ((0, key), (1, pk3)):
-            rng = random.Random(seed)
-            dsdp = dsdp_challenge(params, b, rng)
-            assert (dsdp.pk1, dsdp.pk2, dsdp.k) == (pk1, pk2, want)
-            assert rng.getstate() == states[2]
-
-
-@pytest.mark.parametrize("name", ["toy", "p19"])
-@pytest.mark.parametrize("kind", ["mixed", "cn", "cny"])
+@pytest.mark.parametrize("kind", KINDS)
 def test_warm_dsdp_trial_builds_three_circulants(name, kind, operator_builds):
     # the gamma operators of the pairs it multiplies, in one pair_rows call,
     # and pk1's for the key at b = 0; at b = 1 the CSDP key is not computed
-    params = _game(name, kind, seed=3)
+    params = _game(kind, SkewRing(*PARAM_SETS[name]), random.Random(3))
     rng = random.Random(6)
     dsdp_challenge(params, 0, rng)  # warm-up: h's circulants
     for b in (0, 1, 0, 1):
@@ -449,18 +415,17 @@ def test_warm_dsdp_trial_builds_three_circulants(name, kind, operator_builds):
         assert not any(elem is params.h for _, elem in operator_builds[1:])
 
 
-def test_sdpd_bruteforce_matches_the_pairwise_loop(toy_game, degenerate_game, monkeypatch):
-    # the recorded draws plant a = 0 in the second challenge and gamma = 0 in
-    # the third, so each game gets two zero secrets and one random one
-    drawn = _recorded_pairs(monkeypatch)
+def test_sdpd_bruteforce_matches_the_pairwise_loop(toy_game, degenerate_game):
+    # each game gets a random secret and two zero ones, a = 0 and gamma = 0
     rng = random.Random(12)
     sizes = []
     for game in (toy_game, degenerate_game):
-        for _ in range(3):
-            inst, planted = sdpd_challenge(game, rng)
+        ring = game.ring
+        a, gamma = ring.sample_cn(rng), ring.sample_gamma(rng)
+        for planted in ((a, gamma), (ring.zero(), gamma), (a, ring.zero())):
+            inst = SdpdInstance(params=game, pk=planted[0] * game.h * planted[1])
             found = sdpd_bruteforce(inst)
             assert found == bruteforce_loop(inst)
-            assert any(a == planted[0] and gamma == planted[1] for a, gamma in found)
+            assert any(fa == planted[0] and fg == planted[1] for fa, fg in found)
             sizes.append(len(found))
-    assert drawn[1][0].is_zero() and drawn[2][1].is_zero()
     assert sizes[1] == sizes[2] == 1449  # every a h gamma = 0 for mixed h

@@ -22,11 +22,12 @@ from sdgr.kem import (
     unpack_bits,
     unpack_elements,
 )
-from sdgr.params import PARAM_SETS, Params, make_params
+from sdgr.params import PARAM_SETS, VALID_L1, Params, make_params
 import sdgr.pke
-from sdgr.pke import encrypt, pke_dec, pke_enc, sample_message
+from sdgr.pke import pke_dec, pke_enc, sample_message
 from sdgr.skewring import RingElement, SkewRing, SubspaceTag
 
+from cases import TABLE_CASES, on_params
 from oracles import decaps_by_re_encryption, reference_pack, rep_ciphertext
 
 
@@ -255,12 +256,7 @@ def test_h2_domain_prefix():
 
 
 def test_kem_round_trip(p19_params, rng):
-    priv, pk_bytes = kem_keygen(p19_params, rng)
-    for l1 in (128, 192, 256):
-        for _ in range(10):
-            ct, key = kem_encaps(pk_bytes, p19_params, rng, l1=l1)
-            assert kem_decaps(priv, ct, p19_params, l1=l1) == key
-            assert len(key) == l1 // 8
+    _round_trip(p19_params, rng, 10)
 
 
 def test_keygen_returns_the_kept_rep_pk(p19_params, rng):
@@ -271,36 +267,19 @@ def test_keygen_returns_the_kept_rep_pk(p19_params, rng):
 
 
 def test_kem_tamper_gives_different_key(p19_params, rng):
-    priv, pk_bytes = kem_keygen(p19_params, rng)
-    for _ in range(20):
-        ct, key = kem_encaps(pk_bytes, p19_params, rng, l1=128)
-        pos = rng.randrange(len(ct))
-        tampered = bytearray(ct)
-        tampered[pos] ^= 1 << rng.randrange(8)
-        key2 = kem_decaps(priv, bytes(tampered), p19_params, l1=128)
-        assert key2 != key
-        assert len(key2) == 16  # implicit rejection still yields a key
+    _rejected(p19_params, rng, "flip", count=10)
 
 
 def test_kem_rejection_is_deterministic(p19_params, rng):
-    priv, pk_bytes = kem_keygen(p19_params, rng)
-    ct, _ = kem_encaps(pk_bytes, p19_params, rng)
-    bad = bytes([ct[0] ^ 0xFF]) + ct[1:]
-    assert kem_decaps(priv, bad, p19_params) == kem_decaps(priv, bad, p19_params)
+    _rejected(p19_params, rng, "flip", count=1)
 
 
 def test_kem_truncated_ciphertext(p19_params, rng):
-    priv, pk_bytes = kem_keygen(p19_params, rng)
-    ct, key = kem_encaps(pk_bytes, p19_params, rng)
-    short = kem_decaps(priv, ct[:-1], p19_params)
-    assert short != key and len(short) == 16
+    _rejected(p19_params, rng, "truncated", count=1)
 
 
 def test_kem_toy_round_trip(toy_params, rng):
-    priv, pk_bytes = kem_keygen(toy_params, rng)
-    for _ in range(20):
-        ct, key = kem_encaps(pk_bytes, toy_params, rng)
-        assert kem_decaps(priv, ct, toy_params) == key
+    _round_trip(toy_params, rng, 7)
 
 
 def test_kem_seeded_reproducibility(p19_params):
@@ -378,120 +357,113 @@ def test_implicit_rejection_encodes_s_once(p19_params, rng, monkeypatch):
     assert [a for a in encoded if a is priv.s] == [priv.s]
 
 
-# -- non-canonical ciphertexts -------------------------------------------------
+# -- the KEM against decaps by full re-encryption, on the case table and part by part --
 
 
-@pytest.fixture(scope="module", params=sorted(PARAM_SETS))
-def kem_instance(request):
-    """(params, priv, [(ct, key)]) for a few honest encapsulations."""
-    params = make_params(request.param, seed=11)
-    rng = random.Random(12)
+def _round_trip(params, rng, count=1):
+    # at every l1, encaps sends rep(Enc(pk, m; H1(rep(m) || rep(pk)))) and
+    # the key H2(rep(m) || c), which decaps gives back
     priv, pk_bytes = kem_keygen(params, rng)
-    return params, priv, [kem_encaps(pk_bytes, params, rng) for _ in range(3)]
-
-
-def test_encaps_sends_the_pke_ciphertext(kem_instance):
-    # the raw path encaps runs is Enc(pk, m; H1(rep(m) || rep(pk))) on objects
-    params, priv, _ = kem_instance
-    pk_bytes = rep_ring(priv.pk)
-    for seed in range(3):
-        ct, key = kem_encaps(pk_bytes, params, random.Random(seed))
+    for l1 in VALID_L1 * count:
+        seed = rng.getrandbits(32)
+        ct, key = kem_encaps(pk_bytes, params, random.Random(seed), l1=l1)
         m = sample_message(params, random.Random(seed))
         c = pke_enc(m, priv.pk, h1(rep_ring(m) + pk_bytes, params), params)
-        assert ct == rep_ciphertext(c)
-        assert key == h2(rep_ring(m) + ct, 128)
-        assert pke_dec(c, priv.sk) == m
+        assert ct == rep_ciphertext(c) and pke_dec(c, priv.sk) == m
+        assert key == h2(rep_ring(m) + ct, l1) == kem_decaps(priv, ct, params, l1=l1)
+        assert key == decaps_by_re_encryption(priv, ct, params, l1)
 
 
-def _assert_rejected(priv, ct, params):
-    key = kem_decaps(priv, ct, params)
-    assert key == h2(rep_ring(priv.s) + ct, 128)
-    assert key == decaps_by_re_encryption(priv, ct, params)
+def _forged(kind, ring, ct, rng):
+    """The forgeries of one rejection class made from the honest ct."""
+    if kind == "truncated":
+        return [ct[:-1]]
+    if kind == "random":
+        return [rng.randbytes(len(ct))]
+    half, w, p = 4 * len(ct), ring.field.coeff_bits, ring.p
+    chunks = unpack_bits(np.frombuffer(ct, dtype=np.uint8).reshape(2, -1), w, 2 * ring.size)
+    bits, edits = [], []
+    if kind == "flip":  # one bit in c1 and one in c2
+        bits = [rng.randrange(half), half + rng.randrange(half)]
+    elif kind == "every bit":
+        bits = range(2 * half)
+    elif kind == "padding":  # each padding bit of either half, where the encoding has one
+        bits = [(e + 1) * half - 1 - i for e in (0, 1) for i in range(half - 2 * ring.size * w)]
+    elif kind == "other c2":  # the honest c1 with another canonical c2
+        edits = [(1, 0, (chunks[1, 0] + 1) % p)]
+    else:
+        # "plus p": a chunk c and c + p decode to the same element, so only the
+        # check that c is rep(c') tells them apart.  In either half, every zero
+        # chunk (made p, which a c2 test "> p" for ">= p" lets through) and three drawn
+        for e in (0, 1):
+            fits = np.flatnonzero(chunks[e] + p < 1 << w).tolist()
+            drawn = rng.sample(fits, min(3, len(fits)))
+            edits += [(e, i, chunks[e, i] + p) for i in [*np.flatnonzero(chunks[e] == 0), *drawn]]
+    forged = []
+    for bit in bits:
+        bad = bytearray(ct)
+        bad[bit // 8] ^= 0x80 >> bit % 8
+        forged.append(bytes(bad))
+    for e, i, value in edits:
+        bad = chunks.copy()
+        bad[e, i] = value
+        forged.append(pack_bits(bad, w))
+    return forged
+
+
+def _rejected(params, rng, *kinds, count=2):
+    """Each forgery of `count` honest ciphertexts, of the rejection classes
+    kinds or of all of them, gets the implicit-rejection key H2(rep(s) || c),
+    the key decapsulation by full re-encryption gives."""
+    priv, pk_bytes = kem_keygen(params, rng)
+    for _ in range(count):
+        ct, _ = kem_encaps(pk_bytes, params, rng)
+        for kind in kinds or ("flip", "plus p", "padding", "other c2", "truncated", "random"):
+            for bad in _forged(kind, params.ring, ct, rng):
+                key = kem_decaps(priv, bad, params)
+                assert key == h2(priv.rep_s + bad, 128) == decaps_by_re_encryption(priv, bad, params)
+
+
+@pytest.mark.parametrize("p,n", TABLE_CASES)
+def test_kem_matches_decaps_by_re_encryption_on_every_ring(p, n):
+    on_params(p, n, _round_trip, _rejected)
+
+
+@pytest.mark.parametrize("name", sorted(PARAM_SETS))
+def test_encaps_sends_the_pke_ciphertext(name):
+    _round_trip(make_params(name, seed=11), random.Random(12))
 
 
 def test_round_trip_and_tamper_at_a_prime_wider_than_a_byte(p257_params, rng):
     # 9-bit chunks: 2n * 2 * 9 = 9252 bits of each element, padded by 4 bits
-    priv, pk_bytes = kem_keygen(p257_params, rng)
-    assert len(pk_bytes) == rep_len(p257_params.ring) == 1157
-    for _ in range(2):
-        ct, key = kem_encaps(pk_bytes, p257_params, rng)
-        assert len(ct) == 2 * 1157
-        assert kem_decaps(priv, ct, p257_params) == key == decaps_by_re_encryption(priv, ct, p257_params)
-        for bit in (0, 8 * 1157 + 3, 8 * len(ct) - 5, 8 * len(ct) - 1):
-            bad = bytearray(ct)
-            bad[bit // 8] ^= 0x80 >> (bit % 8)
-            _assert_rejected(priv, bytes(bad), p257_params)
+    assert rep_len(p257_params.ring) == 1157
+    _round_trip(p257_params, rng)
+    _rejected(p257_params, rng, "flip", "padding")
 
 
-def test_chunk_plus_p_is_rejected(kem_instance):
-    # a chunk c and c + p decode to the same element, so only the check that
-    # c is rep(c') tells the two ciphertexts apart
-    params, priv, cts = kem_instance
-    ring, p, size = params.ring, params.ring.p, rep_len(params.ring)
-    w = ring.field.coeff_bits
-    forged = 0
-    for ct, key in cts:
-        assert kem_decaps(priv, ct, params) == key
-        for e in (0, 1):
-            part = ct[e * size : (e + 1) * size]
-            chunks = unpack_bits(part, w, 2 * ring.size)
-            for i in np.flatnonzero(chunks + p < 1 << w):
-                bad = chunks.copy()
-                bad[i] += p
-                bad_part = pack_bits(bad, w)
-                assert decode_ring(ring, bad_part) == decode_ring(ring, part)
-                _assert_rejected(priv, ct[: e * size] + bad_part + ct[(e + 1) * size :], params)
-                forged += 1
-    assert forged
+@pytest.mark.parametrize("name", sorted(PARAM_SETS))
+def test_chunk_plus_p_is_rejected(name):
+    _rejected(make_params(name, seed=11), random.Random(12), "plus p", count=3)
 
 
-def test_padding_bit_is_rejected(kem_instance):
-    params, priv, cts = kem_instance
-    ring, size = params.ring, rep_len(params.ring)
-    pad = 8 * size - 2 * ring.size * ring.field.coeff_bits
-    assert (pad > 0) == (ring.p in (19, 23, 31))
-    for ct, key in cts:
-        for e in (0, 1):
-            last = (e + 1) * size - 1
-            for bit in range(pad):
-                bad = bytearray(ct)
-                bad[last] |= 1 << bit
-                assert decode_ring(ring, bad[e * size : last + 1]) == decode_ring(ring, ct[e * size : last + 1])
-                _assert_rejected(priv, bytes(bad), params)
+@pytest.mark.parametrize("name", sorted(PARAM_SETS))
+def test_padding_bit_is_rejected(name):
+    _rejected(make_params(name, seed=11), random.Random(12), "padding", count=3)
 
 
-def test_every_one_bit_flip_is_rejected(kem_instance):
-    params, priv, cts = kem_instance
-    ct, _ = cts[0]
-    for bit in range(8 * len(ct)):
-        bad = bytearray(ct)
-        bad[bit // 8] ^= 0x80 >> (bit % 8)
-        _assert_rejected(priv, bytes(bad), params)
+@pytest.mark.parametrize("name", sorted(PARAM_SETS))
+def test_every_one_bit_flip_is_rejected(name):
+    _rejected(make_params(name, seed=11), random.Random(12), "every bit", count=1)
 
 
-@pytest.mark.parametrize("kem_instance, count", [("toy", 200), ("p41", 20)], indirect=["kem_instance"])
-def test_decaps_matches_re_encryption_on_random_payloads(kem_instance, count):
-    params, priv, cts = kem_instance
-    rng = random.Random(13)
-    for _ in range(count):
-        bad = rng.randbytes(len(cts[0][0]))
-        assert kem_decaps(priv, bad, params) == decaps_by_re_encryption(priv, bad, params)
+@pytest.mark.parametrize("name, count", [("toy", 200), ("p41", 20)])
+def test_decaps_matches_re_encryption_on_random_payloads(name, count):
+    _rejected(make_params(name, seed=11), random.Random(13), "random", count=count)
 
 
-def test_honest_c1_with_another_c2_is_rejected(kem_instance):
-    # c1 is the c1' decaps re-derives, so only the c2 part of the check
-    # rejects: a different canonical c2, or the honest c2 with a chunk + p
-    params, priv, cts = kem_instance
-    ring, size = params.ring, rep_len(params.ring)
-    p, w = ring.p, ring.field.coeff_bits
-    for ct, key in cts:
-        assert kem_decaps(priv, ct, params) == key == decaps_by_re_encryption(priv, ct, params)
-        c2 = unpack_bits(ct[size:], w, 2 * ring.size)
-        other, plus_p = c2.copy(), c2.copy()
-        other[0] = (c2[0] + 1) % p
-        plus_p[np.argmax(c2 + p < 1 << w)] += p
-        for bad in (other, plus_p):
-            _assert_rejected(priv, ct[:size] + pack_bits(bad, w), params)
+@pytest.mark.parametrize("name", sorted(PARAM_SETS))
+def test_honest_c1_with_another_c2_is_rejected(name):
+    _rejected(make_params(name, seed=11), random.Random(12), "other c2", count=3)
 
 
 def test_warm_decaps_neither_encrypts_nor_reads_the_encaps_key(p19_params, rng, monkeypatch):

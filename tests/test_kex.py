@@ -11,10 +11,11 @@ from sdgr.kex import (
     public_value,
     sample_secret_pair,
 )
-from sdgr.params import PARAM_SETS, Params, make_params
+from sdgr.params import PARAM_SETS, GameParams, make_params
 from sdgr.skewring import SubspaceTag
 
-from oracles import naive_key
+from cases import TABLE_CASES, on_params, oracle_cases, top, top_pair
+from oracles import naive_key, naive_public
 
 
 def test_secret_pair_validation(toy_ring, rng):
@@ -140,25 +141,17 @@ def test_sample_secret_pair_redraws_on_a_scripted_stream(toy_params):
 
 
 def test_agreement(p19_params, rng):
-    for _ in range(50):
-        sk1, pk1 = kex_keygen(p19_params, rng)
-        sk2, pk2 = kex_keygen(p19_params, rng)
-        assert kex_shared(sk1, pk2) == kex_shared(sk2, pk1)
+    _agree(p19_params, rng, 50)
 
 
 def test_agreement_toy(toy_params, rng):
-    for _ in range(50):
-        sk1, pk1 = kex_keygen(toy_params, rng)
-        sk2, pk2 = kex_keygen(toy_params, rng)
-        assert kex_shared(sk1, pk2) == kex_shared(sk2, pk1)
+    _agree(toy_params, rng, 50)
 
 
 def test_agreement_at_a_prime_wider_than_a_byte(p257_params, rng):
     ring = p257_params.ring
     assert ring.field.coeff_bits == 9 and ring._byte_tables is None
-    for _ in range(3):
-        (sk_i, pk_i), (sk_j, pk_j) = kex_keygen(p257_params, rng), kex_keygen(p257_params, rng)
-        assert kex_shared(sk_i, pk_j) == kex_shared(sk_j, pk_i)
+    _agree(p257_params, rng)
 
 
 def test_session_lifecycle(p19_params, rng):
@@ -203,43 +196,57 @@ def test_warm_kex_session_builds_four_operators(p19_params, operator_builds, adj
     assert adjunct_calls == [] and pair_from_values_calls == []
 
 
-# -- the products in F_{q^2}[C_n] against the skew products ------------------------
+# -- the key exchange against the naive product, on the case table and part by part --
 
 
-@pytest.fixture(scope="module", params=sorted(PARAM_SETS))
-def any_params(request):
-    return make_params(request.param, seed=1003)
+def _agree(params, rng, sessions=3):
+    for _ in range(sessions):
+        (sk_i, pk_i), (sk_j, pk_j) = kex_keygen(params, rng), kex_keygen(params, rng)
+        assert kex_shared(sk_i, pk_j) == kex_shared(sk_j, pk_i)
 
 
-def test_public_value_is_a_h_gamma(any_params, rng):
-    for _ in range(5):
-        sk = sample_secret_pair(any_params, rng)
-        assert public_value(any_params, sk) == sk.a * any_params.h * sk.gamma
+def _public(params, rng, count=2):
+    for sk in oracle_cases(params.ring, [sample_secret_pair(params, rng) for _ in range(count)]):
+        assert public_value(params, sk) == naive_public(params.h, sk.a, sk.gamma)
 
 
-def test_kex_shared_is_a_p_adjunct_gamma(any_params, rng):
-    # honest peers, the party's own pk, and arbitrary mixed P
-    ring = any_params.ring
-    for _ in range(2):
-        sk, pk = kex_keygen(any_params, rng)
-        peers = [kex_keygen(any_params, rng)[1], pk, ring.sample_ring(rng), ring.gen_public_element(rng)]
-        for peer_pk in peers:
-            k = kex_shared(sk, peer_pk)
-            assert k == sk.a * peer_pk * sk.gamma.adjunct()
-            assert k == naive_key(sk, peer_pk)
+def _shared(params, rng, count=1):
+    # honest peers, the party's own pk, and arbitrary and mixed P
+    ring = params.ring
+    for _ in range(count):
+        sk, pk = kex_keygen(params, rng)
+        peers = [kex_keygen(params, rng)[1], pk, ring.sample_ring(rng), ring.gen_public_element(rng)]
+        for peer_pk in oracle_cases(ring, peers):
+            assert kex_shared(sk, peer_pk) == naive_key(sk, peer_pk)
+
+
+def _top(params, rng):
+    # the all p - 1 secret under h and under the all p - 1 h, and its key
+    # with the all p - 1 peer, the one naive case on p257
+    ring = params.ring
+    sk, full = top_pair(ring), top(ring)
+    for h in oracle_cases(ring, [params.h, full]):
+        assert public_value(GameParams(ring=ring, h=h), sk) == naive_public(h, sk.a, sk.gamma)
+    assert kex_shared(sk, full) == naive_key(sk, full)
+
+
+@pytest.mark.parametrize("p,n", TABLE_CASES)
+def test_kex_matches_the_naive_product_on_every_ring(p, n):
+    on_params(p, n, _agree, _public, _shared, _top)
+
+
+@pytest.mark.parametrize("name", sorted(PARAM_SETS))
+def test_public_value_is_a_h_gamma(name, rng):
+    _public(make_params(name, seed=1003), rng, 5)
+
+
+@pytest.mark.parametrize("name", sorted(PARAM_SETS))
+def test_kex_shared_is_a_p_adjunct_gamma(name, rng):
+    _shared(make_params(name, seed=1003), rng, 2)
 
 
 def test_all_p_minus_one_secret_and_peer_at_p41():
-    params = make_params("p41", seed=1003)
-    ring = params.ring
-    top = (ring.p - 1, ring.p - 1)
-    a = ring.element([top] * ring.n + [(0, 0)] * ring.n)
-    sk = SecretPair(a=a, gamma=ring.gamma_from_free([top] * ring.gamma_free_count()))
-    peer_pk = ring.element([top] * ring.size)
-    for h in (params.h, peer_pk):
-        assert public_value(Params(ring=ring, h=h), sk) == sk.a * h * sk.gamma
-    assert kex_shared(sk, peer_pk) == sk.a * peer_pk * sk.gamma.adjunct()
-    assert kex_shared(sk, peer_pk) == naive_key(sk, peer_pk)
+    _top(make_params("p41", seed=1003), None)
 
 
 def test_public_value_refuses_a_foreign_ring(p19_params, rng):

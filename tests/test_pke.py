@@ -3,8 +3,8 @@ import random
 import numpy as np
 import pytest
 
-from sdgr.kex import SecretPair, kex_shared, public_value
-from sdgr.params import PARAM_SETS, Params, make_params
+from sdgr.kex import kex_shared, public_value
+from sdgr.params import PARAM_SETS, GameParams, make_params
 from sdgr.pke import (
     Ciphertext,
     decrypt,
@@ -17,31 +17,20 @@ from sdgr.pke import (
 )
 from sdgr.skewring import RingElement
 
+from cases import TABLE_CASES, on_params, oracle_cases, top, top_pair
 from oracles import naive_enc, naive_key
 
 
 def test_round_trip(p19_params, rng):
-    kp = pke_gen(p19_params, rng)
-    for _ in range(50):
-        m = sample_message(p19_params, rng)
-        c = pke_enc(m, kp.pk, sample_randomness(p19_params, rng), p19_params)
-        assert pke_dec(c, kp.sk) == m
+    _round_trip(p19_params, rng, 50)
 
 
 def test_round_trip_toy(toy_params, rng):
-    kp = pke_gen(toy_params, rng)
-    for _ in range(50):
-        m = sample_message(toy_params, rng)
-        c = pke_enc(m, kp.pk, sample_randomness(toy_params, rng), toy_params)
-        assert pke_dec(c, kp.sk) == m
+    _round_trip(toy_params, rng, 50)
 
 
 def test_round_trip_at_a_prime_wider_than_a_byte(p257_params, rng):
-    kp = pke_gen(p257_params, rng)
-    for _ in range(3):
-        m = sample_message(p257_params, rng)
-        c = pke_enc(m, kp.pk, sample_randomness(p257_params, rng), p257_params)
-        assert pke_dec(c, kp.sk) == m
+    _round_trip(p257_params, rng)
 
 
 def test_enc_is_deterministic_in_randomness(p19_params, rng):
@@ -70,13 +59,7 @@ def test_wrong_key_garbles(p19_params, rng):
 
 
 def test_homomorphic_masking_structure(p19_params, rng):
-    # c2 - m is exactly the shared mask a2 * pk * adjunct(gamma2)
-    kp = pke_gen(p19_params, rng)
-    m = sample_message(p19_params, rng)
-    r = sample_randomness(p19_params, rng)
-    c = pke_enc(m, kp.pk, r, p19_params)
-    mask = r.a * kp.pk * r.gamma.adjunct()
-    assert c.c2 - m == mask
+    _enc(p19_params, rng)
 
 
 @pytest.mark.parametrize("operand", ["pke_enc-m", "pke_enc-pk", "pke_enc-r2", "pke_dec-c1", "kex_shared-peer_pk"])
@@ -104,64 +87,90 @@ def test_seeded_reproducibility(p19_params):
     assert kp1.pk == kp2.pk
 
 
-# -- Enc as one product on the kept operator, Dec on the secret's circulants ------
+# -- Enc and Dec against the naive product, on the case table and part by part ---
 
 
-@pytest.fixture(scope="module", params=sorted(PARAM_SETS))
-def any_params(request):
-    return make_params(request.param, seed=1004)
+def _round_trip(params, rng, count=3):
+    kp = pke_gen(params, rng)
+    for _ in range(count):
+        m = sample_message(params, rng)
+        c = pke_enc(m, kp.pk, sample_randomness(params, rng), params)
+        assert pke_dec(c, kp.sk) == m
 
 
-def test_enc_is_public_value_and_masked_message(any_params, rng):
-    ring = any_params.ring
-    for pk in (pke_gen(any_params, rng).pk, ring.sample_ring(rng), ring.gen_public_element(rng)):
-        for _ in range(3):
-            m, r = sample_message(any_params, rng), sample_randomness(any_params, rng)
-            c = Ciphertext(*(RingElement(ring, x) for x in encrypt(m.coeffs, pk, r.rows, any_params)))
-            assert c == Ciphertext(c1=public_value(any_params, r), c2=m + kex_shared(r, pk))
-            assert c == naive_enc(any_params, m, pk, r)
-            assert c == pke_enc(m, pk, r, any_params)
+def _enc(params, rng, count=1):
+    # the raw kernel as the object API and the closed form, for an honest,
+    # an arbitrary and a mixed pk
+    ring = params.ring
+    for pk in (pke_gen(params, rng).pk, ring.sample_ring(rng), ring.gen_public_element(rng)):
+        cases = [(sample_message(params, rng), sample_randomness(params, rng)) for _ in range(count)]
+        for m, r in cases:
+            raw = encrypt(m.coeffs, pk, r.rows, params)
+            assert raw.shape == (2, ring.size, 2) and raw.dtype == np.int64
+            c = Ciphertext(*(RingElement(ring, x) for x in raw))
+            assert c == pke_enc(m, pk, r, params)
+            assert c == Ciphertext(c1=public_value(params, r), c2=m + kex_shared(r, pk))
+        for m, r in oracle_cases(ring, cases):
+            assert pke_enc(m, pk, r, params) == naive_enc(params, m, pk, r)
 
 
-def test_raw_kernels_match_pke_enc_and_pke_dec(any_params, rng):
-    # encrypt and decrypt on raw (2n, 2) arrays, the KEM's path, against the
-    # object API; decrypt also on a c that is no encryption
-    ring = any_params.ring
-    kp = pke_gen(any_params, rng)
-    for _ in range(3):
-        m, r = sample_message(any_params, rng), sample_randomness(any_params, rng)
-        c = encrypt(m.coeffs, kp.pk, r.rows, any_params)
-        assert c.shape == (2, ring.size, 2) and c.dtype == np.int64
-        obj = pke_enc(m, kp.pk, r, any_params)
-        assert c.tolist() == [obj.c1.coeffs.tolist(), obj.c2.coeffs.tolist()]
-        assert decrypt(c, kp.sk.w).tolist() == pke_dec(obj, kp.sk).coeffs.tolist() == m.coeffs.tolist()
-        c1, c2 = ring.sample_ring(rng), ring.sample_ring(rng)
-        raw = decrypt(np.stack((c1.coeffs, c2.coeffs)), kp.sk.w)
-        assert raw.shape == (ring.size, 2) and raw.dtype == np.int64
-        assert raw.tolist() == pke_dec(Ciphertext(c1=c1, c2=c2), kp.sk).coeffs.tolist()
-
-
-def test_dec_is_c2_minus_kex_shared(any_params, rng):
+def _dec(params, rng):
     # c1 an honest public value, an arbitrary (mixed) element, or one half only
-    ring = any_params.ring
-    sk = pke_gen(any_params, rng).sk
-    c1s = [public_value(any_params, sample_randomness(any_params, rng)), ring.sample_ring(rng)]
+    ring = params.ring
+    sk = pke_gen(params, rng).sk
+    c1s = [public_value(params, sample_randomness(params, rng)), ring.sample_ring(rng)]
     c1s += [ring.gen_public_element(rng), ring.sample_cn(rng), ring.sample_gamma(rng)]
-    for c1 in c1s:
-        c2 = ring.sample_ring(rng)
-        m = pke_dec(Ciphertext(c1=c1, c2=c2), sk)
-        assert m == c2 - kex_shared(sk, c1)
-        assert m == c2 - naive_key(sk, c1)
+    cases = [Ciphertext(c1=c1, c2=ring.sample_ring(rng)) for c1 in c1s]
+    for c in cases:
+        raw = decrypt(np.stack((c.c1.coeffs, c.c2.coeffs)), sk.w)
+        assert raw.shape == (ring.size, 2) and raw.dtype == np.int64
+        assert RingElement(ring, raw) == pke_dec(c, sk) == c.c2 - kex_shared(sk, c.c1)
+    for c in oracle_cases(ring, cases):
+        assert pke_dec(c, sk) == c.c2 - naive_key(sk, c.c1)
+
+
+def _top(params, rng):
+    # every operand all p - 1 reaches the float64 bound n*(p-1)^2*(1+lam);
+    # the decryption is the one naive case on p257
+    ring = params.ring
+    r, full = top_pair(ring), top(ring)
+    for h in oracle_cases(ring, [params.h, full]):
+        top_params = GameParams(ring=ring, h=h)
+        assert pke_enc(full, full, r, top_params) == naive_enc(top_params, full, full, r)
+    assert pke_dec(Ciphertext(c1=full, c2=full), r) == full - naive_key(r, full)
+
+
+def _raw_chunks(params, rng):
+    # kem_decaps hands decrypt the raw chunks, below 2^coeff_bits: all of
+    # them 2^w - 1, or drawn, decrypt as pke_dec does the chunks reduced mod p
+    ring = params.ring
+    sk = pke_gen(params, rng).sk
+    bound = 1 << ring.field.coeff_bits
+    drawn = np.array([rng.randrange(bound) for _ in range(4 * ring.size)]).reshape(2, ring.size, 2)
+    for c in (np.full((2, ring.size, 2), bound - 1), drawn):
+        reduced = Ciphertext(*(RingElement(ring, x % ring.p) for x in c))
+        assert RingElement(ring, decrypt(c, sk.w)) == pke_dec(reduced, sk)
+
+
+@pytest.mark.parametrize("p,n", TABLE_CASES)
+def test_pke_matches_the_naive_product_on_every_ring(p, n):
+    on_params(p, n, _round_trip, _enc, _dec, _top, _raw_chunks)
+
+
+@pytest.mark.parametrize("name", sorted(PARAM_SETS))
+def test_enc_is_public_value_and_masked_message(name, rng):
+    _enc(make_params(name, seed=1004), rng, 3)
+
+
+@pytest.mark.parametrize("name", sorted(PARAM_SETS))
+def test_raw_kernels_match_pke_enc_and_pke_dec(name, rng):
+    _raw_chunks(make_params(name, seed=1004), rng)
+
+
+@pytest.mark.parametrize("name", sorted(PARAM_SETS))
+def test_dec_is_c2_minus_kex_shared(name, rng):
+    _dec(make_params(name, seed=1004), rng)
 
 
 def test_all_p_minus_one_at_p41():
-    # every operand all p - 1 reaches the float64 bound n*(p-1)^2*(1+lam)
-    params = make_params("p41", seed=1004)
-    ring = params.ring
-    top = (ring.p - 1, ring.p - 1)
-    full = ring.element([top] * ring.size)
-    r = SecretPair(a=ring.element([top] * ring.n + [(0, 0)] * ring.n), gamma=ring.gamma_from_free([top] * ring.gamma_free_count()))
-    for h in (params.h, full):
-        top_params = Params(ring=ring, h=h)
-        assert pke_enc(full, full, r, top_params) == naive_enc(top_params, full, full, r)
-    assert pke_dec(Ciphertext(c1=full, c2=full), r) == full - naive_key(r, full)
+    _top(make_params("p41", seed=1004), None)

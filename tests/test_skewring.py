@@ -1,18 +1,16 @@
 import random
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from sdgr.dihedral import inverse
 from sdgr.field import find_lambda, is_prime
 from sdgr.kex import SecretPair
-from sdgr.params import PARAM_SETS
+from sdgr.params import PARAM_SETS, GameParams
 from sdgr.pke import encrypt
 from sdgr.skewring import RingElement, SkewRing, SubspaceTag
 
+from cases import ORACLE_RINGS, TABLE_CASES, chain_bound, largest_prime, on_case, oracle_cases, top
 from oracles import (
     cross_operands_oracle,
     cross_oracle,
@@ -22,28 +20,6 @@ from oracles import (
     sample_pair,
     shift_to_cny,
 )
-
-
-def _chain_bound(p, n):
-    """The constructor's bound on a product by pair_rows' rows."""
-    return n * n * (p - 1) ** 3 * (1 + find_lambda(p)) ** 2
-
-
-def _largest_prime(n):
-    """The largest prime p whose SkewRing(p, n) passes the chain bound
-    n^2 (p-1)^3 (1+lam)^2 < 2^53, searched down from where it fails for
-    every lam >= 2."""
-    p = int((2**53 / (9 * n * n)) ** (1 / 3)) + 2
-    while not (is_prime(p) and _chain_bound(p, n) < 2**53):
-        p -= 1
-    return p
-
-
-# odd and even n: for even n the reflection x^(n/2) y mirrors onto itself
-ORACLE_RINGS = [(7, 1), (7, 2), (3, 3), (7, 4), (5, 6), (19, 19)]
-# the largest primes the chain bound accepts, where the float64 sums come
-# closest to 2^53
-EDGE_RINGS = [(_largest_prime(1), 1), (_largest_prime(2), 2)]
 
 
 @pytest.fixture(scope="module")
@@ -143,10 +119,10 @@ def test_mul_rejects_rings_beyond_exact_float64():
 def test_the_next_prime_past_the_chain_bound_is_refused(n):
     # the old bound 2n (p-1)^2 (1+lam) < 2^53 accepted it, though a product
     # by its pair rows can leave the exact float64 integers
-    p = _largest_prime(n) + 1
+    p = largest_prime(n) + 1
     while not is_prime(p):
         p += 1
-    assert _chain_bound(p, n) >= 2**53 > 2 * n * (p - 1) ** 2 * (1 + find_lambda(p))
+    assert chain_bound(p, n) >= 2**53 > 2 * n * (p - 1) ** 2 * (1 + find_lambda(p))
     with pytest.raises(ValueError, match=r"n\^2 \(p-1\)\^3 \(1\+lam\)\^2 >= 2\^53"):
         SkewRing(p, n)
 
@@ -492,44 +468,15 @@ def test_cross_ring_product_builds_no_operator(r19, rng, operator_builds):
 
 # -- the product kernels against the naive product, over one case table ---------
 
-# ORACLE_RINGS, n = 2p, n = 30 != p, every parameter set, the p257 test ring
-# and EDGE_RINGS, then rings hypothesis draws; the small ones also run every
-# basis pair
-SMALL_RINGS = ORACLE_RINGS + EDGE_RINGS
-TABLE_RINGS = ORACLE_RINGS + [(5, 10), (23, 23), (13, 30), (31, 31), (41, 41), (257, 257)] + EDGE_RINGS
-KERNEL_CASES = [pytest.param(p, n, id=f"{p}-{n}") for p, n in TABLE_RINGS] + [pytest.param(None, None, id="random")]
-PRIMES = [p for p in range(3, 258) if is_prime(p)]
-
-
-def _on_case(p, n, check):
-    """check(ring, rng, small) on the table's ring (p, n), or, for the random
-    case, on rings hypothesis draws: p prime <= 257, n <= 12."""
-    if p is not None:
-        check(SkewRing(p, n), random.Random(1000 * p + n), (p, n) in SMALL_RINGS)
-        return
-
-    @settings(max_examples=8, derandomize=True, deadline=None)
-    @given(st.sampled_from(PRIMES), st.integers(1, 12))
-    def drawn(p, n):
-        check(SkewRing(p, n), random.Random(1000 * p + n), False)
-
-    drawn()
-
-
-def _top(ring):
-    """The all p - 1 element."""
-    return ring.element([(ring.p - 1, ring.p - 1)] * ring.size)
-
-
 def _operands(ring, rng, basis):
     """Element pairs: every basis pair with random non-zero coefficients if
     basis, zero against a random element both ways, the all p - 1 element
     with itself and with a random one, and random pairs.  On p257, where
     one naive product takes a third of a second, one random pair and the
     all p - 1 pair."""
-    x, top = ring.sample_ring(rng), _top(ring)
+    x, full = ring.sample_ring(rng), top(ring)
     if ring.size > 100:
-        return [(x, ring.sample_ring(rng)), (top, top)]
+        return [(x, ring.sample_ring(rng)), (full, full)]
 
     def nonzero():
         while True:
@@ -539,7 +486,7 @@ def _operands(ring, rng, basis):
 
     indices = range(ring.size) if basis else ()
     pairs = [(ring.basis(i, nonzero()), ring.basis(j, nonzero())) for i in indices for j in indices]
-    pairs += [(ring.zero(), x), (x, ring.zero()), (top, top), (top, x), (x, top)]
+    pairs += [(ring.zero(), x), (x, ring.zero()), (full, full), (full, x), (x, full)]
     return pairs + [(ring.sample_ring(rng), ring.sample_ring(rng)) for _ in range(8)]
 
 
@@ -573,12 +520,12 @@ def _mul_check(ring, rng, small):
 def _cross_mul_stacks(ring, rng):
     # _pair_cases' unreduced pair rows [v; u] by the all p - 1 element, as an
     # (m, 2, 1, 2n) stack and a (2, m/2, 2, 1, 2n) one, row by row
-    top = _top(ring)
+    full = top(ring)
     rows = ring.pair_rows(np.stack(_pair_cases(ring, rng)))
-    batch = ring.cross_mul(rows, top)
+    batch = ring.cross_mul(rows, full)
     assert batch.shape == (len(rows), ring.size, 2)
-    assert batch.tolist() == [ring.cross_mul(r, top).tolist() for r in rows]
-    nested = ring.cross_mul(rows.reshape(2, -1, *rows.shape[1:]), top)
+    assert batch.tolist() == [ring.cross_mul(r, full).tolist() for r in rows]
+    nested = ring.cross_mul(rows.reshape(2, -1, *rows.shape[1:]), full)
     assert nested.reshape(batch.shape).tolist() == batch.tolist()
 
 
@@ -586,18 +533,18 @@ def _cross_mul_cases(ring, rng, small):
     # the rows of elements, every basis pair on the small rings up to n = 6,
     # _pair_cases' pair rows and the all p - 1 pair's [u; v], which reach the
     # chain bound, each against the oracle and through pke.encrypt (h = pk = x
-    # on a stand-in, as Params insists on p | n).  On p257 the oracle runs on
-    # the last case only
-    top = _top(ring)
+    # in a GameParams, as Params insists on p | n).  On p257 the oracle runs
+    # on the last case only
+    full = top(ring)
     rows = ring.pair_rows(np.stack(_pair_cases(ring, rng)))
     cases = [(_rows(ring, w), w, x) for w, x in _operands(ring, rng, basis=small and ring.n <= 6)]
-    cases += [(r, RingElement(ring, reduced(ring, r).reshape(ring.size, 2)), top) for r in (*rows, rows[-1, ::-1])]
+    cases += [(r, RingElement(ring, reduced(ring, r).reshape(ring.size, 2)), full) for r in (*rows, rows[-1, ::-1])]
     m = ring.sample_ring(rng)
-    for r, w, x in cases[-1:] if ring.size > 100 else cases:
+    for r, w, x in oracle_cases(ring, cases, last=True):
         c = ring.cross_mul(r, x)
         assert c.shape == (ring.size, 2) and c.dtype == np.int64
         assert RingElement(ring, c) == cross_oracle(ring, w, x)
-        c1, c2 = encrypt(m.coeffs, x, r, SimpleNamespace(ring=ring, h=x))
+        c1, c2 = encrypt(m.coeffs, x, r, GameParams(ring=ring, h=x))
         assert c1.tolist() == c.tolist()
         assert RingElement(ring, c2) == m + RingElement(ring, ring.cross_mul(r[::-1], x))
 
@@ -632,19 +579,19 @@ def _pair_rows_exact(ring, rng):
     assert nested.reshape(batch.shape).tolist() == batch.tolist()
 
 
-@pytest.mark.parametrize("p,n", KERNEL_CASES)
+@pytest.mark.parametrize("p,n", TABLE_CASES)
 def test_mul_matches_naive_oracle_on_every_basis_pair(p, n):
-    _on_case(p, n, _mul_check)
+    on_case(p, n, _mul_check)
 
 
-@pytest.mark.parametrize("p,n", KERNEL_CASES)
+@pytest.mark.parametrize("p,n", TABLE_CASES)
 def test_cross_mul_basis_pairs(p, n):
-    _on_case(p, n, lambda ring, rng, small: (_cross_mul_stacks(ring, rng), _cross_mul_cases(ring, rng, small)))
+    on_case(p, n, lambda ring, rng, small: (_cross_mul_stacks(ring, rng), _cross_mul_cases(ring, rng, small)))
 
 
-@pytest.mark.parametrize("p,n", KERNEL_CASES)
+@pytest.mark.parametrize("p,n", TABLE_CASES)
 def test_pair_rows_match_the_naive_product(p, n):
-    _on_case(p, n, lambda ring, rng, small: (_pair_rows_oracle(ring, rng), _pair_rows_exact(ring, rng)))
+    on_case(p, n, lambda ring, rng, small: (_pair_rows_oracle(ring, rng), _pair_rows_exact(ring, rng)))
 
 
 # one part of a kernel check above, on its own, on a ring of the table
