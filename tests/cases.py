@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from sdgr.field import find_lambda, is_prime
 from sdgr.kex import SecretPair
-from sdgr.params import GameParams, Params
+from sdgr.params import GameParams
 from sdgr.skewring import SkewRing
 
 
@@ -65,13 +65,12 @@ def on_case(p, n, check):
 
 
 def on_params(p, n, *checks):
-    """Each check(params, rng) in turn, as on_case runs checks, on params with
-    a drawn mixed h: a Params where p | n, else a GameParams, since the
-    schemes read only .ring and .h."""
+    """Each check(params, rng) in turn, as on_case runs checks, on a
+    GameParams with a drawn mixed h: the schemes read only .ring and .h, so
+    they run where Params refuses the ring (p does not divide n) too."""
 
     def run(ring, rng, small):
-        h = ring.gen_public_element(rng)
-        params = (Params if ring.n % ring.p == 0 else GameParams)(ring=ring, h=h)
+        params = GameParams(ring=ring, h=ring.gen_public_element(rng))
         for check in checks:
             check(params, rng)
 

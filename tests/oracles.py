@@ -164,14 +164,10 @@ def synthetic_division_valuation(ring, a):
     return n
 
 
-def bruteforce_loop(inst):
-    """Reference for sdpd_bruteforce: every a against every h gamma, one
-    skew product per pair, a outermost."""
-    ring = inst.params.ring
-    h_gammas = [(gamma, inst.params.h * gamma) for gamma in ring.iter_gamma()]
-    found = []
-    for a in ring.iter_cn():
-        for gamma, hg in h_gammas:
-            if a * hg == inst.pk:
-                found.append((a, gamma))
-    return found
+def bruteforce_loop(params, pks):
+    """Reference for sdpd_bruteforce on each pk of pks: every a against every
+    h gamma, one skew product per pair, a outermost; every pk reads the same
+    products."""
+    h_gammas = [(gamma, params.h * gamma) for gamma in params.ring.iter_gamma()]
+    products = [(a, gamma, a * hg) for a in params.ring.iter_cn() for gamma, hg in h_gammas]
+    return [[(a, gamma) for a, gamma, product in products if product == pk] for pk in pks]

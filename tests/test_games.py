@@ -422,10 +422,11 @@ def test_sdpd_bruteforce_matches_the_pairwise_loop(toy_game, degenerate_game):
     for game in (toy_game, degenerate_game):
         ring = game.ring
         a, gamma = ring.sample_cn(rng), ring.sample_gamma(rng)
-        for planted in ((a, gamma), (ring.zero(), gamma), (a, ring.zero())):
-            inst = SdpdInstance(params=game, pk=planted[0] * game.h * planted[1])
-            found = sdpd_bruteforce(inst)
-            assert found == bruteforce_loop(inst)
-            assert any(fa == planted[0] and fg == planted[1] for fa, fg in found)
+        planted = [(a, gamma), (ring.zero(), gamma), (a, ring.zero())]
+        pks = [pa * game.h * pg for pa, pg in planted]
+        for (pa, pg), pk, loop in zip(planted, pks, bruteforce_loop(game, pks)):
+            found = sdpd_bruteforce(SdpdInstance(params=game, pk=pk))
+            assert found == loop
+            assert any(fa == pa and fg == pg for fa, fg in found)
             sizes.append(len(found))
     assert sizes[1] == sizes[2] == 1449  # every a h gamma = 0 for mixed h

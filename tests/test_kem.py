@@ -24,7 +24,7 @@ from sdgr.kem import (
 )
 from sdgr.params import PARAM_SETS, VALID_L1, Params, make_params
 import sdgr.pke
-from sdgr.pke import pke_dec, pke_enc, sample_message
+from sdgr.pke import pke_dec, pke_enc, pke_gen, sample_message, sample_randomness
 from sdgr.skewring import RingElement, SkewRing, SubspaceTag
 
 from cases import TABLE_CASES, on_params
@@ -177,8 +177,6 @@ def test_decode_ring_length_check(toy_ring):
 
 
 def test_ciphertext_roundtrip(p19_params, rng):
-    from sdgr.pke import pke_enc, pke_gen, sample_message, sample_randomness
-
     kp = pke_gen(p19_params, rng)
     m = sample_message(p19_params, rng)
     c = pke_enc(m, kp.pk, sample_randomness(p19_params, rng), p19_params)
@@ -392,18 +390,15 @@ def _forged(kind, ring, ct, rng):
     elif kind == "other c2":  # the honest c1 with another canonical c2
         edits = [(1, 0, (chunks[1, 0] + 1) % p)]
     else:
-        # "plus p": a chunk c and c + p decode to the same element, so only the
-        # check that c is rep(c') tells them apart.  In either half, every zero
-        # chunk (made p, which a c2 test "> p" for ">= p" lets through) and three drawn
+        # c and c + p decode alike, so only the check that c is rep(c') tells
+        # them apart.  Either half: "every plus p" on every chunk where it fits,
+        # "plus p" on each zero chunk (p passes a c2 test "> p") and 3 drawn
         for e in (0, 1):
             fits = np.flatnonzero(chunks[e] + p < 1 << w).tolist()
-            drawn = rng.sample(fits, min(3, len(fits)))
-            edits += [(e, i, chunks[e, i] + p) for i in [*np.flatnonzero(chunks[e] == 0), *drawn]]
-    forged = []
-    for bit in bits:
-        bad = bytearray(ct)
-        bad[bit // 8] ^= 0x80 >> bit % 8
-        forged.append(bytes(bad))
+            if kind == "plus p":
+                fits = [*np.flatnonzero(chunks[e] == 0), *rng.sample(fits, min(3, len(fits)))]
+            edits += [(e, i, chunks[e, i] + p) for i in fits]
+    forged = [ct[: b // 8] + bytes([ct[b // 8] ^ 0x80 >> b % 8]) + ct[b // 8 + 1 :] for b in bits]
     for e, i, value in edits:
         bad = chunks.copy()
         bad[e, i] = value
@@ -412,16 +407,22 @@ def _forged(kind, ring, ct, rng):
 
 
 def _rejected(params, rng, *kinds, count=2):
-    """Each forgery of `count` honest ciphertexts, of the rejection classes
-    kinds or of all of them, gets the implicit-rejection key H2(rep(s) || c),
-    the key decapsulation by full re-encryption gives."""
+    """Each forgery of `count` honest ciphertexts, of the classes kinds or of
+    all of them, gets the key H2(rep(s) || c) that decaps by full
+    re-encryption gives; a "plus p" or "padding" one decodes to the honest
+    ciphertext.  Returns the number of forgeries of each class."""
     priv, pk_bytes = kem_keygen(params, rng)
+    forged = dict.fromkeys(kinds or ("flip", "plus p", "padding", "other c2", "truncated", "random"), 0)
     for _ in range(count):
         ct, _ = kem_encaps(pk_bytes, params, rng)
-        for kind in kinds or ("flip", "plus p", "padding", "other c2", "truncated", "random"):
+        for kind in forged:
             for bad in _forged(kind, params.ring, ct, rng):
+                if kind in ("plus p", "every plus p", "padding"):
+                    assert decode_ciphertext(params.ring, bad)[0] == decode_ciphertext(params.ring, ct)[0]
                 key = kem_decaps(priv, bad, params)
                 assert key == h2(priv.rep_s + bad, 128) == decaps_by_re_encryption(priv, bad, params)
+                forged[kind] += 1
+    return forged
 
 
 @pytest.mark.parametrize("p,n", TABLE_CASES)
@@ -438,17 +439,19 @@ def test_round_trip_and_tamper_at_a_prime_wider_than_a_byte(p257_params, rng):
     # 9-bit chunks: 2n * 2 * 9 = 9252 bits of each element, padded by 4 bits
     assert rep_len(p257_params.ring) == 1157
     _round_trip(p257_params, rng)
-    _rejected(p257_params, rng, "flip", "padding")
+    assert _rejected(p257_params, rng, "flip", "padding")["padding"] == 2 * 2 * 4
 
 
 @pytest.mark.parametrize("name", sorted(PARAM_SETS))
 def test_chunk_plus_p_is_rejected(name):
-    _rejected(make_params(name, seed=11), random.Random(12), "plus p", count=3)
+    assert _rejected(make_params(name, seed=11), random.Random(12), "every plus p", count=3)["every plus p"]
 
 
 @pytest.mark.parametrize("name", sorted(PARAM_SETS))
 def test_padding_bit_is_rejected(name):
-    _rejected(make_params(name, seed=11), random.Random(12), "padding", count=3)
+    # p19, p23 and p31 pad the last byte of each half, toy and p41 do not
+    forged = _rejected(make_params(name, seed=11), random.Random(12), "padding", count=3)["padding"]
+    assert (forged > 0) == (name in ("p19", "p23", "p31"))
 
 
 @pytest.mark.parametrize("name", sorted(PARAM_SETS))

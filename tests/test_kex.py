@@ -220,7 +220,7 @@ def _shared(params, rng, count=1):
             assert kex_shared(sk, peer_pk) == naive_key(sk, peer_pk)
 
 
-def _top(params, rng):
+def _top(params, _rng=None):
     # the all p - 1 secret under h and under the all p - 1 h, and its key
     # with the all p - 1 peer, the one naive case on p257
     ring = params.ring
@@ -246,7 +246,7 @@ def test_kex_shared_is_a_p_adjunct_gamma(name, rng):
 
 
 def test_all_p_minus_one_secret_and_peer_at_p41():
-    _top(make_params("p41", seed=1003), None)
+    _top(make_params("p41", seed=1003))
 
 
 def test_public_value_refuses_a_foreign_ring(p19_params, rng):

@@ -129,7 +129,7 @@ def _dec(params, rng):
         assert pke_dec(c, sk) == c.c2 - naive_key(sk, c.c1)
 
 
-def _top(params, rng):
+def _top(params, _rng=None):
     # every operand all p - 1 reaches the float64 bound n*(p-1)^2*(1+lam);
     # the decryption is the one naive case on p257
     ring = params.ring
@@ -173,4 +173,4 @@ def test_dec_is_c2_minus_kex_shared(name, rng):
 
 
 def test_all_p_minus_one_at_p41():
-    _top(make_params("p41", seed=1004), None)
+    _top(make_params("p41", seed=1004))
